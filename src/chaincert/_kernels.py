@@ -1,9 +1,13 @@
-"""Pure-Python reference implementation of the hot kernels.
+"""The hot numeric kernels, in exact pure Python.
 
-All functions take flat row-major entry lists. Semantics are identical to
-the compiled twin in _speedups.pyx; the test suite cross-checks the two.
+All functions take flat row-major entry lists:
+
+    matmul_int(a, b, m, n, k)       exact integer matrix product
+    matmul_mod(a, b, m, n, k, p)    matrix product over F_p
+    rref_mod(a, m, n, p)            reduced row echelon form over F_p
 """
 
+# Recorded by the benchmark harness (perfbench/run.py) with every result.
 IMPLEMENTATION = "pure"
 
 

@@ -170,6 +170,12 @@ def cmd_generate(args) -> int:
     if args.group is not None:
         print("error: random generation over group rings is unsupported", file=sys.stderr)
         return EXIT_MALFORMED
+    if args.n < 1 or args.max_rank < 0:
+        print(
+            f"error: need --n >= 1 and --max-rank >= 0, got {args.n} and {args.max_rank}",
+            file=sys.stderr,
+        )
+        return EXIT_MALFORMED
     try:
         ring = _parse_ring(args.ring)
         presentation = _parse_module(ring, args.module)

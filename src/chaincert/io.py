@@ -69,6 +69,13 @@ def ring_to_json(ring: Ring) -> dict:
     raise RingError(f"unsupported ring {ring}")
 
 
+def _prime_field(name: str, modulus: str) -> PrimeField:
+    try:
+        return PrimeField(int(modulus))
+    except (ValueError, RingError) as exc:
+        raise MalformedFileError(f"bad prime field {name!r}") from exc
+
+
 def ring_from_json(doc: dict) -> Ring:
     name = doc.get("ring")
     if not isinstance(name, str):
@@ -76,11 +83,9 @@ def ring_from_json(doc: dict) -> Ring:
     if name == "Z":
         return ZZ
     if name.startswith("Fp:"):
-        try:
-            return PrimeField(int(name[3:]))
-        except (ValueError, RingError) as exc:
-            raise MalformedFileError(f"bad prime field {name!r}") from exc
+        return _prime_field(name, name[3:])
     if name == "ZG" or name.startswith("FpG:"):
+        base = ZZ if name == "ZG" else _prime_field(name, name[4:])
         group_doc = doc.get("group")
         if not isinstance(group_doc, dict):
             raise MalformedFileError("group ring without a Cayley table")
@@ -97,7 +102,6 @@ def ring_from_json(doc: dict) -> Ring:
             raise MalformedFileError("bad group table") from exc
         except RingError as exc:
             raise MalformedFileError(f"bad group table: {exc}") from exc
-        base = ZZ if name == "ZG" else PrimeField(int(name[4:]))
         return GroupRing(base, table)
     raise MalformedFileError(f"unknown ring {name!r}")
 

@@ -119,6 +119,12 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         return _mat_mul(self, other)
 
+    def top_rows(self, count: int) -> "Matrix":
+        """The submatrix of the first ``count`` rows."""
+        if not 0 <= count <= self.rows:
+            raise ShapeError(f"cannot take {count} rows of {self.shape}")
+        return Matrix(self.ring, count, self.cols, self._e[: count * self.cols])
+
     def transpose(self) -> "Matrix":
         return Matrix(
             self.ring, self.cols, self.rows,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .chain import (
     ChainComplex,
     Report,
+    dualize_complex,
     homology_invariants,
     validate_complex,
 )
@@ -154,13 +155,7 @@ def validate_resolution(res: TruncatedResolution) -> Report:
                 inv.trivial,
                 "" if inv.trivial else f"homology {inv}",
             )
-        kern = kernel_basis(hstack(aug_b, rel_b))
-        proj = Matrix(
-            aug_b.ring,
-            aug_b.cols,
-            kern.cols,
-            [kern.entry(i, j) for i in range(aug_b.cols) for j in range(kern.cols)],
-        )
+        proj = kernel_basis(hstack(aug_b, rel_b)).top_rows(aug_b.cols)
         covered = solve(d1_b, proj)
         report.add(
             "exact at degree 0",
@@ -238,11 +233,7 @@ def generate_resolution(
         augmentation = Matrix.identity(ring, m)
     p0 = augmentation.cols
 
-    kern = kernel_basis(hstack(augmentation, rel))
-    d1 = Matrix(
-        ring, p0, kern.cols,
-        [kern.entry(i, j) for i in range(p0) for j in range(kern.cols)],
-    )
+    d1 = kernel_basis(hstack(augmentation, rel)).top_rows(p0)
     diffs = [_pad_with_redundant_columns(d1, max_rank, rng)]
     for _ in range(2, n + 1):
         kern = kernel_basis(diffs[-1])
@@ -333,13 +324,9 @@ def dualize(res: TruncatedResolution) -> TruncatedResolution:
     presentation and augmentation data are carried verbatim."""
     if not isinstance(res.ring, PrimeField):
         raise RingError("dualize is available over prime fields only")
-    n = res.length
-    old = res.complex
-    ranks = [old.ranks[n - j] for j in range(n + 1)]
-    diffs = [old.d(n - j + 1).transpose() for j in range(1, n + 1)]
     return TruncatedResolution(
         res.presentation,
-        ChainComplex(res.ring, ranks, diffs),
+        dualize_complex(res.complex),
         res.augmentation,
         cochain=not res.cochain,
     )

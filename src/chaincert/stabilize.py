@@ -439,11 +439,11 @@ def build_ladder_maps(
     lifted = solve(hstack(res_q.augmentation, rel), res_p.augmentation)
     if lifted is None:
         raise LiftError(0, "forward")
-    f0 = _top_rows(lifted, res_q.complex.ranks[0])
+    f0 = lifted.top_rows(res_q.complex.ranks[0])
     lifted = solve(hstack(res_p.augmentation, rel), res_q.augmentation)
     if lifted is None:
         raise LiftError(0, "backward")
-    g0 = _top_rows(lifted, res_p.complex.ranks[0])
+    g0 = lifted.top_rows(res_p.complex.ranks[0])
 
     lifts_fwd = [f0]
     lifts_bwd = [g0]
@@ -471,13 +471,6 @@ def build_ladder_maps(
     )
     _verify_ladder_maps(ladder, maps)
     return maps
-
-
-def _top_rows(m: Matrix, count: int) -> Matrix:
-    return Matrix(
-        m.ring, count, m.cols,
-        [m.entry(i, j) for i in range(count) for j in range(m.cols)],
-    )
 
 
 def _verify_ladder_maps(ladder: StabilizerLadder, maps: LadderMaps):

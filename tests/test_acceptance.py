@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole suite is budgeted to finish in well under a minute on the
-compiled kernels and within a few minutes on the pure fallback.
+lines; the whole suite is budgeted to finish in well under a minute.
 """
 
 import itertools

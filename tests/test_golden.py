@@ -1,0 +1,86 @@
+"""Golden certificate hashes: construction must stay byte-identical.
+
+Each case builds a fixed pair of resolutions, runs the full stabilization
+pipeline and hashes the canonical JSON of the certificate. A change to
+construction, serialization or the kernels that alters a single byte of
+any certificate fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from chaincert import io
+from chaincert.matrix import Matrix
+from chaincert.resolution import (
+    ModulePresentation,
+    canonical_resolution,
+    generate_resolution,
+    pad_top,
+)
+from chaincert.rings import ZZ, PrimeField
+from chaincert.stabilize import total_equivalence
+
+from conftest import s3_resolution
+
+
+def _fp_pair():
+    f5 = PrimeField(5)
+    pres = ModulePresentation(f5, 2, Matrix(f5, 2, 0, ()))
+    return (
+        generate_resolution(pres, n=3, max_rank=6, seed=11),
+        generate_resolution(pres, n=3, max_rank=6, seed=12),
+    )
+
+
+def _z_pair():
+    pres = ModulePresentation(ZZ, 2, Matrix(ZZ, 2, 1, [6, 0]))
+    return (
+        generate_resolution(pres, n=3, max_rank=5, seed=21),
+        generate_resolution(pres, n=3, max_rank=5, seed=22),
+    )
+
+
+def _zc2_pair():
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    return res, pad_top(res, 1)
+
+
+def _s3_pair():
+    res = s3_resolution()
+    return res, pad_top(res, 1)
+
+
+GOLDEN = [
+    pytest.param(
+        _fp_pair,
+        "eba74732a3337657581c75ed046b8357fd2c8a80928232f4bc7cf7e384e1285e",
+        id="F5-dim2-n3",
+    ),
+    pytest.param(
+        _z_pair,
+        "a3dd43db1c23361d93d1151e77ec69dc1fcd1303afe5fec67dc37671a51be5de",
+        id="Z-torsion6-n3",
+    ),
+    pytest.param(
+        _zc2_pair,
+        "db57161efc631dd18987e44612f1ff236fd7a28107cb162b34823e39d1305a3c",
+        id="ZC2-n2-pad1",
+    ),
+    pytest.param(
+        _s3_pair,
+        "856eac60890a47fee6e0549a99d5e1e3896a224bc803fb9c2bad5f828e81f071",
+        id="ZS3-n2-pad1",
+    ),
+]
+
+
+def certificate_digest(pair) -> str:
+    cert = total_equivalence(*pair)
+    text = io.dump_canonical(io.certificate_to_json(cert))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build,digest", GOLDEN)
+def test_golden_certificate_hash(build, digest):
+    assert certificate_digest(build()) == digest

@@ -103,6 +103,19 @@ def test_fp_group_ring_round_trip():
     assert io.ring_from_json(doc) == ring
 
 
+@pytest.mark.parametrize("ring", ["FpG:4", "FpG:x", "FpG:"])
+def test_cli_validate_bad_group_ring_base(tmp_path, capsys, ring):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.resolution_to_json(res)
+    doc["ring"] = ring
+    path = tmp_path / "bad_base.json"
+    path.write_text(io.dump_canonical(doc))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad prime field" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -254,6 +267,16 @@ def test_cli_generate_group_ring_rejected(tmp_path):
         "generate", "--ring", "Z", "--group", "table.json",
         "--module", "Z", "--out", str(tmp_path / "no.json"),
     ]) == 1
+
+
+@pytest.mark.parametrize(
+    "size", [["--n", "0"], ["--n", "-2"], ["--max-rank", "-3"]]
+)
+def test_cli_generate_rejects_bad_sizes(tmp_path, capsys, size):
+    out = tmp_path / "no.json"
+    assert main(["generate", "--ring", "Z", "--module", "Z/2", *size, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_dualize_round_trip(tmp_path):

@@ -1,58 +1,12 @@
-"""The compiled and pure kernels must agree entry for entry."""
+"""The exact numeric kernels on hand-checked inputs."""
 
-import random
-
-import pytest
-
-from chaincert._kernels import _pure
-
-try:
-    from chaincert._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernels not built"
-)
-
-
-@needs_compiled
-def test_matmul_int_agreement():
-    rng = random.Random(0)
-    for _ in range(50):
-        m, n, k = (rng.randint(0, 6) for _ in range(3))
-        a = [rng.randint(-10**12, 10**12) for _ in range(m * n)]
-        b = [rng.randint(-10**12, 10**12) for _ in range(n * k)]
-        assert _pure.matmul_int(a, b, m, n, k) == _speedups.matmul_int(a, b, m, n, k)
-
-
-@needs_compiled
-def test_matmul_mod_agreement():
-    rng = random.Random(1)
-    for p in (2, 3, 5, 2**31 - 1):
-        for _ in range(25):
-            m, n, k = (rng.randint(0, 6) for _ in range(3))
-            a = [rng.randrange(p) for _ in range(m * n)]
-            b = [rng.randrange(p) for _ in range(n * k)]
-            assert _pure.matmul_mod(a, b, m, n, k, p) == _speedups.matmul_mod(
-                a, b, m, n, k, p
-            )
-
-
-@needs_compiled
-def test_rref_mod_agreement():
-    rng = random.Random(2)
-    for p in (2, 3, 5, 101):
-        for _ in range(40):
-            m, n = rng.randint(0, 7), rng.randint(0, 7)
-            a = [rng.randrange(p) for _ in range(m * n)]
-            assert _pure.rref_mod(a, m, n, p) == _speedups.rref_mod(a, m, n, p)
+from chaincert import _kernels
 
 
 def test_pure_matmul_big_integers():
     a = [10**40, 1, -(10**39), 2]
     b = [3, 10**41, 5, -7]
-    out = _pure.matmul_int(a, b, 2, 2, 2)
+    out = _kernels.matmul_int(a, b, 2, 2, 2)
     assert out == [
         3 * 10**40 + 5,
         10**81 - 7,
@@ -62,6 +16,6 @@ def test_pure_matmul_big_integers():
 
 
 def test_rref_mod_pure_shape():
-    flat, pivots = _pure.rref_mod([1, 2, 2, 4], 2, 2, 5)
+    flat, pivots = _kernels.rref_mod([1, 2, 2, 4], 2, 2, 5)
     assert pivots == [0]
     assert flat == [1, 2, 0, 0]

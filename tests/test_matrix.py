@@ -70,6 +70,13 @@ def test_zero_dimensional_matrices():
     assert (b * a).is_zero()
     assert hstack(b, Matrix.identity(ZZ, 3)).shape == (3, 3)
     assert vstack(a, Matrix.identity(ZZ, 3)).shape == (3, 3)
+    c = rand_int_matrix(random.Random(2), 2, 3)
+    stacked = vstack(c, Matrix.identity(ZZ, 3))
+    assert stacked.top_rows(2) == c
+    assert stacked.top_rows(0) == a
+    assert stacked.top_rows(5) == stacked
+    with pytest.raises(ShapeError):
+        stacked.top_rows(6)
 
 
 def test_transpose_round_trip():

@@ -7,43 +7,58 @@ All functions take flat row-major entry lists:
     rref_mod(a, m, n, p)            reduced row echelon form over F_p
 """
 
+from itertools import compress
+
 # Recorded by the benchmark harness (perfbench/run.py) with every result.
 IMPLEMENTATION = "pure"
+
+
+def _product_rows(a, b, m, n, k):
+    """The rows of the (m x n) @ (n x k) product that are not zero by
+    sparsity, as (row index, unreduced integer row) pairs.
+
+    Zero entries of ``a`` and ``b`` are skipped at C speed with
+    ``itertools.compress``; the pipeline's block matrices are mostly zeros.
+    """
+    if not (m and n and k):
+        return
+    cols = range(k)
+    brows = []
+    for r in range(0, n * k, k):
+        brow = b[r : r + k]
+        brows.append([(j, brow[j]) for j in compress(cols, brow)])
+    inner = range(n)
+    for i in range(m):
+        arow = a[i * n : (i + 1) * n]
+        row = None
+        for t in compress(inner, arow):
+            brow = brows[t]
+            if brow:
+                if row is None:
+                    row = [0] * k
+                x = arow[t]
+                for j, y in brow:
+                    row[j] += x * y
+        if row is not None:
+            yield i, row
 
 
 def matmul_int(a, b, m, n, k):
     """(m x n) @ (n x k) over arbitrary-precision integers."""
     out = [0] * (m * k)
-    if n == 0 or m == 0 or k == 0:
-        return out
-    brows = [b[r * k : (r + 1) * k] for r in range(n)]
-    for i in range(m):
-        row = [0] * k
-        arow = a[i * n : (i + 1) * n]
-        for x, brow in zip(arow, brows):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        row[j] += x * y
+    for i, row in _product_rows(a, b, m, n, k):
         out[i * k : (i + 1) * k] = row
     return out
 
 
 def matmul_mod(a, b, m, n, k, p):
-    """(m x n) @ (n x k) with entries reduced into [0, p)."""
+    """(m x n) @ (n x k) with entries reduced into [0, p).
+
+    Each output row accumulates in Python ints and is reduced once.
+    """
     out = [0] * (m * k)
-    if n == 0 or m == 0 or k == 0:
-        return out
-    brows = [b[r * k : (r + 1) * k] for r in range(n)]
-    for i in range(m):
-        row = [0] * k
-        arow = a[i * n : (i + 1) * n]
-        for x, brow in zip(arow, brows):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        row[j] = (row[j] + x * y) % p
-        out[i * k : (i + 1) * k] = row
+    for i, row in _product_rows(a, b, m, n, k):
+        out[i * k : (i + 1) * k] = [v % p for v in row]
     return out
 
 

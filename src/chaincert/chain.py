@@ -228,12 +228,11 @@ def validate_chain_map(f: ChainMap) -> Report:
     for i in range(1, f.source.length + 1):
         lhs = f.target.d(i) * f[i]
         rhs = f[i - 1] * f.source.d(i)
-        resid = lhs - rhs
-        ok = resid.is_zero()
+        ok = lhs == rhs
         report.add(
             f"square at degree {i}",
             ok,
-            "" if ok else f"residual {_residual_str(resid)}",
+            "" if ok else f"residual {_residual_str(lhs - rhs)}",
         )
     if f.source.length == 0:
         report.add("squares", True, "single degree, nothing to commute")
@@ -243,35 +242,62 @@ def validate_chain_map(f: ChainMap) -> Report:
 class ChainHomotopy:
     """Witness that two chain maps with the same source and target agree up
     to homotopy: f - g = d s + s d. Components run from degree i to i+1 for
-    i = 0..n-1; the top component is the zero map and is not stored."""
+    i = 0..n-1; the top component is the zero map and is not stored.
 
-    __slots__ = ("f", "g", "parts")
+    ``round_trip`` builds the homotopy from a composite outer.inner to the
+    identity without forming the composite: ``f`` is computed on first
+    access (in practice only by ``validate_homotopy``)."""
+
+    __slots__ = ("_f", "_factors", "g", "parts")
 
     def __init__(self, f: ChainMap, g: ChainMap, parts):
-        if f.source != g.source or f.target != g.target:
+        self._f = f
+        self._factors = None
+        self._attach(f.source, f.target, g, parts)
+
+    @classmethod
+    def round_trip(cls, outer: ChainMap, inner: ChainMap, parts) -> "ChainHomotopy":
+        """Homotopy from outer.inner to the identity on inner.source."""
+        if inner.target != outer.source:
+            raise ShapeError("composition mismatch")
+        h = cls.__new__(cls)
+        h._f = None
+        h._factors = (outer, inner)
+        h._attach(inner.source, outer.target, identity_chain_map(inner.source), parts)
+        return h
+
+    def _attach(self, source: ChainComplex, target: ChainComplex, g: ChainMap, parts):
+        if source != g.source or target != g.target:
             raise ShapeError("homotopy needs maps with equal source and target")
         parts = tuple(parts)
-        n = f.source.length
+        n = source.length
         if len(parts) != n:
             raise ShapeError("need one homotopy component per degree below the top")
         for i, s in enumerate(parts):
-            if s.shape != (f.target.ranks[i + 1], f.source.ranks[i]):
+            if s.shape != (target.ranks[i + 1], source.ranks[i]):
                 raise ShapeError(
                     f"homotopy component {i} must be "
-                    f"{f.target.ranks[i+1]}x{f.source.ranks[i]}"
+                    f"{target.ranks[i+1]}x{source.ranks[i]}"
                 )
-        self.f = f
         self.g = g
         self.parts = parts
 
+    @property
+    def f(self) -> ChainMap:
+        if self._f is None:
+            outer, inner = self._factors
+            self._f = outer.after(inner)
+            self._factors = None
+        return self._f
+
     def part(self, i: int) -> Matrix:
         """Component degree i -> i+1; zero above the top."""
-        n = self.f.source.length
+        src = self.g.source
+        n = src.length
         if 0 <= i < n:
             return self.parts[i]
         if i == n:
-            src = self.f.source.ranks[n]
-            return Matrix.zeros(self.f.source.ring, 0, src)
+            return Matrix.zeros(src.ring, 0, src.ranks[n])
         raise ShapeError(f"no homotopy component at degree {i}")
 
 
@@ -290,24 +316,16 @@ def validate_homotopy(h: ChainHomotopy) -> Report:
     src, tgt = f.source, f.target
     n = src.length
     for i in range(n + 1):
-        lhs = f[i] - g[i]
-        rhs_terms = []
+        rhs = g[i]
         if i < n:
-            rhs_terms.append(tgt.d(i + 1) * h.parts[i])
+            rhs = rhs + tgt.d(i + 1) * h.parts[i]
         if i > 0:
-            rhs_terms.append(h.parts[i - 1] * src.d(i))
-        if rhs_terms:
-            rhs = rhs_terms[0]
-            for t in rhs_terms[1:]:
-                rhs = rhs + t
-            resid = lhs - rhs
-        else:
-            resid = lhs
-        ok = resid.is_zero()
+            rhs = rhs + h.parts[i - 1] * src.d(i)
+        ok = f[i] == rhs
         report.add(
             f"homotopy identity at degree {i}",
             ok,
-            "" if ok else f"residual {_residual_str(resid)}",
+            "" if ok else f"residual {_residual_str(f[i] - rhs)}",
         )
     return report
 
@@ -340,19 +358,15 @@ class HomotopyEquivalence:
         return report
 
 
-def _round_trip_homotopy(outer: ChainMap, inner: ChainMap, parts) -> ChainHomotopy:
-    comp = outer.after(inner)
-    return ChainHomotopy(comp, identity_chain_map(inner.source), parts)
-
-
 def make_equivalence(fwd: ChainMap, bwd: ChainMap, s_parts, t_parts) -> HomotopyEquivalence:
     """Package witnesses: s contracts bwd.fwd on the source, t contracts
-    fwd.bwd on the target."""
+    fwd.bwd on the target. The round-trip composites are formed only if a
+    homotopy is validated."""
     return HomotopyEquivalence(
         fwd=fwd,
         bwd=bwd,
-        src_homotopy=_round_trip_homotopy(bwd, fwd, s_parts),
-        tgt_homotopy=_round_trip_homotopy(fwd, bwd, t_parts),
+        src_homotopy=ChainHomotopy.round_trip(bwd, fwd, s_parts),
+        tgt_homotopy=ChainHomotopy.round_trip(fwd, bwd, t_parts),
     )
 
 

@@ -9,11 +9,19 @@ block [F | G]; a direct sum of maps is the diagonal block.
 
 Matrices with zero rows or columns are first-class citizens; they carry
 maps to and from the zero module.
+
+Invariant: every entry is in its ring's canonical form (``rings``): an
+``int`` over Z, a residue in ``[0, p)`` over F_p, a tuple of canonical
+base coefficients over a group ring. Products, sums and the parsers all
+produce canonical entries, so equality of matrices is equality of entry
+tuples, and zero and identity matrices are recognized by counting entries
+equal to ``ring.zero`` and ``ring.one``; the arithmetic below relies on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import _kernels
 from .rings import GroupRing, IntegerRing, PrimeField, Ring, RingError
@@ -56,8 +64,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        entries = [ring.zero] * (n * n)
+        entries[:: n + 1] = [ring.one] * n
+        return cls(ring, n, n, entries)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -77,8 +86,7 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for x in self._e)
+        return _all_zero(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,30 +101,68 @@ class Matrix:
         return hash((self.ring, self.rows, self.cols, self._e))
 
     def _check_same_ring(self, other: "Matrix"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingError(f"ring mismatch: {self.ring} vs {other.ring}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _check_same_shape(self, other: "Matrix", verb: str):
         self._check_same_ring(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        add = self.ring.add
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [add(x, y) for x, y in zip(self._e, other._e)],
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeError(f"cannot {verb} {self.shape} and {other.shape}")
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        self._check_same_shape(other, "add")
+        if _all_zero(other):
+            return self
+        if _all_zero(self):
+            return other
+        ring, a, b = self.ring, self._e, other._e
+        if isinstance(ring, IntegerRing):
+            entries = [x + y for x, y in zip(a, b)]
+        elif isinstance(ring, PrimeField):
+            p = ring.p
+            entries = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = ring.add
+            entries = [add(x, y) for x, y in zip(a, b)]
+        return Matrix(ring, self.rows, self.cols, entries)
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols, [neg(x) for x in self._e])
+        ring, a = self.ring, self._e
+        if isinstance(ring, IntegerRing):
+            entries = [-x for x in a]
+        elif isinstance(ring, PrimeField):
+            p = ring.p
+            entries = [-x % p for x in a]
+        else:
+            neg = ring.neg
+            entries = [neg(x) for x in a]
+        return Matrix(ring, self.rows, self.cols, entries)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._check_same_shape(other, "subtract")
+        if _all_zero(other):
+            return self
+        ring, a, b = self.ring, self._e, other._e
+        if isinstance(ring, IntegerRing):
+            entries = [x - y for x, y in zip(a, b)]
+        elif isinstance(ring, PrimeField):
+            p = ring.p
+            entries = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            sub = ring.sub
+            entries = [sub(x, y) for x, y in zip(a, b)]
+        return Matrix(ring, self.rows, self.cols, entries)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_same_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        if _all_zero(self) or _all_zero(other):
+            return Matrix.zeros(self.ring, self.rows, other.cols)
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         return _mat_mul(self, other)
 
     def top_rows(self, count: int) -> "Matrix":
@@ -126,10 +172,11 @@ class Matrix:
         return Matrix(self.ring, count, self.cols, self._e[: count * self.cols])
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring, self.cols, self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
+        e, cols = self._e, self.cols
+        entries = []
+        for j in range(cols):
+            entries.extend(e[j::cols])
+        return Matrix(self.ring, cols, self.rows, entries)
 
     def __repr__(self):
         body = "; ".join(
@@ -137,6 +184,20 @@ class Matrix:
             for i in range(self.rows)
         )
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, [{body}])"
+
+
+def _all_zero(a: Matrix) -> bool:
+    """Every entry is zero (canonical entries); true for empty matrices."""
+    return a._e.count(a.ring.zero) == len(a._e)
+
+
+def _is_identity(a: Matrix) -> bool:
+    """A square identity matrix (canonical entries)."""
+    n = a.rows
+    if n != a.cols:
+        return False
+    e = a._e
+    return e[:: n + 1].count(a.ring.one) == n and e.count(a.ring.zero) == n * n - n
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -164,13 +225,11 @@ def hstack(*mats: Matrix) -> Matrix:
             raise ShapeError("hstack row mismatch")
         if mat.ring != ring:
             raise RingError("hstack ring mismatch")
-    out_rows = []
+    entries: list = []
     for i in range(rows):
-        row: list = []
         for mat in mats:
-            row.extend(mat.row_list(i))
-        out_rows.append(row)
-    return Matrix.from_rows(ring, out_rows, cols=sum(m.cols for m in mats))
+            entries.extend(mat._e[i * mat.cols : (i + 1) * mat.cols])
+    return Matrix(ring, rows, sum(m.cols for m in mats), entries)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -490,7 +549,7 @@ def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
                     resid[i] -= q * e[i][j]
         if any(resid):
             return None
-        cols_out.append([sum(v[i][j] * y[j] for j in range(n)) for i in range(n)])
+        cols_out.append([sum(map(mul, row, y)) for row in v])
     entries = [cols_out[j][i] for i in range(n) for j in range(b.cols)]
     return Matrix(a.ring, n, b.cols, entries)
 

@@ -85,6 +85,21 @@ def s3_resolution():
     )
 
 
+def f2c4_resolution(n):
+    """The periodic resolution of F_2 over F_2[C_4]: t - 1 and the norm
+    element alternate as 1 x 1 boundaries; a characteristic-2 group ring."""
+    from chaincert.chain import ChainComplex
+    from chaincert.resolution import TruncatedResolution
+
+    ring = GroupRing(F2, GroupTable.cyclic(4))
+    t_m1 = ring.sub(ring.basis_element(1), ring.one)
+    norm = (1, 1, 1, 1)
+    pres = ModulePresentation(ring, 1, Matrix(ring, 1, 1, [t_m1]))
+    diffs = [Matrix(ring, 1, 1, [t_m1 if i % 2 else norm]) for i in range(1, n + 1)]
+    return TruncatedResolution(
+        pres, ChainComplex(ring, [1] * (n + 1), diffs), Matrix(ring, 1, 1, [ring.one])
+    )
+
 @pytest.fixture(scope="session")
 def acceptance_certificates():
     """The 200 randomized certificates shared by several acceptance

@@ -4,6 +4,7 @@ import pytest
 
 from chaincert.chain import (
     ChainComplex,
+    ChainHomotopy,
     ChainMap,
     HomologyError,
     compose_equivalences,
@@ -15,6 +16,7 @@ from chaincert.chain import (
     homology_invariants,
     identity_chain_map,
     identity_equivalence,
+    make_equivalence,
     restrict_complex,
     reverse_equivalence,
     validate_chain_map,
@@ -48,6 +50,52 @@ def test_validate_complex_passes_and_fails():
     report = validate_complex(bad)
     assert not report.ok
     assert "d1.d2" in report.first_failure.name
+
+
+def test_validators_report_residuals_on_failure():
+    bad = ChainComplex(
+        ZZ, [1, 1, 1],
+        [Matrix.from_rows(ZZ, [[2]]), Matrix.from_rows(ZZ, [[3]])],
+    )
+    check = validate_complex(bad).first_failure
+    assert check.name == "d1.d2 = 0"
+    assert check.detail == f"residual {Matrix.from_rows(ZZ, [[6]])!r}"
+
+    c = two_step(ZZ, [[3]])
+    off_square = ChainMap(c, c, [Matrix.identity(ZZ, 1), Matrix.from_rows(ZZ, [[2]])])
+    report = validate_chain_map(off_square)
+    assert not report.ok
+    check = report.first_failure
+    assert check.name == "square at degree 1"
+    # d.f1 - f0.d = 3*2 - 1*3
+    assert check.detail == f"residual {Matrix.from_rows(ZZ, [[3]])!r}"
+
+    f = identity_chain_map(c)
+    g = ChainMap(c, c, [Matrix.from_rows(ZZ, [[-2]]), Matrix.from_rows(ZZ, [[-2]])])
+    wrong = ChainHomotopy(f, g, [Matrix.from_rows(ZZ, [[2]])])
+    report = validate_homotopy(wrong)
+    assert not report.ok
+    # degree 0: f - g - d s = 1 + 2 - 3*2; degree 1: 1 + 2 - 2*3
+    assert [ch.detail for ch in report.checks] == [
+        f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
+        f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
+    ]
+    right = ChainHomotopy(f, g, [Matrix.from_rows(ZZ, [[1]])])
+    assert validate_homotopy(right).ok
+
+
+def test_make_equivalence_round_trips_are_composites():
+    c = two_step(F3, [[1, 2]])
+    fwd = ChainMap(c, c, [Matrix.identity(F3, 1), Matrix.from_rows(F3, [[1, 0], [1, 2]])])
+    bwd = ChainMap(c, c, [Matrix.identity(F3, 1), Matrix.from_rows(F3, [[2, 1], [0, 1]])])
+    zeros = [Matrix.zeros(F3, 2, 1)]
+    e = make_equivalence(fwd, bwd, zeros, list(zeros))
+    assert e.src_homotopy.f == bwd.after(fwd)
+    assert e.tgt_homotopy.f == fwd.after(bwd)
+    assert e.src_homotopy.g == identity_chain_map(c)
+    # witness shapes are still checked when the equivalence is made
+    with pytest.raises(ShapeError):
+        make_equivalence(fwd, ChainMap(c, c, fwd.parts), zeros, [Matrix.zeros(F3, 1, 1)])
 
 
 def test_identity_chain_map_validates():

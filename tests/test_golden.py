@@ -21,7 +21,7 @@ from chaincert.resolution import (
 from chaincert.rings import ZZ, PrimeField
 from chaincert.stabilize import total_equivalence
 
-from conftest import s3_resolution
+from conftest import f2c4_resolution, s3_resolution
 
 
 def _fp_pair():
@@ -51,6 +51,28 @@ def _s3_pair():
     return res, pad_top(res, 1)
 
 
+def _f2c4_pair():
+    res = f2c4_resolution(4)
+    return res, pad_top(res, 2)
+
+
+def _fp_deep_pair():
+    f5 = PrimeField(5)
+    pres = ModulePresentation(f5, 2, Matrix(f5, 2, 0, ()))
+    return (
+        generate_resolution(pres, n=6, max_rank=6, seed=31),
+        generate_resolution(pres, n=6, max_rank=6, seed=32),
+    )
+
+
+def _z_deep_pair():
+    pres = ModulePresentation(ZZ, 2, Matrix(ZZ, 2, 1, [6, 0]))
+    return (
+        generate_resolution(pres, n=5, max_rank=5, seed=41),
+        generate_resolution(pres, n=5, max_rank=5, seed=42),
+    )
+
+
 GOLDEN = [
     pytest.param(
         _fp_pair,
@@ -71,6 +93,21 @@ GOLDEN = [
         _s3_pair,
         "856eac60890a47fee6e0549a99d5e1e3896a224bc803fb9c2bad5f828e81f071",
         id="ZS3-n2-pad1",
+    ),
+    pytest.param(
+        _f2c4_pair,
+        "b975bc921b4f23ec450cd59868b59180c9217c024d8154bb4dd855599c2ca115",
+        id="F2C4-n4-pad2",
+    ),
+    pytest.param(
+        _fp_deep_pair,
+        "898e38e8ab46e5f32a05b104886d93869763009be7d7ff8c093c7f6e431aabe4",
+        id="F5-dim2-n6",
+    ),
+    pytest.param(
+        _z_deep_pair,
+        "1e26b3d448d087b33da52332024ccb24183e2c2016d08559ce9909de7a48f63e",
+        id="Z-torsion6-n5",
     ),
 ]
 

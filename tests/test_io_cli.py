@@ -204,6 +204,29 @@ def test_cli_check_rejects_perturbed_homotopy(tmp_path):
     assert main(["check", str(mutated)]) == 2
 
 
+def test_cli_check_verbose_names_the_failing_identity(tmp_path, capsys):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    p = _write(tmp_path, "p.json", res)
+    q = _write(tmp_path, "q.json", pad_top(res, 1))
+    out = str(tmp_path / "cert.json")
+    assert main(["stabilize", p, q, "--out", out]) == 0
+    doc = json.load(open(out))
+    entry = doc["payload"]["forward"][1][0][0]
+    doc["payload"]["forward"][1][0][0] = [str(int(entry[0]) + 1), entry[1]]
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(io.dump_canonical(doc))
+    capsys.readouterr()
+    assert main(["check", "--verbose", str(mutated)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert any(
+        line.startswith("[FAIL] forward map: square at degree 1: residual Matrix(")
+        for line in failed
+    )
+    assert any(line.startswith("[ok  ]") for line in lines)
+    assert lines[-1].endswith("checks FAILED")
+
+
 def test_cli_check_accepts_reversed_certificate(tmp_path):
     # swapping the two sides wholesale is still a valid certificate
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)

@@ -18,8 +18,11 @@ from chaincert.resolution import (
     pad_top,
 )
 from chaincert.rings import ZZ, PrimeField
+from chaincert import stabilize
+from chaincert.chain import make_equivalence
 from chaincert.stabilize import (
     InputMismatchError,
+    StabilizeError,
     LiftError,
     build_ladder,
     build_ladder_maps,
@@ -324,6 +327,43 @@ def test_total_equivalence_c2_padded():
         assert homology_invariants(cert.source, i) == homology_invariants(
             cert.target, i
         )
+
+
+def test_total_equivalence_reports_every_stage():
+    pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
+    res_p = generate_resolution(pres, n=3, max_rank=4, seed=5)
+    res_q = generate_resolution(pres, n=3, max_rank=4, seed=6)
+    cert = total_equivalence(res_p, res_q)
+    names = [c.name for c in cert.stage_report.checks]
+    assert names == [
+        "expansion 0 -> 1 (left)",
+        "expansion 1 -> 2 (left)",
+        "expansion 2 -> 3 (left)",
+        "middle isomorphism",
+        "expansion 3 -> 2 (right)",
+        "expansion 2 -> 1 (right)",
+        "expansion 1 -> 0 (right)",
+    ]
+    assert all(c.ok for c in cert.stage_report.checks)
+
+
+def test_total_equivalence_rejects_a_broken_stage(monkeypatch):
+    real = stabilize.expansion_equivalence
+
+    def broken(ladder, res, side, r):
+        e = real(ladder, res, side, r)
+        if side == "right" and r == 1:
+            # drop the -1 block: the target round trip is no longer contracted
+            zeros = [Matrix.zeros(res.ring, t.rows, t.cols) for t in e.tgt_homotopy.parts]
+            return make_equivalence(e.fwd, e.bwd, e.src_homotopy.parts, zeros)
+        return e
+
+    monkeypatch.setattr(stabilize, "expansion_equivalence", broken)
+    pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
+    res_p = generate_resolution(pres, n=3, max_rank=4, seed=5)
+    res_q = generate_resolution(pres, n=3, max_rank=4, seed=6)
+    with pytest.raises(StabilizeError, match="stage failed validation"):
+        total_equivalence(res_p, res_q)
 
 
 def test_total_equivalence_f2_property():

@@ -7,20 +7,20 @@ the format stays bit-exact across languages; group-ring elements are
 arrays of base-ring strings in the table's element order. Serialization is
 canonical (sorted keys, fixed separators), so identical data produces
 byte-identical files.
+
+Matrices are coded through a table: each distinct literal of a matrix is
+parsed (or rendered) once and the cells are mapped through that table.
+The accepted literal language is exactly that of ``ring.parse`` (the base
+ring's, for group-ring coefficients); a cell that is not a string, or a
+literal ``ring.parse`` rejects, is a ``MalformedFileError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
-from .chain import (
-    ChainComplex,
-    ChainHomotopy,
-    ChainMap,
-    HomotopyEquivalence,
-    Report,
-    identity_chain_map,
-)
+from .chain import ChainComplex, ChainMap, Report, make_equivalence
 from .matrix import Matrix
 from .resolution import ModulePresentation, TruncatedResolution
 from .rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError
@@ -110,38 +110,61 @@ def ring_from_json(doc: dict) -> Ring:
 # matrices
 
 
-def _entry_out(ring: Ring, x):
-    if isinstance(ring, GroupRing):
-        return [ring.base.render(c) for c in x]
-    return ring.render(x)
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _entry_in(ring: Ring, value):
-    if isinstance(ring, GroupRing):
-        if not isinstance(value, list) or len(value) != ring.group.order:
-            raise MalformedFileError("group-ring entry must list one coefficient per element")
-        return tuple(ring.base.parse(_require_str(c)) for c in value)
-    return ring.parse(_require_str(value))
-
-
-def _require_str(value) -> str:
-    if not isinstance(value, str):
-        raise MalformedFileError(f"expected a string literal, got {value!r}")
-    return value
+def _literal_table(base: Ring, literals) -> dict:
+    """Parse each distinct literal once: {literal: canonical base element}."""
+    try:
+        distinct = set(literals)
+    except TypeError as exc:
+        raise MalformedFileError("matrix entries must be string literals") from exc
+    table = {}
+    for text in distinct:
+        if not isinstance(text, str):
+            raise MalformedFileError(f"expected a string literal, got {_shown(text)}")
+        try:
+            table[text] = base.parse(text)
+        except ValueError as exc:
+            raise MalformedFileError(f"bad literal {_shown(text)}") from exc
+    return table
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[_entry_out(m.ring, m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    ring = m.ring
+    group_ring = isinstance(ring, GroupRing)
+    base = ring.base if group_ring else ring
+    values = list(itertools.chain.from_iterable(m.entries)) if group_ring else m.entries
+    table = {v: base.render(v) for v in set(values)}
+    cells = list(map(table.__getitem__, values))
+    if group_ring:
+        order = ring.group.order
+        cells = [cells[k : k + order] for k in range(0, len(cells), order)]
+    cols = m.cols
+    return [cells[i * cols : (i + 1) * cols] for i in range(m.rows)]
 
 
 def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
     if not isinstance(data, list) or len(data) != rows:
         raise MalformedFileError(f"matrix must have {rows} rows")
-    entries = []
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise MalformedFileError(f"matrix row must have {cols} entries")
-        entries.extend(_entry_in(ring, x) for x in row)
+    cells = list(itertools.chain.from_iterable(data))
+    if isinstance(ring, GroupRing):
+        order = ring.group.order
+        for cell in cells:
+            if not isinstance(cell, list) or len(cell) != order:
+                raise MalformedFileError(
+                    "group-ring entry must list one coefficient per element"
+                )
+        literals = list(itertools.chain.from_iterable(cells))
+        coeffs = map(_literal_table(ring.base, literals).__getitem__, literals)
+        entries = zip(*[coeffs] * order)  # consecutive runs of `order`
+    else:
+        entries = map(_literal_table(ring, cells).__getitem__, cells)
     try:
         return Matrix(ring, rows, cols, entries)
     except (ValueError, RingError) as exc:
@@ -346,9 +369,7 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     try:
         fwd = ChainMap(source, target, fwd_parts)
         bwd = ChainMap(target, source, bwd_parts)
-        src_homotopy = ChainHomotopy(bwd.after(fwd), identity_chain_map(source), s_parts)
-        tgt_homotopy = ChainHomotopy(fwd.after(bwd), identity_chain_map(target), t_parts)
-        equivalence = HomotopyEquivalence(fwd, bwd, src_homotopy, tgt_homotopy)
+        equivalence = make_equivalence(fwd, bwd, s_parts, t_parts)
         presentation = ModulePresentation(ring, ambient, relations)
     except (ValueError, RingError) as exc:
         raise MalformedFileError(str(exc)) from exc
@@ -393,7 +414,7 @@ def load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, over-long JSON numbers
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")

@@ -72,6 +72,11 @@ class Matrix:
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
         return cls(ring, rows, cols, [ring.zero] * (rows * cols))
 
+    @property
+    def entries(self) -> tuple:
+        """All entries in row-major order."""
+        return self._e
+
     def entry(self, i: int, j: int):
         return self._e[i * self.cols + j]
 

@@ -50,26 +50,50 @@ class GroupTable:
         n = self.order
         if n <= 0:
             raise RingError("group order must be positive")
-        if len(self.mult) != n or any(len(row) != n for row in self.mult):
+        mult = tuple(map(tuple, self.mult))
+        if len(mult) != n or any(len(row) != n for row in mult):
             raise RingError("Cayley table must be order x order")
-        if any(not (0 <= x < n) for row in self.mult for x in row):
+        if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
             raise RingError("Cayley table entries must be element indices")
         e = self.identity
         if not 0 <= e < n:
             raise RingError("identity index out of range")
-        if any(self.mult[e][i] != i or self.mult[i][e] != i for i in range(n)):
+        columns = list(zip(*mult))
+        if mult[e] != tuple(range(n)) or columns[e] != tuple(range(n)):
             raise RingError("identity index is not a two-sided identity")
         for i in range(n):
-            if not any(
-                self.mult[i][j] == e and self.mult[j][i] == e for j in range(n)
-            ):
+            if (e, e) not in zip(mult[i], columns[i]):
                 raise RingError(f"element {i} has no two-sided inverse")
-        # desk scale keeps the triple loop affordable
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mult[self.mult[i][j]][k] != self.mult[i][self.mult[j][k]]:
-                        raise RingError(f"non-associative triple ({i},{j},{k})")
+        # Light's test: (x*a)*y == x*(a*y) for every generator a suffices.
+        for a in self._greedy_generators(mult):
+            row_a = mult[a]
+            for x in range(n):
+                lhs = mult[mult[x][a]]
+                rhs = tuple(map(mult[x].__getitem__, row_a))
+                if lhs != rhs:
+                    y = next(y for y in range(n) if lhs[y] != rhs[y])
+                    raise RingError(f"non-associative triple ({x},{a},{y})")
+
+    def _greedy_generators(self, mult) -> list[int]:
+        """Smallest elements, each outside the closure of those before it,
+        until the closure is everything. Each one at least doubles the
+        subgroup generated so far, so a group needs at most log2(order) of
+        them; a table that needs more is rejected."""
+        n = self.order
+        generators: list[int] = []
+        reached = {self.identity}
+        while len(reached) < n:
+            if len(generators) == n.bit_length() - 1:
+                raise RingError(
+                    f"needs more than {len(generators)} generators: not a group"
+                )
+            generators.append(min(set(range(n)) - reached))
+            frontier = list(reached)
+            while frontier:
+                step = {mult[x][a] for x in frontier for a in generators}
+                frontier = list(step - reached)
+                reached |= step
+        return generators
 
     def inverse(self, i: int) -> int:
         for j in range(self.order):

@@ -1,9 +1,12 @@
-"""Golden certificate hashes: construction must stay byte-identical.
+"""Golden certificate and resolution-file hashes: output must stay
+byte-identical.
 
 Each case builds a fixed pair of resolutions, runs the full stabilization
 pipeline and hashes the canonical JSON of the certificate. A change to
 construction, serialization or the kernels that alters a single byte of
-any certificate fails here.
+any certificate fails here. The input resolutions of the same pairs are
+hashed as resolution files too, which pins the bytes `generate` and
+`dualize` write.
 """
 
 import hashlib
@@ -121,3 +124,54 @@ def certificate_digest(pair) -> str:
 @pytest.mark.parametrize("build,digest", GOLDEN)
 def test_golden_certificate_hash(build, digest):
     assert certificate_digest(build()) == digest
+
+
+# sha256 of the canonical resolution file of each input of a golden pair
+RESOLUTION_GOLDEN = [
+    pytest.param(
+        _fp_pair,
+        (
+            "24769ead40ecde181cd3de964269eb502e459cdb28925fc818c7b07fab6a2dcd",
+            "da475dc0a4c41a3fc026f5ed7023e01b69e7528d70581952320e01e2f36ff257",
+        ),
+        id="F5-dim2-n3",
+    ),
+    pytest.param(
+        _z_pair,
+        (
+            "658553c1b730880d20583215cbc82cfa6373748fea745173826d99dcfba3b22b",
+            "49c0210b946a844fb2eb7687dbc2a83aec3e674bcbddfc899b715435badd00ae",
+        ),
+        id="Z-torsion6-n3",
+    ),
+    pytest.param(
+        _zc2_pair,
+        (
+            "495e052abf47d61ba521ec3912c00263a1923b0e0a4534e8a7ef5fa2cd60838a",
+            "72c9238fc5c3a46d51844248e860d68e3a4465469a62913e45c24818b6ac0af6",
+        ),
+        id="ZC2-n2-pad1",
+    ),
+    pytest.param(
+        _s3_pair,
+        (
+            "a4361ead30361acc0884a7ec50589eddc9da5c651b54904563c012ce31e65303",
+            "771ad5f747e495105d26ca0079f1e73cb42d91671f48590af9753006de845301",
+        ),
+        id="ZS3-n2-pad1",
+    ),
+    pytest.param(
+        _f2c4_pair,
+        (
+            "51ce02944e04038fe6d4bbd6f2aebaa04c118380881a5a952e47ea5ae45ef8ae",
+            "8cf7d1c5226ccf7cce724e768cff9f4aa46a47959e6cb3cd9d65824fcea718e5",
+        ),
+        id="F2C4-n4-pad2",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,digests", RESOLUTION_GOLDEN)
+def test_golden_resolution_hash(build, digests):
+    texts = [io.dump_canonical(io.resolution_to_json(r)) for r in build()]
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == digests

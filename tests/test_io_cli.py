@@ -11,7 +11,7 @@ from chaincert.resolution import (
     generate_resolution,
     pad_top,
 )
-from chaincert.rings import GroupRing, GroupTable, PrimeField
+from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 from chaincert.stabilize import total_equivalence, verify_certificate
 
 F2 = PrimeField(2)
@@ -147,6 +147,20 @@ def test_cli_validate_malformed(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
     assert main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"format_version": ' + b"9" * 5000 + b"}", b'{"ring": "\xff"}'],
+    ids=["over-long-number", "not-utf8"],
+)
+def test_cli_undecodable_file(tmp_path, capsys, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_stabilize_check_flow(tmp_path, capsys):
@@ -328,3 +342,70 @@ def test_cli_compare(tmp_path, capsys):
     q = _write(tmp_path, "q.json", pad_top(res, 1))
     assert main(["compare", p, q]) == 0
     assert "homology comparison" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# malformed literals: exit 1 with an error line, never a traceback
+
+BAD_CELLS = [
+    pytest.param("abc", id="letters"),
+    pytest.param("", id="empty"),
+    pytest.param("9" * 5000, id="over-long"),
+    pytest.param(3, id="number"),
+    pytest.param(True, id="bool"),
+    pytest.param(None, id="null"),
+    pytest.param(["1"], id="list"),
+    pytest.param({"a": "1"}, id="dict"),
+]
+
+
+@pytest.fixture(scope="module")
+def z_documents():
+    pres = ModulePresentation(ZZ, 2, Matrix(ZZ, 2, 1, [6, 0]))
+    p = generate_resolution(pres, n=2, max_rank=3, seed=5)
+    q = generate_resolution(pres, n=2, max_rank=3, seed=6)
+    cert = io.certificate_to_json(total_equivalence(p, q))
+    return io.resolution_to_json(p), cert
+
+
+def _first_cell(matrices):
+    """First row of the first nonempty matrix in a list of matrices."""
+    for m in matrices:
+        if m and m[0]:
+            return m[0]
+    raise AssertionError("no nonempty matrix")
+
+
+def _run_bad(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(io.dump_canonical(doc))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS)
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_cli_bad_literal_in_certificate(tmp_path, capsys, z_documents, command, cell):
+    doc = json.loads(json.dumps(z_documents[1]))
+    _first_cell(doc["payload"]["forward"])[0] = cell
+    _run_bad(tmp_path, capsys, command, doc)
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS)
+def test_cli_bad_literal_in_resolution(tmp_path, capsys, z_documents, cell):
+    doc = json.loads(json.dumps(z_documents[0]))
+    _first_cell(doc["payload"]["boundaries"])[0] = cell
+    _run_bad(tmp_path, capsys, "validate", doc)
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS)
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_cli_bad_group_ring_coefficient(tmp_path, capsys, command, cell):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    doc = json.loads(json.dumps(doc))
+    _first_cell(doc["payload"]["forward"])[0][1] = cell
+    _run_bad(tmp_path, capsys, command, doc)

@@ -53,6 +53,44 @@ def test_group_table_validation():
         bad_identity.validate()
 
 
+def test_group_table_rejects_non_associative_loop():
+    # a Latin square with identity 0 in which every element is its own
+    # inverse; no group of order 5 has an element of order 2
+    loop = GroupTable(
+        order=5,
+        mult=(
+            (0, 1, 2, 3, 4),
+            (1, 0, 3, 4, 2),
+            (2, 4, 0, 1, 3),
+            (3, 2, 4, 0, 1),
+            (4, 3, 1, 2, 0),
+        ),
+        identity=0,
+    )
+    assert all(loop.mult[i][i] == 0 for i in range(5))
+    with pytest.raises(RingError, match="non-associative"):
+        loop.validate()
+
+
+def test_group_table_rejects_too_many_generators():
+    # {0,1} and {0,1,2} are closed, so the greedy generating set is 1, 2, 3:
+    # more than log2(4), which no group of order 4 needs
+    table = GroupTable(
+        order=4,
+        mult=((0, 1, 2, 3), (1, 0, 1, 3), (2, 2, 0, 3), (3, 3, 3, 0)),
+        identity=0,
+    )
+    with pytest.raises(RingError, match="not a group"):
+        table.validate()
+
+
+@pytest.mark.parametrize(
+    "table", [GroupTable.cyclic(240), GroupTable.symmetric(5)], ids=["C240", "S5"]
+)
+def test_large_group_tables_validate(table):
+    table.validate()
+
+
 def test_symmetric_group_is_nonabelian():
     s3 = GroupTable.symmetric(3)
     assert any(

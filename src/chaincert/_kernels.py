@@ -4,6 +4,9 @@ All functions take flat row-major entry lists:
 
     matmul_int(a, b, m, n, k)       exact integer matrix product
     matmul_mod(a, b, m, n, k, p)    matrix product over F_p
+    matmul_group(a, b, m, n, k, mult, zero, p)
+                                    matrix product over Z[G] or F_p[G],
+                                    entries coefficient tuples
     rref_mod(a, m, n, p)            reduced row echelon form over F_p
 """
 
@@ -59,6 +62,48 @@ def matmul_mod(a, b, m, n, k, p):
     out = [0] * (m * k)
     for i, row in _product_rows(a, b, m, n, k):
         out[i * k : (i + 1) * k] = [v % p for v in row]
+    return out
+
+
+def matmul_group(a, b, m, n, k, mult, zero, p):
+    """(m x n) @ (n x k) over a group ring base[G].
+
+    Entries are coefficient tuples in the element order of the Cayley table
+    ``mult``; ``zero`` is the zero tuple and ``p`` the characteristic of
+    the base ring (0 over Z). Every pair of nonzero entries a[i,t], b[t,j]
+    is convolved over the table, the left factor's element on the left:
+    acc[mult[g][h]] += x_g * y_h. Each output entry accumulates in Python
+    ints and is reduced mod p once; outputs no pair reaches are ``zero``.
+    """
+    out = [zero] * (m * k)
+    if not (m and n and k):
+        return out
+    # each distinct entry as its nonzero (element, coefficient) pairs
+    support = {x: [(g, c) for g, c in enumerate(x) if c] for x in {*a, *b}}
+    sa = [support[x] for x in a]
+    sb = [support[x] for x in b]
+    order = len(zero)
+    cols = range(k)
+    brows = []
+    for r in range(0, n * k, k):
+        brow = sb[r : r + k]
+        brows.append([(j, brow[j]) for j in compress(cols, brow)])
+    inner = range(n)
+    for i in range(m):
+        arow = sa[i * n : (i + 1) * n]
+        accs = {}
+        for t in compress(inner, arow):
+            xs = arow[t]
+            for j, ys in brows[t]:
+                acc = accs.get(j)
+                if acc is None:
+                    acc = accs[j] = [0] * order
+                for g, x in xs:
+                    prod = mult[g]
+                    for h, y in ys:
+                        acc[prod[h]] += x * y
+        for j, acc in accs.items():
+            out[i * k + j] = tuple([v % p for v in acc] if p else acc)
     return out
 
 

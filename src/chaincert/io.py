@@ -213,6 +213,7 @@ def resolution_from_json(doc: dict) -> TruncatedResolution:
         relations = matrix_from_json(ring, ambient, rel_count, pres_doc["relations"])
         ranks = [_int_in(r) for r in payload["ranks"]]
         boundaries_doc = payload["boundaries"]
+        augmentation_doc = payload["augmentation"]
         cochain = payload.get("cochain", False)
         if not isinstance(cochain, bool):
             raise MalformedFileError("cochain flag must be a boolean")
@@ -230,7 +231,7 @@ def resolution_from_json(doc: dict) -> TruncatedResolution:
             matrix_from_json(ring, ranks[i - 1], ranks[i], boundaries_doc[n - i])
         )
     aug_cols = ranks[-1] if cochain else ranks[0]
-    augmentation = matrix_from_json(ring, ambient, aug_cols, payload["augmentation"])
+    augmentation = matrix_from_json(ring, ambient, aug_cols, augmentation_doc)
     try:
         pres = ModulePresentation(ring, ambient, relations)
         complex_ = ChainComplex(ring, ranks, diffs)
@@ -330,7 +331,8 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
         towers = payload["tower_ranks"]
         t_ranks = tuple(_int_in(r) for r in towers["t"])
         s_ranks = tuple(_int_in(r) for r in towers["s"])
-        iso_doc = payload["block_isomorphisms"]
+        iso_fwd_doc = payload["block_isomorphisms"]["forward"]
+        iso_bwd_doc = payload["block_isomorphisms"]["backward"]
         stage_doc = payload.get("stage_report", [])
     except (KeyError, TypeError) as exc:
         raise MalformedFileError(f"missing certificate field: {exc}") from exc
@@ -354,13 +356,13 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     s_parts = _maps(s_doc, lambda i: source.ranks[i + 1], lambda i: source.ranks[i], n)
     t_parts = _maps(t_doc, lambda i: target.ranks[i + 1], lambda i: target.ranks[i], n)
     iso_fwd = _maps(
-        iso_doc.get("forward"),
+        iso_fwd_doc,
         lambda i: s_ranks[i] + t_ranks[i],
         lambda i: t_ranks[i] + s_ranks[i],
         n + 1,
     )
     iso_bwd = _maps(
-        iso_doc.get("backward"),
+        iso_bwd_doc,
         lambda i: t_ranks[i] + s_ranks[i],
         lambda i: s_ranks[i] + t_ranks[i],
         n + 1,

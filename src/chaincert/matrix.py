@@ -16,6 +16,12 @@ base coefficients over a group ring. Products, sums and the parsers all
 produce canonical entries, so equality of matrices is equality of entry
 tuples, and zero and identity matrices are recognized by counting entries
 equal to ``ring.zero`` and ``ring.one``; the arithmetic below relies on it.
+
+Products are formed in the entries' own ring: by ``_kernels.matmul_int``
+over Z, ``matmul_mod`` over F_p and ``matmul_group`` over a group ring,
+which convolves coefficient tuples over the Cayley table. Restriction of
+scalars to the base ring (``restrict_scalars``) serves only solving and
+the homology and module invariants.
 """
 
 from __future__ import annotations
@@ -215,8 +221,11 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
         flat = _kernels.matmul_mod(list(a._e), list(b._e), m, n, k, ring.p)
         return Matrix(ring, m, k, flat)
     if isinstance(ring, GroupRing):
-        prod = restrict_scalars(a) * _expand_columns(b)
-        return _fold_columns(prod, ring, m)
+        p = ring.base.p if isinstance(ring.base, PrimeField) else 0
+        flat = _kernels.matmul_group(
+            list(a._e), list(b._e), m, n, k, ring.group.mult, ring.zero, p
+        )
+        return Matrix(ring, m, k, flat)
     raise RingError(f"unsupported ring {ring}")
 
 

@@ -82,6 +82,10 @@ class TruncatedResolution:
             raise RingError("complex over the wrong ring")
         if augmentation.ring != presentation.ring:
             raise RingError("augmentation over the wrong ring")
+        if cochain and not isinstance(presentation.ring, PrimeField):
+            raise RingError(
+                "cochain orientation is available over prime fields only"
+            )
         aug_cols = complex.ranks[-1] if cochain else complex.ranks[0]
         if augmentation.shape != (presentation.ambient_rank, aug_cols):
             raise ShapeError(

@@ -100,6 +100,46 @@ def f2c4_resolution(n):
         pres, ChainComplex(ring, [1] * (n + 1), diffs), Matrix(ring, 1, 1, [ring.one])
     )
 
+
+def relabel_table(table, perm):
+    """The Cayley table with element g renamed perm[g]."""
+    order = table.order
+    mult = [[0] * order for _ in range(order)]
+    for g in range(order):
+        for h in range(order):
+            mult[perm[g]][perm[h]] = perm[table.mult[g][h]]
+    new = GroupTable(order, tuple(map(tuple, mult)), perm[table.identity])
+    new.validate()
+    return new
+
+
+def relabel(res, perm):
+    """The same resolution over a relabelled copy of its group: element g
+    becomes perm[g] in the Cayley table and in every coefficient vector."""
+    from chaincert.chain import ChainComplex
+    from chaincert.resolution import TruncatedResolution
+
+    ring = GroupRing(res.ring.base, relabel_table(res.ring.group, perm))
+
+    def move(m):
+        entries = []
+        for x in m.entries:
+            coeffs = [None] * len(x)
+            for g, c in enumerate(x):
+                coeffs[perm[g]] = c
+            entries.append(tuple(coeffs))
+        return Matrix(ring, m.rows, m.cols, entries)
+
+    pres = ModulePresentation(
+        ring, res.presentation.ambient_rank, move(res.presentation.relations)
+    )
+    return TruncatedResolution(
+        pres,
+        ChainComplex(ring, res.complex.ranks, [move(d) for d in res.complex.diffs]),
+        move(res.augmentation),
+    )
+
+
 @pytest.fixture(scope="session")
 def acceptance_certificates():
     """The 200 randomized certificates shared by several acceptance

@@ -1,0 +1,106 @@
+"""Exit contract under malformed files.
+
+Mutations of a valid Z[S_3] certificate and a Z[C_6] resolution file are
+fed to ``check`` and ``validate``: whatever the damage, the command exits
+0, 1 or 2 and raises nothing.
+"""
+
+import contextlib
+import copy
+import io as textio
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chaincert import io
+from chaincert.cli import main
+from chaincert.resolution import canonical_resolution, pad_top
+from chaincert.stabilize import total_equivalence
+
+from conftest import s3_resolution
+
+REPLACEMENTS = [None, True, 0, "", [], {}, [[]], 2**70, str(2**70)]
+
+
+def _paths(node, prefix=()):
+    """Every path (a tuple of keys and indices) into a JSON document."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _documents():
+    res = s3_resolution()
+    cert = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    _, zc6 = canonical_resolution("Z_over_Z[C_6]", 4)
+    docs = {"ZS3-certificate": cert, "ZC6-resolution": io.resolution_to_json(zc6)}
+    return {name: (doc, list(_paths(doc))) for name, doc in docs.items()}
+
+
+DOCUMENTS = _documents()
+
+
+def _is_coefficient_list(node) -> bool:
+    return isinstance(node, list) and len(node) > 1 and all(isinstance(c, str) for c in node)
+
+
+def _mutate(doc, paths, data):
+    doc = copy.deepcopy(doc)
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if kind == "truncate":
+        paths = [p for p in paths if _is_coefficient_list(_node(doc, p))]
+    elif kind == "delete":
+        paths = [p for p in paths if p]
+    path = data.draw(st.sampled_from(paths))
+    if kind == "replace":
+        value = data.draw(st.sampled_from(REPLACEMENTS))
+        if not path:
+            return value
+        _node(doc, path[:-1])[path[-1]] = value
+    elif kind == "delete":
+        del _node(doc, path[:-1])[path[-1]]
+    else:
+        coeffs = _node(doc, path)
+        del coeffs[data.draw(st.integers(0, len(coeffs) - 1)) :]
+    return doc
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(DOCUMENTS)),
+    command=st.sampled_from(["check", "validate"]),
+)
+def test_mutated_files_keep_the_exit_contract(workdir, data, name, command):
+    doc, paths = DOCUMENTS[name]
+    path = workdir / "mutated.json"
+    path.write_text(json.dumps(_mutate(doc, paths, data)))
+    sink = textio.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_unmutated_files_pass(tmp_path, name):
+    doc, _ = DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "check" if name.endswith("certificate") else "validate"
+    assert main([command, str(path)]) == 0

@@ -24,7 +24,7 @@ from chaincert.resolution import (
 from chaincert.rings import ZZ, PrimeField
 from chaincert.stabilize import total_equivalence
 
-from conftest import f2c4_resolution, s3_resolution
+from conftest import f2c4_resolution, relabel, s3_resolution
 
 
 def _fp_pair():
@@ -56,6 +56,17 @@ def _s3_pair():
 
 def _f2c4_pair():
     res = f2c4_resolution(4)
+    return res, pad_top(res, 2)
+
+
+def _zc6_pair():
+    _, res = canonical_resolution("Z_over_Z[C_6]", 4)
+    return res, pad_top(res, 3)
+
+
+def _s3_moved_pair():
+    # the identity becomes element 3, as in the benchmark's relabelled groups
+    res = relabel(s3_resolution(), [3, 0, 5, 1, 4, 2])
     return res, pad_top(res, 2)
 
 
@@ -112,6 +123,16 @@ GOLDEN = [
         "1e26b3d448d087b33da52332024ccb24183e2c2016d08559ce9909de7a48f63e",
         id="Z-torsion6-n5",
     ),
+    pytest.param(
+        _zc6_pair,
+        "eb5053d86de337395c110fc97e968fbd02ae5990b612956ec8a2d21b1d68eca2",
+        id="ZC6-n4-pad3",
+    ),
+    pytest.param(
+        _s3_moved_pair,
+        "1395b20acd9903d31c4d47f5fb5bcbac6c0fff8de979bb4db86a10b59a46147d",
+        id="ZS3-moved-n2-pad2",
+    ),
 ]
 
 
@@ -167,6 +188,22 @@ RESOLUTION_GOLDEN = [
             "8cf7d1c5226ccf7cce724e768cff9f4aa46a47959e6cb3cd9d65824fcea718e5",
         ),
         id="F2C4-n4-pad2",
+    ),
+    pytest.param(
+        _zc6_pair,
+        (
+            "3578afb22c4aab73b787321ed1840e00027bcf78ba547feb1d5857aad91ccf9e",
+            "0108b38dbc3771c4e1c87e051a111726e1190679c647cac9ad7f5ad50fd1fd40",
+        ),
+        id="ZC6-n4-pad3",
+    ),
+    pytest.param(
+        _s3_moved_pair,
+        (
+            "b302ce0f24006f8d9bcbba81620de058801266b8a4d6bb183a05a38cc8ddcb51",
+            "52cef788713a246704fd9eb5ef69083c993a0dc3f38e7148d82fd3029233bb49",
+        ),
+        id="ZS3-moved-n2-pad2",
     ),
 ]
 

@@ -84,6 +84,9 @@ def test_group_ring_entries_are_coefficient_arrays():
         lambda d: d["payload"].update(ranks=["1"]),
         lambda d: d["payload"]["presentation"].update(ambient_rank="x"),
         lambda d: d["payload"].update(boundaries=[]),
+        lambda d: d["payload"].pop("augmentation"),
+        # only dualize over a prime field writes the cochain orientation
+        lambda d: d["payload"].update(cochain=True),
     ],
 )
 def test_malformed_documents_rejected(mangle, tmp_path):
@@ -94,6 +97,16 @@ def test_malformed_documents_rejected(mangle, tmp_path):
     path.write_text(io.dump_canonical(doc))
     with pytest.raises(io.MalformedFileError):
         io.load(str(path))
+
+
+@pytest.mark.parametrize("isos", [[], {"forward": []}, {"backward": []}])
+def test_malformed_block_isomorphisms_rejected(isos, tmp_path):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    doc["payload"]["block_isomorphisms"] = isos
+    path = tmp_path / "mangled.json"
+    path.write_text(io.dump_canonical(doc))
+    assert main(["check", str(path)]) == 1
 
 
 def test_fp_group_ring_round_trip():

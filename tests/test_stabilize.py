@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from chaincert import chain, io, resolution
 from chaincert.chain import (
     ChainComplex,
     euler_characteristic,
@@ -9,7 +11,8 @@ from chaincert.chain import (
     identity_chain_map,
     validate_complex,
 )
-from chaincert.matrix import Matrix, rank_field
+from chaincert.cli import main
+from chaincert.matrix import Matrix, rank_field, restrict_scalars
 from chaincert.resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -36,6 +39,8 @@ from chaincert.stabilize import (
     total_equivalence,
     verify_certificate,
 )
+
+from conftest import s3_resolution
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -398,3 +403,63 @@ def test_schanuel_rank_nullity_on_field_example():
     top_q = homology_invariants(cert.target, n)
     assert top_p.free_rank == null_p + ladder.s_ranks[n]
     assert top_p == top_q
+
+
+# ---------------------------------------------------------------------------
+# homology comparison over group rings
+
+
+def _zc6_compare_pair():
+    _, res = canonical_resolution("Z_over_Z[C_6]", 6)
+    return res, pad_top(res, 2)
+
+
+def _zs3_compare_pair():
+    res = s3_resolution()
+    return res, pad_top(res, 1)
+
+
+# sha256 of everything `compare` prints, recorded before schanuel_check
+# restricted each complex only once
+COMPARE_OUTPUT = [
+    pytest.param(
+        _zc6_compare_pair,
+        "6859fba18796f3d061d36bad1cc4f0e9c591cf683548e84e67611d6871c82ff5",
+        id="ZC6-n6-pad2",
+    ),
+    pytest.param(
+        _zs3_compare_pair,
+        "efec99e089a6996301d70f2f5bcd046d9724d62b7a89f679e7bd14f3c6c18fb6",
+        id="ZS3-n2-pad1",
+    ),
+]
+
+
+@pytest.mark.parametrize("build,digest", COMPARE_OUTPUT)
+def test_compare_output_is_unchanged(build, digest, tmp_path, capsys):
+    paths = []
+    for name, r in zip("pq", build()):
+        path = str(tmp_path / f"{name}.json")
+        io.save(path, io.resolution_to_json(r))
+        paths.append(path)
+    capsys.readouterr()
+    assert main(["compare", *paths]) == 0
+    out = capsys.readouterr().out
+    assert "homology comparison:" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_schanuel_check_restricts_each_boundary_once(monkeypatch):
+    cert = total_equivalence(*_zc6_compare_pair())
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return restrict_scalars(a)
+
+    monkeypatch.setattr(chain, "_restrict_matrix", counting)
+    monkeypatch.setattr(resolution, "restrict_scalars", counting)
+    report = schanuel_check(cert)
+    assert report.ok
+    # one per boundary of each complex, plus the presentation's relations
+    assert len(calls) == len(cert.source.diffs) + len(cert.target.diffs) + 1 == 13

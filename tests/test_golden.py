@@ -147,6 +147,151 @@ def test_golden_certificate_hash(build, digest):
     assert certificate_digest(build()) == digest
 
 
+# sha256 of the canonical JSON of each sub-document of a golden certificate,
+# recorded while construction still composed the 2n+1 expansion stages: the
+# certificate's content must not depend on how it is built
+SUBDOCUMENTS = (
+    "presentation",
+    "source",
+    "target",
+    "forward",
+    "backward",
+    "source_homotopy",
+    "target_homotopy",
+    "tower_ranks",
+    "block_isomorphisms",
+)
+
+SUBDOCUMENT_GOLDEN = {
+    "F5-dim2-n3": {
+        "presentation": "392fa359e22703855b445e1eba27dda1a5afdf02e7016b6f20692decdfb70b6c",
+        "source": "448edec22ac469ecb70317aac54ad1c3c7cbbb2ccc3a0c14fcb140dc1991148e",
+        "target": "8a9acc48e87372af8e879ef0ae07e5b1d59e0a673d2802dd3fedad523dedf115",
+        "forward": "2555d935eeefca670a2d562c3df8c446f72d22028524090336ab649954896621",
+        "backward": "c8c60f7fc2525aedd8eeb1dca7aac9a6d3b5e61090dc8fb117456dde172da86a",
+        "source_homotopy": "ac632cad4ac63f67baae5f14ea1bcef667139da9191fd35ec92aee26e1bb0e25",
+        "target_homotopy": "8b0092535180289dbb166ea5575d8ee359fb3741614ab8352a8e6e63cbf94b39",
+        "tower_ranks": "921d2aea4b9c600afbfc0b63254dfba1a1fae1aaf1bd8d4a1c385bce2e20bb25",
+        "block_isomorphisms": "0524652eb75869204c2f490889315028e377a32b5d40fd3aad0fb5e98eacd6d8",
+        "ring": "b3c97ee34667b517ed8f98b8fead5bb9f0acc005e4a39f70a80fc2e18e7e36ad",
+    },
+    "Z-torsion6-n3": {
+        "presentation": "ce507ba5619c71ef42d55042b239d089c39728fda6c70050e1894ab4243b005f",
+        "source": "83c00b1c60f47ca0f8d5528cc6037c5d181e9ba7f433c5124c856609b2f55304",
+        "target": "a54414dbf149702fdb45dcce88f4a8cebbc2d034dd0e29e3a13104d4cd043621",
+        "forward": "bdfcf24a432c14f2bfc768243a9c0a43cbd3cbc2a7c72c0f16762a4b35299dc2",
+        "backward": "854481f8c688cac529a7fa6b08e14e749d711542fafdbb057f69be83b4a36772",
+        "source_homotopy": "883145f75df50ff869c0de040e754dac7eca22a8285ed494878a3f7d55e4298a",
+        "target_homotopy": "707298963aa62ff7115e324cc0907cb8f6d96cbf909c313ee15128410432d7a2",
+        "tower_ranks": "0d2e6202d8d18a2a9a79a4a4f649b65c6f97f7be923b01fc41c110a51a1f6d7e",
+        "block_isomorphisms": "9ca93f5ebccd0a0420ed9a4a999e7de076936a4c837e25b0dfdf8d0f6187028c",
+        "ring": "7837b2ce4ee04c30121ed84c95ae36f707753617abbba69f04fcba5ea51b849f",
+    },
+    "ZC2-n2-pad1": {
+        "presentation": "99669c81b701ccf34505009285ac72aa07ad97bd421fbc10f8c0364a9bd54801",
+        "source": "bb8c435369ac1d0f2e21e10ff4130ea669bed825838d963f6a1508a86e0981ab",
+        "target": "bb8c435369ac1d0f2e21e10ff4130ea669bed825838d963f6a1508a86e0981ab",
+        "forward": "d878568f32ed81d38e5dee3eda2911b530b84c13288590912034af0726909ff4",
+        "backward": "2e340b2a36f164337aa5782467cbaca3bbf99977f8aab7633d91b8699c2d74d5",
+        "source_homotopy": "b0931434cb0806c04c584dfc00802adc82f0a57364fe48cc0adde3d8f041c66b",
+        "target_homotopy": "b0931434cb0806c04c584dfc00802adc82f0a57364fe48cc0adde3d8f041c66b",
+        "tower_ranks": "135c302b3b4eba1ef6f082f4015e6e3846c0888a683efd5ab88f55c7c9585223",
+        "block_isomorphisms": "0a757f047549bd067d00b70a3fd45b9d83a81a67781b3143c156f3199b2ee506",
+        "ring": "9382d7b7fe72a1e35bf190e7c1b7cd26fd123ea2e96ebf564dba2b0c5c7c6304",
+    },
+    "ZS3-n2-pad1": {
+        "presentation": "87386a7eb4ed41d60c2c120a327398e0b484a030f99137df3471bffc87855e59",
+        "source": "9c6663376147ad7643c1de0a10f57499ad703a926144790a184494190d69a08e",
+        "target": "9c6663376147ad7643c1de0a10f57499ad703a926144790a184494190d69a08e",
+        "forward": "ec0815436cf05d26cd4a8c4042a69fc68e32a640b3690e6dc361d2b2acc0d627",
+        "backward": "07e48890cc6f017e78a8db5fa8744e38bbe76e653b86059d716af8004905af42",
+        "source_homotopy": "0f98fb43124ac4dfd8bc25be510bb47874f3bb2bbb3b86234839bd3c4c991f65",
+        "target_homotopy": "0f98fb43124ac4dfd8bc25be510bb47874f3bb2bbb3b86234839bd3c4c991f65",
+        "tower_ranks": "67940e67de422d6089b957db4a59109dbeff9b8ed0209dc61490a4e6a0cb28e9",
+        "block_isomorphisms": "cee5cd043d4713a5a78061c789e0a6f7faa114dd4562b3569ab27aba73b053f0",
+        "ring": "453e3e558e998d7c1852b81afc6a96ea1511436b5bdfcf4387e49f79c1d9f93c",
+    },
+    "F2C4-n4-pad2": {
+        "presentation": "4e3bc07407d7461585964dc1e81883eda99b16020d45743853e1efe154c5beb5",
+        "source": "2582d8c1574e2faeaf8d71c04bba633a891efd5c836fa0842a5be4a79a581736",
+        "target": "2582d8c1574e2faeaf8d71c04bba633a891efd5c836fa0842a5be4a79a581736",
+        "forward": "41599ead8619e3a6f161dba90cedcb4e53cd1370f43abd639047ea3c3ce196a3",
+        "backward": "77b8c6e8b406df40840503ed5e3c5a5f927025c2293858ff73c53a82af39c696",
+        "source_homotopy": "94b8a8bd172abc29d7d710370fb202c64fc421c003b875dd5ebe4220069a0bc6",
+        "target_homotopy": "94b8a8bd172abc29d7d710370fb202c64fc421c003b875dd5ebe4220069a0bc6",
+        "tower_ranks": "8e86718254c6ed691f9426522c78a7bb65753d5833f45dd891cef7c2254fb9de",
+        "block_isomorphisms": "8ceb00a034d008c602e92abe394e7ca8433a1f443392d783eaececb7576fef89",
+        "ring": "97a6bdbf4d21d3c471c95b7ef64708572807b3c120b874ba674d563924194650",
+    },
+    "F5-dim2-n6": {
+        "presentation": "392fa359e22703855b445e1eba27dda1a5afdf02e7016b6f20692decdfb70b6c",
+        "source": "0e184d18d11962eacc980bc420c4ebdf336e6ee4625723aa709672e086047a4c",
+        "target": "5e720471eecabefa8d243a211ea554a1c6378be409674a816361b057c7a18b0e",
+        "forward": "016b1e95253ed0cf02a3a91993416cb8e728c255dc85870c7caa42cf0ffcbf15",
+        "backward": "7451fa8b2441702b4301a8234f414b38eb66ceebbc13a0733b6a5bcccebcb9b1",
+        "source_homotopy": "536a683f83057af68a1a71d9294d6f9b4ba1710be1a323a1895ad9694e442d8d",
+        "target_homotopy": "c3d03eb7c1e0de62a07dfc864bbfd6387b835d4bc87585f062f16fa62459d136",
+        "tower_ranks": "0f65e815f8bce9529b556676557127e2273fb2edbbf58cc820d0a50a44db5587",
+        "block_isomorphisms": "12295d8e14780bb680df154e3ac6e843577309993a7754cf9995a62fbcaa4f20",
+        "ring": "b3c97ee34667b517ed8f98b8fead5bb9f0acc005e4a39f70a80fc2e18e7e36ad",
+    },
+    "Z-torsion6-n5": {
+        "presentation": "ce507ba5619c71ef42d55042b239d089c39728fda6c70050e1894ab4243b005f",
+        "source": "7944abdc2f83f90d330fcf8a7ecf251aaa5b6c0d4cefaea4ba9901f08db36d70",
+        "target": "7de4c93cc1453c4445858682e6ae55a64bd482fc85ebe187df9906282bc22271",
+        "forward": "c408c78df6d42662b943dcc242b8757018548ce182f8389ec07071def4ac2832",
+        "backward": "9b3fc8e9b6b522fc59b957448903f630a0f837fa1c97bfaa0caa28e78feeffe8",
+        "source_homotopy": "216a0e95addf5c79bb072c23168098417882f15d0afed4eae29d823a2a3eb0ed",
+        "target_homotopy": "68fc0158d9e7ad91639e828bccb4c4380cbcf79091fd57ffad82bc10f25e7213",
+        "tower_ranks": "1ec01c6f245b7505e529d314026c470cae75b300f8e878070f2a7741938e1c5b",
+        "block_isomorphisms": "db6b0781531899df42825a7ea99a46a5fb1137d1c71d4b875f8537784f76dbf5",
+        "ring": "7837b2ce4ee04c30121ed84c95ae36f707753617abbba69f04fcba5ea51b849f",
+    },
+    "ZC6-n4-pad3": {
+        "presentation": "f57732989e9ccaae4ca32f987272a9619fd04ea26608e2263a1aae6ece76bd9f",
+        "source": "230d433a31b2aba30a417832a601bd3ea5653b51521094a2010d87857a0281a0",
+        "target": "230d433a31b2aba30a417832a601bd3ea5653b51521094a2010d87857a0281a0",
+        "forward": "1fb1741ce978395009d7bc14b9cdb11e45e50725086073877447982cf2379634",
+        "backward": "663721853f835cd306bce34c6718db55e332b923de21b1004ee2a9cfb56927a5",
+        "source_homotopy": "7833074dad711bb5f09c70ae5bdc001439347a5faf5608488fc89220e2b541bc",
+        "target_homotopy": "7833074dad711bb5f09c70ae5bdc001439347a5faf5608488fc89220e2b541bc",
+        "tower_ranks": "68c77d59f17e135540f992f1f96006b30183889d2c59db209ca82d387e10006d",
+        "block_isomorphisms": "a7a829ca5bb056bd417c723bd559469e419fb01d9adffa84f7766fdc3ac0d035",
+        "ring": "cada3c9ba237fd94feab886b4a81ca79de6b764fe0f4455056b799e791f95958",
+    },
+    "ZS3-moved-n2-pad2": {
+        "presentation": "4f0043a18ae7c0f148117943d4e7d0a68e0c0465ca6575f142bc220bbc130e59",
+        "source": "4380627b1e092eff3d4dd45cdd5d75770a9901f553ef6d298943f7f47b703284",
+        "target": "4380627b1e092eff3d4dd45cdd5d75770a9901f553ef6d298943f7f47b703284",
+        "forward": "9d685dcc549f3d26c554a7ab0a8c45684e11fbfb08ca99cc90cd862b5c7adffe",
+        "backward": "236d0703153541e33a723b0280f63d4b90bfe2acc272bff8e17d46ca19795fcb",
+        "source_homotopy": "bc92f6d864a430633d4726b1dcdf17b13d93d5df8f1257ce41aa933ff8f76e32",
+        "target_homotopy": "bc92f6d864a430633d4726b1dcdf17b13d93d5df8f1257ce41aa933ff8f76e32",
+        "tower_ranks": "25ee4f71d36e0d79a4699a9ba7d634c4965af498fa9c1a4b1bfcb34d15c59ebe",
+        "block_isomorphisms": "fbd3256b183e73c656dc35b8fdff52b0330c58ba8a2bb465302a43c5e7b363d0",
+        "ring": "0992cf96f6ad5e868632c3f2e16a1a54ff8212339a9ed2b41cff4fe1631f7a42",
+    },
+}
+
+
+def subdocument_digests(pair) -> dict:
+    doc = io.certificate_to_json(total_equivalence(*pair))
+    parts = {key: doc["payload"][key] for key in SUBDOCUMENTS}
+    parts["ring"] = {key: doc[key] for key in ("ring", "group") if key in doc}
+    return {
+        key: hashlib.sha256(io.dump_canonical(value).encode()).hexdigest()
+        for key, value in parts.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "build,digests",
+    [pytest.param(p.values[0], SUBDOCUMENT_GOLDEN[p.id], id=p.id) for p in GOLDEN],
+)
+def test_golden_subdocument_hashes(build, digests):
+    assert subdocument_digests(build()) == digests
+
+
 # sha256 of the canonical resolution file of each input of a golden pair
 RESOLUTION_GOLDEN = [
     pytest.param(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .chain import ChainComplex, ChainMap, Report, make_equivalence
+from .chain import ChainComplex, ChainMap, make_equivalence
 from .matrix import Matrix
 from .resolution import ModulePresentation, TruncatedResolution
 from .rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError
@@ -303,9 +303,6 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
                     "forward": [matrix_to_json(m) for m in cert.iso_fwd],
                     "backward": [matrix_to_json(m) for m in cert.iso_bwd],
                 },
-                "stage_report": [
-                    {"name": c.name, "ok": c.ok} for c in cert.stage_report.checks
-                ],
             },
         }
     )
@@ -376,13 +373,12 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     except (ValueError, RingError) as exc:
         raise MalformedFileError(str(exc)) from exc
 
-    stage_report = Report()
+    # older writers stored a stage report; it is shape-checked and dropped
     if not isinstance(stage_doc, list):
         raise MalformedFileError("stage_report must be a list")
     for item in stage_doc:
         if not isinstance(item, dict) or "name" not in item or "ok" not in item:
             raise MalformedFileError("bad stage report entry")
-        stage_report.add(str(item["name"]), bool(item["ok"]))
 
     return EquivalenceCertificate(
         presentation=presentation,
@@ -393,7 +389,6 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
         s_ranks=s_ranks,
         iso_fwd=tuple(iso_fwd),
         iso_bwd=tuple(iso_bwd),
-        stage_report=stage_report,
     )
 
 

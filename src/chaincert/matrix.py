@@ -182,6 +182,12 @@ class Matrix:
             raise ShapeError(f"cannot take {count} rows of {self.shape}")
         return Matrix(self.ring, count, self.cols, self._e[: count * self.cols])
 
+    def submatrix(self, rows, cols) -> "Matrix":
+        """The entries at the given row and column indices, in that order."""
+        e, width, cols = self._e, self.cols, list(cols)
+        entries = [e[i * width + j] for i in rows for j in cols]
+        return Matrix(self.ring, len(rows), len(cols), entries)
+
     def transpose(self) -> "Matrix":
         e, cols = self._e, self.cols
         entries = []

@@ -22,6 +22,7 @@ from .chain import (
     Report,
     dualize_complex,
     homology_invariants,
+    restrict_complex,
     validate_complex,
 )
 from .matrix import (
@@ -114,12 +115,12 @@ class TruncatedResolution:
         )
 
 
-def _base_view(res: TruncatedResolution) -> tuple[Matrix, Matrix, Matrix]:
-    """(augmentation, relations, first boundary) over the base ring."""
-    aug, rel, d1 = res.augmentation, res.presentation.relations, res.complex.d(1)
+def _base_view(res: TruncatedResolution) -> tuple[Matrix, Matrix, ChainComplex]:
+    """(augmentation, relations, complex) over the base ring."""
+    aug, rel = res.augmentation, res.presentation.relations
     if isinstance(res.ring, GroupRing):
-        return restrict_scalars(aug), restrict_scalars(rel), restrict_scalars(d1)
-    return aug, rel, d1
+        return restrict_scalars(aug), restrict_scalars(rel), restrict_complex(res.complex)
+    return aug, rel, res.complex
 
 
 def validate_resolution(res: TruncatedResolution) -> Report:
@@ -143,7 +144,7 @@ def validate_resolution(res: TruncatedResolution) -> Report:
         "" if factored is not None else "aug.d1 does not factor through the relations",
     )
 
-    aug_b, rel_b, d1_b = _base_view(res)
+    aug_b, rel_b, complex_b = _base_view(res)
     surj = cokernel_invariants(hstack(aug_b, rel_b))
     report.add(
         "augmentation surjective onto the module",
@@ -153,14 +154,14 @@ def validate_resolution(res: TruncatedResolution) -> Report:
 
     if complex_report.ok:
         for i in range(1, n):
-            inv = homology_invariants(res.complex, i)
+            inv = homology_invariants(complex_b, i)
             report.add(
                 f"exact at degree {i}",
                 inv.trivial,
                 "" if inv.trivial else f"homology {inv}",
             )
         proj = kernel_basis(hstack(aug_b, rel_b)).top_rows(aug_b.cols)
-        covered = solve(d1_b, proj)
+        covered = solve(complex_b.d(1), proj)
         report.add(
             "exact at degree 0",
             covered is not None,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class RingError(ValueError):
@@ -273,17 +274,14 @@ class GroupRing(Ring):
 
     is_group_ring = True
 
-    @property
+    # cached per instance; not fields, so equality and hashing are unchanged
+    @cached_property
     def zero(self):
         return (self.base.zero,) * self.group.order
 
-    @property
+    @cached_property
     def one(self):
-        z = self.base.zero
-        return tuple(
-            self.base.one if i == self.group.identity else z
-            for i in range(self.group.order)
-        )
+        return self.basis_element(self.group.identity)
 
     def basis_element(self, i: int):
         z = self.base.zero

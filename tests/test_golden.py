@@ -4,7 +4,8 @@ byte-identical.
 Each case builds a fixed pair of resolutions, runs the full stabilization
 pipeline and hashes the canonical JSON of the certificate. A change to
 construction, serialization or the kernels that alters a single byte of
-any certificate fails here. The input resolutions of the same pairs are
+any certificate fails here; each sub-document is hashed on its own as
+well, so a failure names the part that changed. The input resolutions of the same pairs are
 hashed as resolution files too, which pins the bytes `generate` and
 `dualize` write.
 """
@@ -90,47 +91,47 @@ def _z_deep_pair():
 GOLDEN = [
     pytest.param(
         _fp_pair,
-        "eba74732a3337657581c75ed046b8357fd2c8a80928232f4bc7cf7e384e1285e",
+        "749f9eb1fc9b0046bdddfd52ebcff48c1e29b0db27b32a3ae67c5154f13216ce",
         id="F5-dim2-n3",
     ),
     pytest.param(
         _z_pair,
-        "a3dd43db1c23361d93d1151e77ec69dc1fcd1303afe5fec67dc37671a51be5de",
+        "1886ec03bdee000404b268c7191efcaa8a57e8c3906b0d87f65b977ceccdb76b",
         id="Z-torsion6-n3",
     ),
     pytest.param(
         _zc2_pair,
-        "db57161efc631dd18987e44612f1ff236fd7a28107cb162b34823e39d1305a3c",
+        "76429833a639fb20dcd65b8493fbacc61290c2c3ef50790a90bc8d3bafa27922",
         id="ZC2-n2-pad1",
     ),
     pytest.param(
         _s3_pair,
-        "856eac60890a47fee6e0549a99d5e1e3896a224bc803fb9c2bad5f828e81f071",
+        "7dbbaaf60556d3e3a02e7a9e8d0eb69d4ad28d177929b7345a54176ab2cf68c6",
         id="ZS3-n2-pad1",
     ),
     pytest.param(
         _f2c4_pair,
-        "b975bc921b4f23ec450cd59868b59180c9217c024d8154bb4dd855599c2ca115",
+        "f27645b1440a694676f806050fcd9d63367d6ded05b5b31c235a5fe24e04d954",
         id="F2C4-n4-pad2",
     ),
     pytest.param(
         _fp_deep_pair,
-        "898e38e8ab46e5f32a05b104886d93869763009be7d7ff8c093c7f6e431aabe4",
+        "d7fa52444e3412b69485f4bbab9d552103e5d6fae09a34320082e1df37c3c7d5",
         id="F5-dim2-n6",
     ),
     pytest.param(
         _z_deep_pair,
-        "1e26b3d448d087b33da52332024ccb24183e2c2016d08559ce9909de7a48f63e",
+        "1fb892daba284840b19a828f44821711bb35364ae07b0bb62e704af39679810b",
         id="Z-torsion6-n5",
     ),
     pytest.param(
         _zc6_pair,
-        "eb5053d86de337395c110fc97e968fbd02ae5990b612956ec8a2d21b1d68eca2",
+        "eb2f09201757af116615b94e4584753b06b52c2a14d3b4c0120fbf5d039a1e1e",
         id="ZC6-n4-pad3",
     ),
     pytest.param(
         _s3_moved_pair,
-        "1395b20acd9903d31c4d47f5fb5bcbac6c0fff8de979bb4db86a10b59a46147d",
+        "e112a8cd82b5343196d68017be90a2c5ca2c35d6ee86bac9e600596f328bf7fd",
         id="ZS3-moved-n2-pad2",
     ),
 ]

@@ -109,6 +109,34 @@ def test_malformed_block_isomorphisms_rejected(isos, tmp_path):
     assert main(["check", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "report,code",
+    [
+        pytest.param(
+            [
+                {"name": "expansion 0 -> 1 (left)", "ok": True},
+                {"name": "middle isomorphism", "ok": True},
+                {"name": "expansion 1 -> 0 (right)", "ok": True},
+            ],
+            0,
+            id="valid",
+        ),
+        pytest.param({"name": "middle isomorphism", "ok": True}, 1, id="not-a-list"),
+        pytest.param([{"name": "middle isomorphism"}], 1, id="entry-without-ok"),
+        pytest.param([{"ok": True}], 1, id="entry-without-name"),
+        pytest.param(["middle isomorphism"], 1, id="entry-not-an-object"),
+    ],
+)
+def test_older_stage_report_is_read_and_dropped(report, code, tmp_path):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    assert "stage_report" not in doc["payload"]
+    doc["payload"]["stage_report"] = report
+    path = tmp_path / "older.json"
+    path.write_text(io.dump_canonical(doc))
+    assert main(["check", str(path)]) == code
+
+
 def test_fp_group_ring_round_trip():
     ring = GroupRing(F2, GroupTable.cyclic(2))
     doc = io.ring_to_json(ring)

@@ -111,6 +111,25 @@ def test_group_ring_rejects_nesting(zc2):
         GroupRing(zc2, GroupTable.cyclic(2))
 
 
+def test_group_ring_constants_are_computed_once():
+    table = GroupTable.symmetric(3)
+    moved = GroupTable(table.order, table.mult, table.identity)
+    for base in (ZZ, PrimeField(3)):
+        r = GroupRing(base, table)
+        assert r.zero is r.zero and r.one is r.one
+        assert r.zero == (base.zero,) * 6
+        assert r.one == r.basis_element(table.identity)
+        assert r.mul(r.one, r.basis_element(4)) == r.basis_element(4)
+        # equality and hashing see only the base ring and the table, before
+        # and after the constants are cached
+        fresh = GroupRing(base, moved)
+        assert fresh == r and hash(fresh) == hash(r)
+        assert fresh.one == r.one and fresh == r and hash(fresh) == hash(r)
+        assert {r: 1}[fresh] == 1
+        assert GroupRing(base, GroupTable.cyclic(6)) != r
+    assert GroupRing(ZZ, table) != GroupRing(PrimeField(3), table)
+
+
 def test_regular_representation_values(zc2):
     t = zc2.basis_element(1)
     assert zc2.regular_representation(zc2.one) == ((1, 0), (0, 1))

@@ -22,10 +22,9 @@ from chaincert.resolution import (
 )
 from chaincert.rings import ZZ, PrimeField
 from chaincert import stabilize
-from chaincert.chain import make_equivalence
+from chaincert.chain import compose_equivalences, identity_equivalence, reverse_equivalence
 from chaincert.stabilize import (
     InputMismatchError,
-    StabilizeError,
     LiftError,
     build_ladder,
     build_ladder_maps,
@@ -40,7 +39,7 @@ from chaincert.stabilize import (
     verify_certificate,
 )
 
-from conftest import s3_resolution
+from conftest import f2c4_resolution, random_resolution_pair, relabel, s3_resolution
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -334,41 +333,145 @@ def test_total_equivalence_c2_padded():
         )
 
 
-def test_total_equivalence_reports_every_stage():
-    pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
-    res_p = generate_resolution(pres, n=3, max_rank=4, seed=5)
-    res_q = generate_resolution(pres, n=3, max_rank=4, seed=6)
-    cert = total_equivalence(res_p, res_q)
-    names = [c.name for c in cert.stage_report.checks]
-    assert names == [
-        "expansion 0 -> 1 (left)",
-        "expansion 1 -> 2 (left)",
-        "expansion 2 -> 3 (left)",
-        "middle isomorphism",
-        "expansion 3 -> 2 (right)",
-        "expansion 2 -> 1 (right)",
-        "expansion 1 -> 0 (right)",
+def stage_loop_equivalence(res_p, res_q):
+    """The reference construction that ``total_equivalence`` reads off in
+    closed form: expand the first stabilized complex stage by stage, cross
+    over through the block isomorphisms and unwind the second side's
+    expansions in reverse, validating and composing all 2n+1 stages."""
+    ladder = build_ladder(res_p, res_q)
+    n = ladder.n
+    acc = identity_equivalence(intermediate_complex(ladder, res_p, "left", 0))
+    assert acc.source == stabilized_complex(res_p, ladder, "left")
+    stages = [expansion_equivalence(ladder, res_p, "left", r) for r in range(n)]
+    maps = build_ladder_maps(ladder, res_p, res_q)
+    stages.append(
+        chain_isomorphism(
+            ladder,
+            maps,
+            intermediate_complex(ladder, res_p, "left", n),
+            intermediate_complex(ladder, res_q, "right", n),
+        )
+    )
+    stages += [
+        reverse_equivalence(expansion_equivalence(ladder, res_q, "right", r))
+        for r in range(n - 1, -1, -1)
     ]
-    assert all(c.ok for c in cert.stage_report.checks)
+    for stage in stages:
+        assert stage.validate().ok
+        acc = compose_equivalences(acc, stage)
+    assert acc.target == stabilized_complex(res_q, ladder, "right")
+    return acc
 
 
-def test_total_equivalence_rejects_a_broken_stage(monkeypatch):
-    real = stabilize.expansion_equivalence
+def _truncated(res, n):
+    return TruncatedResolution(
+        res.presentation,
+        ChainComplex(res.ring, res.complex.ranks[: n + 1], res.complex.diffs[:n]),
+        res.augmentation,
+    )
 
-    def broken(ladder, res, side, r):
-        e = real(ladder, res, side, r)
-        if side == "right" and r == 1:
-            # drop the -1 block: the target round trip is no longer contracted
-            zeros = [Matrix.zeros(res.ring, t.rows, t.cols) for t in e.tgt_homotopy.parts]
-            return make_equivalence(e.fwd, e.bwd, e.src_homotopy.parts, zeros)
-        return e
 
-    monkeypatch.setattr(stabilize, "expansion_equivalence", broken)
+def _seeded_pairs(ring, seed, presentation=None):
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        if presentation is None:
+            res_p, res_q = random_resolution_pair(ring, n, max_rank=4, rng=rng)
+        else:
+            res_p = generate_resolution(presentation, n=n, max_rank=4, seed=rng.randrange(2**30))
+            res_q = generate_resolution(presentation, n=n, max_rank=4, seed=rng.randrange(2**30))
+        yield res_p, res_q
+        yield res_p, pad_top(res_q, 2)
+
+
+def _group_ring_pairs(build, lengths):
+    for n in lengths:
+        res = build(n)
+        yield res, res
+        yield res, pad_top(res, n % 3 + 1)
+        yield pad_top(res, 1), pad_top(res, 2)
+
+
+ORACLE_CASES = [
+    pytest.param(lambda: _seeded_pairs(F2, 1), id="F2"),
+    pytest.param(lambda: _seeded_pairs(PrimeField(5), 2), id="F5"),
+    pytest.param(lambda: _seeded_pairs(ZZ, 3), id="Z"),
+    pytest.param(
+        lambda: _seeded_pairs(ZZ, 4, ModulePresentation(ZZ, 2, Matrix(ZZ, 2, 1, [6, 0]))),
+        id="Z-torsion6",
+    ),
+    pytest.param(
+        lambda: _group_ring_pairs(lambda n: canonical_resolution("Z_over_Z[C_2]", n)[1], range(1, 7)),
+        id="ZC2",
+    ),
+    pytest.param(
+        lambda: _group_ring_pairs(lambda n: canonical_resolution("Z_over_Z[C_6]", n)[1], range(1, 7)),
+        id="ZC6",
+    ),
+    pytest.param(lambda: _group_ring_pairs(f2c4_resolution, range(1, 7)), id="F2C4"),
+    pytest.param(lambda: _group_ring_pairs(lambda n: _truncated(s3_resolution(), n), (1, 2)), id="ZS3"),
+    pytest.param(
+        lambda: _group_ring_pairs(
+            lambda n: _truncated(relabel(s3_resolution(), [3, 0, 5, 1, 4, 2]), n), (1, 2)
+        ),
+        id="ZS3-relabelled",
+    ),
+]
+
+
+@pytest.mark.parametrize("pairs", ORACLE_CASES)
+def test_total_equivalence_matches_the_stage_loop(pairs):
+    count = 0
+    for res_p, res_q in pairs():
+        cert = total_equivalence(res_p, res_q)
+        oracle = stage_loop_equivalence(res_p, res_q)
+        e = cert.equivalence
+        assert (cert.source, cert.target) == (oracle.source, oracle.target)
+        assert e.fwd.parts == oracle.fwd.parts
+        assert e.bwd.parts == oracle.bwd.parts
+        assert e.src_homotopy.parts == oracle.src_homotopy.parts
+        assert e.tgt_homotopy.parts == oracle.tgt_homotopy.parts
+        count += 1
+    assert count >= 6
+
+
+def test_total_equivalence_builds_no_stage(monkeypatch):
+    def unused(*args):
+        raise AssertionError("construction built an expansion stage")
+
+    # set on the stabilize module, where construction would look them up
+    for name in (
+        "intermediate_complex",
+        "expansion_equivalence",
+        "chain_isomorphism",
+        "compose_equivalences",
+        "reverse_equivalence",
+        "identity_equivalence",
+    ):
+        monkeypatch.setattr(stabilize, name, unused, raising=False)
+    _, res = canonical_resolution("Z_over_Z[C_2]", 3)
+    assert verify_certificate(total_equivalence(res, pad_top(res, 2))).ok
+
+
+def test_stabilize_rejects_a_broken_closed_form_block(monkeypatch, tmp_path, capsys):
+    real = stabilize.make_equivalence
+
+    def broken(fwd, bwd, s_parts, t_parts):
+        # drop the block read off h_2: the target round trip is no longer contracted
+        t_parts = list(t_parts)
+        t_parts[1] = Matrix.zeros(fwd.source.ring, t_parts[1].rows, t_parts[1].cols)
+        return real(fwd, bwd, s_parts, t_parts)
+
+    monkeypatch.setattr(stabilize, "make_equivalence", broken)
     pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
-    res_p = generate_resolution(pres, n=3, max_rank=4, seed=5)
-    res_q = generate_resolution(pres, n=3, max_rank=4, seed=6)
-    with pytest.raises(StabilizeError, match="stage failed validation"):
-        total_equivalence(res_p, res_q)
+    paths = []
+    for name, seed in (("p", 5), ("q", 6)):
+        path = str(tmp_path / f"{name}.json")
+        io.save(path, io.resolution_to_json(generate_resolution(pres, n=3, max_rank=4, seed=seed)))
+        paths.append(path)
+    out = tmp_path / "cert.json"
+    assert main(["stabilize", *paths, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "[FAIL] target homotopy: homotopy identity at degree" in capsys.readouterr().out
 
 
 def test_total_equivalence_f2_property():
@@ -463,3 +566,19 @@ def test_schanuel_check_restricts_each_boundary_once(monkeypatch):
     assert report.ok
     # one per boundary of each complex, plus the presentation's relations
     assert len(calls) == len(cert.source.diffs) + len(cert.target.diffs) + 1 == 13
+
+
+def test_validate_resolution_restricts_each_boundary_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return restrict_scalars(a)
+
+    monkeypatch.setattr(chain, "_restrict_matrix", counting)
+    monkeypatch.setattr(resolution, "restrict_scalars", counting)
+    for res in _zc6_compare_pair():
+        del calls[:]
+        assert resolution.validate_resolution(res).ok
+        # one per boundary, plus the augmentation and the relations
+        assert len(calls) == len(res.complex.diffs) + 2 == 8

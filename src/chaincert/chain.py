@@ -63,10 +63,6 @@ class Report:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _residual_str(m: Matrix) -> str:
-    return repr(m)
-
-
 class ChainComplex:
     """Finite chain complex of free modules, held as ranks plus boundary
     matrices. d_i d_{i+1} = 0 is a validation, not a construction, check."""
@@ -167,7 +163,7 @@ def validate_complex(c: ChainComplex) -> Report:
         report.add(
             f"d{i}.d{i+1} = 0",
             ok,
-            "" if ok else f"residual {_residual_str(prod)}",
+            "" if ok else f"residual {prod!r}",
         )
     if c.length <= 1:
         report.add("d.d = 0", True, "no adjacent boundary pairs")
@@ -232,7 +228,7 @@ def validate_chain_map(f: ChainMap) -> Report:
         report.add(
             f"square at degree {i}",
             ok,
-            "" if ok else f"residual {_residual_str(lhs - rhs)}",
+            "" if ok else f"residual {lhs - rhs!r}",
         )
     if f.source.length == 0:
         report.add("squares", True, "single degree, nothing to commute")
@@ -325,7 +321,7 @@ def validate_homotopy(h: ChainHomotopy) -> Report:
         report.add(
             f"homotopy identity at degree {i}",
             ok,
-            "" if ok else f"residual {_residual_str(f[i] - rhs)}",
+            "" if ok else f"residual {f[i] - rhs!r}",
         )
     return report
 

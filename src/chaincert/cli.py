@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Commands: validate, stabilize, compare, check, generate, dualize.
-Exit codes are part of the public contract: 0 = pass, 1 = malformed input
-or unusable input combination, 2 = mathematically invalid data.
+Exit codes are part of the public contract: 0 = pass, 1 = malformed input,
+a usage error or an unusable input combination, 2 = mathematically invalid
+data.
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ def _parse_module(ring: Ring, text: str) -> ModulePresentation:
 
 
 def cmd_generate(args) -> int:
-    if args.group is not None:
-        print("error: random generation over group rings is unsupported", file=sys.stderr)
-        return EXIT_MALFORMED
     if args.n < 1 or args.max_rank < 0:
         print(
             f"error: need --n >= 1 and --max-rank >= 0, got {args.n} and {args.max_rank}",
@@ -211,8 +209,17 @@ def cmd_dualize(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 1, not argparse's 2, which the
+    contract keeps for mathematically invalid data. Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaincert",
         description=(
             "Build and re-check explicit chain homotopy equivalences between "
@@ -252,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a random valid resolution")
     p.add_argument("--ring", default="Z", help='"Z" or "Fp:<p>"')
-    p.add_argument("--group", help="Cayley table file (rejected: generation is Z / F_p only)")
     p.add_argument("--module", default="Z", help='module preset, e.g. "Z/2", "Z+Z/6", "dim:2"')
     p.add_argument("--n", type=int, default=2, help="resolution length")
     p.add_argument("--max-rank", type=int, default=4, dest="max_rank")
@@ -271,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help
+        return exc.code
     return args.func(args)
 
 

@@ -96,12 +96,6 @@ class GroupTable:
                 reached |= step
         return generators
 
-    def inverse(self, i: int) -> int:
-        for j in range(self.order):
-            if self.mult[i][j] == self.identity:
-                return j
-        raise RingError(f"element {i} has no inverse")
-
     @classmethod
     def cyclic(cls, m: int) -> "GroupTable":
         if m <= 0:
@@ -123,9 +117,6 @@ class GroupTable:
 
 class Ring:
     """Common interface of the supported exact coefficient rings."""
-
-    is_field = False
-    is_group_ring = False
 
     @property
     def zero(self):
@@ -149,11 +140,6 @@ class Ring:
 
     def contains(self, a) -> bool:
         raise NotImplementedError
-
-    def check(self, a):
-        if not self.contains(a):
-            raise RingError(f"{a!r} is not a canonical element of {self}")
-        return a
 
     def from_int(self, n: int):
         """Image of an integer under the unique map from Z."""
@@ -210,8 +196,6 @@ class PrimeField(Ring):
             raise RingError(f"{self.p} is not prime")
         if self.p >= 2**31:
             raise RingError("prime fields supported for p < 2^31 only")
-
-    is_field = True
 
     @property
     def zero(self):
@@ -271,8 +255,6 @@ class GroupRing(Ring):
             raise RingError("group-ring base must be Z or a prime field")
         if not isinstance(self.base, (IntegerRing, PrimeField)):
             raise RingError("unsupported group-ring base")
-
-    is_group_ring = True
 
     # cached per instance; not fields, so equality and hashing are unchanged
     @cached_property

@@ -18,9 +18,12 @@ block isomorphisms. The expansions themselves (``intermediate_complex``,
 ``expansion_equivalence``, ``chain_isomorphism``) stay as the reference
 construction the closed form is tested against.
 
-Construction checks the ladder (tower steps compose to zero, every lift
-square commutes); ``verify_certificate`` checks every identity of the
-result from the raw matrices.
+Each tower step is [[incl d_i, 0], [0, 1]], so only the input boundaries
+carry content. Construction never forms a step at tower size: it checks
+d.d = 0 on the two inputs (``build_ladder``) and solves every lift, and
+checks its square, against an input boundary (``build_ladder_maps``).
+``verify_certificate`` checks every identity of the result from the raw
+matrices.
 
 Summand order convention: the degree-i tower module splits as (own term,
 previous stabilizer), i.e. T_i = P_i (+) S_{i-1} and S_i = Q_i (+) T_{i-1},
@@ -88,26 +91,41 @@ def ladder_ranks(p_ranks, q_ranks) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class StabilizerLadder:
-    """The tower data: ranks, inclusions of the resolution terms into the
-    tower modules, and the tower boundary blocks.
+    """The tower ranks and the two input complexes: all that construction
+    needs, since every lift is solved against an input boundary
+    (``build_ladder_maps``).
 
-    step_p[i-1] maps T_i -> T_{i-1} (+) S_{i-1}; step_q[i-1] maps
-    S_i -> S_{i-1} (+) T_{i-1}. incl_p[i] is the inclusion P_i -> T_i.
+    The tower blocks are built on demand, for the reference expansion chain
+    only. ``incl(side, i)`` is the inclusion of the degree-i input term into
+    its tower module (P_i -> T_i on the left, Q_i -> S_i on the right), and
+    ``step(side, i)`` is the tower boundary [[incl_{i-1} d_i, 0], [0, 1]],
+    T_i -> T_{i-1} (+) S_{i-1} on the left, S_i -> S_{i-1} (+) T_{i-1} on
+    the right.
     """
 
     n: int
     t_ranks: tuple[int, ...]
     s_ranks: tuple[int, ...]
-    incl_p: tuple[Matrix, ...]
-    incl_q: tuple[Matrix, ...]
-    step_p: tuple[Matrix, ...]
-    step_q: tuple[Matrix, ...]
-
-    def step(self, side: str, i: int) -> Matrix:
-        return (self.step_p if side == "left" else self.step_q)[i - 1]
+    left: ChainComplex
+    right: ChainComplex
 
     def incl(self, side: str, i: int) -> Matrix:
-        return (self.incl_p if side == "left" else self.incl_q)[i]
+        c = self.left if side == "left" else self.right
+        own = Matrix.identity(c.ring, c.ranks[i])
+        if i == 0:
+            return own
+        return vstack(own, Matrix.zeros(c.ring, self.added_ranks(side)[i - 1], c.ranks[i]))
+
+    def step(self, side: str, i: int) -> Matrix:
+        c = self.left if side == "left" else self.right
+        added = self.added_ranks(side)[i - 1]
+        lifted = self.incl(side, i - 1) * c.d(i)
+        return block(
+            [
+                [lifted, Matrix.zeros(c.ring, lifted.rows, added)],
+                [Matrix.zeros(c.ring, added, c.ranks[i]), Matrix.identity(c.ring, added)],
+            ]
+        )
 
     def own_ranks(self, side: str) -> tuple[int, ...]:
         return self.t_ranks if side == "left" else self.s_ranks
@@ -132,77 +150,28 @@ def _check_pair(res_p: TruncatedResolution, res_q: TruncatedResolution):
 def build_ladder(
     res_p: TruncatedResolution, res_q: TruncatedResolution
 ) -> StabilizerLadder:
-    """Build both towers for a compatible pair; deterministic."""
+    """The towers of a compatible pair; deterministic.
+
+    Both inputs must be complexes. Two padded tower steps compose to
+    [[incl_{i-1} d_i d_{i+1}], [0]], which is zero exactly when
+    d_i d_{i+1} is, so d.d = 0 is checked on the inputs themselves; a
+    failure raises StabilizeError naming the side and the degree."""
     _check_pair(res_p, res_q)
-    ring = res_p.ring
-    n = res_p.length
-    p_ranks = res_p.complex.ranks
-    q_ranks = res_q.complex.ranks
-    t, s = ladder_ranks(p_ranks, q_ranks)
-
-    incl_p = [Matrix.identity(ring, p_ranks[0])]
-    incl_q = [Matrix.identity(ring, q_ranks[0])]
-    step_p: list[Matrix] = []
-    step_q: list[Matrix] = []
-    for i in range(1, n + 1):
-        incl_p.append(
-            vstack(Matrix.identity(ring, p_ranks[i]), Matrix.zeros(ring, s[i - 1], p_ranks[i]))
-        )
-        incl_q.append(
-            vstack(Matrix.identity(ring, q_ranks[i]), Matrix.zeros(ring, t[i - 1], q_ranks[i]))
-        )
-        lifted_p = incl_p[i - 1] * res_p.complex.d(i)
-        step_p.append(
-            block(
-                [
-                    [lifted_p, Matrix.zeros(ring, t[i - 1], s[i - 1])],
-                    [Matrix.zeros(ring, s[i - 1], p_ranks[i]), Matrix.identity(ring, s[i - 1])],
-                ]
-            )
-        )
-        lifted_q = incl_q[i - 1] * res_q.complex.d(i)
-        step_q.append(
-            block(
-                [
-                    [lifted_q, Matrix.zeros(ring, s[i - 1], t[i - 1])],
-                    [Matrix.zeros(ring, t[i - 1], q_ranks[i]), Matrix.identity(ring, t[i - 1])],
-                ]
-            )
-        )
-
-    ladder = StabilizerLadder(
-        n=n,
+    for side, res in (("left", res_p), ("right", res_q)):
+        for i, check in enumerate(validate_complex(res.complex).checks, 1):
+            if not check.ok:
+                raise StabilizeError(
+                    f"{side} input is not a complex at degree {i}: "
+                    f"{check.name} fails"
+                )
+    t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
+    return StabilizerLadder(
+        n=res_p.length,
         t_ranks=tuple(t),
         s_ranks=tuple(s),
-        incl_p=tuple(incl_p),
-        incl_q=tuple(incl_q),
-        step_p=tuple(step_p),
-        step_q=tuple(step_q),
+        left=res_p.complex,
+        right=res_q.complex,
     )
-    _verify_step_compatibility(ladder, ring)
-    return ladder
-
-
-def _verify_step_compatibility(ladder: StabilizerLadder, ring):
-    """In the fully expanded complexes the padded steps must compose to
-    zero; this follows from d.d = 0 of the inputs and the block structure,
-    and is asserted on every build."""
-    for side in ("left", "right"):
-        added = ladder.added_ranks(side)
-        for i in range(1, ladder.n):
-            upper = hstack(
-                ladder.step(side, i),
-                Matrix.zeros(ring, ladder.step(side, i).rows, added[i]),
-            )
-            lower = hstack(
-                ladder.step(side, i + 1),
-                Matrix.zeros(ring, ladder.step(side, i + 1).rows, added[i + 1]),
-            )
-            if not (upper * lower).is_zero():
-                raise StabilizeError(
-                    f"tower steps fail to compose to zero at degree {i} "
-                    f"({side}); input boundaries are not a complex"
-                )
 
 
 def stabilized_complex(
@@ -423,6 +392,37 @@ class LadderMaps:
     iso_bwd: tuple[Matrix, ...]
 
 
+def _lift(
+    h: Matrix, d_from: Matrix, d_to: Matrix, from_prev: int, to_prev: int,
+    degree: int, direction: str,
+) -> Matrix:
+    """Solve step_to(i) X = h step_from(i) by blocks, at input size.
+
+    Named for the forward lift (the backward one swaps P and Q, t and s):
+    h = h_{i-1}, d_from = d^P_i, d_to = d^Q_i, from_prev = t_{i-1} and
+    to_prev = s_{i-1}. Since step^P_i = [[incl d^P_i, 0], [0, 1]], the
+    right-hand side is B = [h[:, P_{i-1}] d^P_i | h[:, t_{i-1}:]]. Its rows
+    split as S_{i-1} (+) T_{i-1} = Q_{i-1} (+) T_{i-2} (+) T_{i-1}, and
+    step^Q_i is [[d^Q_i, 0], [0, 0], [0, 1]] in that split. So the top
+    rows of X solve d^Q_i Y = B[Q_{i-1}], the T_{i-2} rows of B must be
+    zero, and the bottom t_{i-1} rows of X are those of B."""
+    rows = range(h.rows)
+    rhs = hstack(
+        h.submatrix(rows, range(d_from.rows)) * d_from,
+        h.submatrix(rows, range(from_prev, h.cols)),
+    )
+    own = d_to.rows
+    if not rhs.submatrix(range(own, to_prev), range(rhs.cols)).is_zero():
+        raise LiftError(degree, direction)
+    top = rhs.top_rows(own)
+    x = solve(d_to, top)
+    if x is None:
+        raise LiftError(degree, direction)
+    if d_to * x != top:
+        raise StabilizeError(f"{direction} lift square fails at degree {degree}")
+    return vstack(x, rhs.submatrix(range(to_prev, rhs.rows), range(rhs.cols)))
+
+
 def build_ladder_maps(
     ladder: StabilizerLadder,
     res_p: TruncatedResolution,
@@ -433,8 +433,13 @@ def build_ladder_maps(
 
     The base lifts land in the presented module, so equality there is
     equality modulo the relations: the relations columns are adjoined as
-    free unknowns. Above the base, each lift solves against the opposite
-    tower step. Any unsolvable system raises LiftError with its degree.
+    free unknowns. Above the base, the forward lift f_i solves
+    step^Q_i f_i = h_{i-1} step^P_i and the backward lift g_i solves
+    step^P_i g_i = k_{i-1} step^Q_i. Both systems are block-triangular
+    with an identity block, so each is solved against an input boundary
+    (``_lift``) and its lift square is checked at that size. An
+    unsolvable system raises LiftError with its degree and direction; a
+    solution that fails its square raises StabilizeError.
     """
     _check_pair(res_p, res_q)
     n = ladder.n
@@ -454,36 +459,23 @@ def build_ladder_maps(
     h0, k0 = inverse_pair(f0, g0)
     iso_fwd = [h0]
     iso_bwd = [k0]
+    dp, dq = res_p.complex.d, res_q.complex.d
+    t, s = ladder.t_ranks, ladder.s_ranks
     for i in range(1, n + 1):
-        fi = solve(ladder.step("right", i), iso_fwd[i - 1] * ladder.step("left", i))
-        if fi is None:
-            raise LiftError(i, "forward")
-        gi = solve(ladder.step("left", i), iso_bwd[i - 1] * ladder.step("right", i))
-        if gi is None:
-            raise LiftError(i, "backward")
+        fi = _lift(iso_fwd[i - 1], dp(i), dq(i), t[i - 1], s[i - 1], i, "forward")
+        gi = _lift(iso_bwd[i - 1], dq(i), dp(i), s[i - 1], t[i - 1], i, "backward")
         hi, ki = inverse_pair(fi, gi)
         lifts_fwd.append(fi)
         lifts_bwd.append(gi)
         iso_fwd.append(hi)
         iso_bwd.append(ki)
 
-    maps = LadderMaps(
+    return LadderMaps(
         lifts_fwd=tuple(lifts_fwd),
         lifts_bwd=tuple(lifts_bwd),
         iso_fwd=tuple(iso_fwd),
         iso_bwd=tuple(iso_bwd),
     )
-    _verify_ladder_maps(ladder, maps)
-    return maps
-
-
-def _verify_ladder_maps(ladder: StabilizerLadder, maps: LadderMaps):
-    """The lift squares; h k = k h = 1 holds by the shape of inverse_pair."""
-    for i in range(1, ladder.n + 1):
-        if ladder.step("right", i) * maps.lifts_fwd[i] != maps.iso_fwd[i - 1] * ladder.step("left", i):
-            raise StabilizeError(f"forward lift square fails at degree {i}")
-        if ladder.step("left", i) * maps.lifts_bwd[i] != maps.iso_bwd[i - 1] * ladder.step("right", i):
-            raise StabilizeError(f"backward lift square fails at degree {i}")
 
 
 def chain_isomorphism(

@@ -348,6 +348,28 @@ def test_cli_generate_group_ring_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["bogus"],
+        ["check", "x.json", "--bogus"],
+        ["generate", "--n", "abc", "--out", "no.json"],
+    ],
+    ids=["missing-path", "unknown-command", "unknown-option", "bad-int"],
+)
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # 2 is kept for mathematically invalid data
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: chaincert")
+
+
+@pytest.mark.parametrize(
     "size", [["--n", "0"], ["--n", "-2"], ["--max-rank", "-3"]]
 )
 def test_cli_generate_rejects_bad_sizes(tmp_path, capsys, size):

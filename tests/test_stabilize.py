@@ -12,7 +12,7 @@ from chaincert.chain import (
     validate_complex,
 )
 from chaincert.cli import main
-from chaincert.matrix import Matrix, rank_field, restrict_scalars
+from chaincert.matrix import Matrix, rank_field, restrict_scalars, solve
 from chaincert.resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -26,6 +26,8 @@ from chaincert.chain import compose_equivalences, identity_equivalence, reverse_
 from chaincert.stabilize import (
     InputMismatchError,
     LiftError,
+    StabilizeError,
+    StabilizerLadder,
     build_ladder,
     build_ladder_maps,
     chain_isomorphism,
@@ -40,6 +42,7 @@ from chaincert.stabilize import (
 )
 
 from conftest import f2c4_resolution, random_resolution_pair, relabel, s3_resolution
+from test_golden import GOLDEN
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -90,8 +93,8 @@ def test_ladder_block_structure():
     res_q = generate_resolution(pres, n=2, max_rank=3, seed=2)
     ladder = build_ladder(res_p, res_q)
 
-    assert ladder.incl_p[0] == Matrix.identity(ZZ, res_p.complex.ranks[0])
-    assert ladder.incl_q[0] == Matrix.identity(ZZ, res_q.complex.ranks[0])
+    assert ladder.incl("left", 0) == Matrix.identity(ZZ, res_p.complex.ranks[0])
+    assert ladder.incl("right", 0) == Matrix.identity(ZZ, res_q.complex.ranks[0])
 
     for i in (1, 2):
         p_i = res_p.complex.ranks[i]
@@ -100,7 +103,7 @@ def test_ladder_block_structure():
             ladder.t_ranks[i - 1] + ladder.s_ranks[i - 1],
             ladder.t_ranks[i],
         )
-        lifted = ladder.incl_p[i - 1] * res_p.complex.d(i)
+        lifted = ladder.incl("left", i - 1) * res_p.complex.d(i)
         for r in range(step.rows):
             for c in range(step.cols):
                 if c < p_i:
@@ -122,6 +125,22 @@ def test_build_ladder_rejects_mismatches():
     c = generate_resolution(other, n=2, max_rank=3, seed=1)
     with pytest.raises(InputMismatchError):
         build_ladder(a, c)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_build_ladder_rejects_an_input_that_is_not_a_complex(side):
+    pres = ModulePresentation(ZZ, 1, Matrix.from_rows(ZZ, [[2]]))
+    good = generate_resolution(pres, n=3, max_rank=3, seed=1)
+    one, zero = Matrix.from_rows(ZZ, [[1]]), Matrix.from_rows(ZZ, [[0]])
+    # d1.d2 = 0 but d2.d3 = 1
+    bad = TruncatedResolution(
+        pres, ChainComplex(ZZ, [1, 1, 1, 1], [zero, one, one]), Matrix.identity(ZZ, 1)
+    )
+    pair = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(StabilizeError) as err:
+        build_ladder(*pair)
+    assert type(err.value) is StabilizeError
+    assert str(err.value) == f"{side} input is not a complex at degree 2: d2.d3 = 0 fails"
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +313,72 @@ def test_lift_failure_names_degree():
     assert err.value.degree == 1
 
 
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3"])
+def test_block_lift_matches_the_full_system_on_random_data(ring):
+    # random boundaries and a random h_1, not from any resolution: the block
+    # solve must return the full-size solve's solution, and raise LiftError
+    # exactly when that system has none
+    rng = random.Random(11)
+
+    def rand(rows, cols):
+        return Matrix(ring, rows, cols, [ring.from_int(rng.randint(-3, 3)) for _ in range(rows * cols)])
+
+    outcomes = set()
+    for _ in range(80):
+        p = [rng.randint(0, 3) for _ in range(3)]
+        q = [rng.randint(0, 3) for _ in range(3)]
+        left = ChainComplex(ring, p, [rand(p[0], p[1]), rand(p[1], p[2])])
+        right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
+        t, s = ladder_ranks(p, q)
+        ladder = StabilizerLadder(2, tuple(t), tuple(s), left, right)
+        rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
+        cleared = rng.random() < 0.5
+        if cleared:  # the T_0 rows inside S_1, which every solvable system has zero
+            rows[q[1] : s[1]] = [[ring.zero] * (t[1] + s[1])] * t[0]
+        h = Matrix.from_rows(ring, rows, t[1] + s[1])
+        expected = solve(ladder.step("right", 2), h * ladder.step("left", 2))
+        try:
+            got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
+        except LiftError as err:
+            assert (err.degree, err.direction) == (2, "forward")
+            got = None
+        assert (got is None) == (expected is None)
+        assert got is None or got == expected
+        outcomes.add((cleared, got is None))
+    assert outcomes == {(False, True), (True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(2, "forward lift square fails at degree 1"), (5, "backward lift square fails at degree 2")],
+)
+def test_lift_square_check_rejects_a_wrong_solution(monkeypatch, call, message):
+    # solves run in the order: base forward, base backward, then forward
+    # and backward at each degree; only the chosen one goes wrong
+    real = stabilize.solve
+    calls = []
+
+    def wrong_once(a, b):
+        x = real(a, b)
+        calls.append(a)
+        if len(calls) - 1 != call:
+            return x
+        # bump X[j, 0] for a nonzero column j of A: A X moves by that column
+        j = next(j for j in range(a.cols) if any(a.entry(r, j) for r in range(a.rows)))
+        rows = x.to_rows()
+        rows[j][0] += 1
+        return Matrix.from_rows(a.ring, rows)
+
+    monkeypatch.setattr(stabilize, "solve", wrong_once)
+    pres = ModulePresentation(ZZ, 1, Matrix.from_rows(ZZ, [[2]]))
+    res_p = generate_resolution(pres, n=3, max_rank=3, seed=1)
+    res_q = generate_resolution(pres, n=3, max_rank=3, seed=2)
+    with pytest.raises(StabilizeError) as err:
+        total_equivalence(res_p, res_q)
+    assert not isinstance(err.value, LiftError)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 
@@ -432,6 +517,28 @@ def test_total_equivalence_matches_the_stage_loop(pairs):
         assert e.tgt_homotopy.parts == oracle.tgt_homotopy.parts
         count += 1
     assert count >= 6
+
+
+GOLDEN_PAIRS = [pytest.param(lambda build=case.values[0]: [build()], id=case.id) for case in GOLDEN]
+
+
+def full_size_lifts(ladder, maps, i):
+    """The degree-i lifting systems solved against the whole tower steps:
+    the oracle for the block solve in ``build_ladder_maps``."""
+    fwd = solve(ladder.step("right", i), maps.iso_fwd[i - 1] * ladder.step("left", i))
+    bwd = solve(ladder.step("left", i), maps.iso_bwd[i - 1] * ladder.step("right", i))
+    return fwd, bwd
+
+
+@pytest.mark.parametrize("pairs", ORACLE_CASES + GOLDEN_PAIRS)
+def test_block_lifts_match_the_full_size_solve(pairs):
+    for res_p, res_q in pairs():
+        ladder = build_ladder(res_p, res_q)
+        maps = build_ladder_maps(ladder, res_p, res_q)
+        for i in range(1, ladder.n + 1):
+            fwd, bwd = full_size_lifts(ladder, maps, i)
+            assert maps.lifts_fwd[i] == fwd
+            assert maps.lifts_bwd[i] == bwd
 
 
 def test_total_equivalence_builds_no_stage(monkeypatch):

@@ -1,13 +1,20 @@
 """The hot numeric kernels, in exact pure Python.
 
-All functions take flat row-major entry lists:
+All functions take flat row-major entry sequences (lists or tuples; the
+kernels only index and slice them) and return new flat lists:
 
     matmul_int(a, b, m, n, k)       exact integer matrix product
     matmul_mod(a, b, m, n, k, p)    matrix product over F_p
     matmul_group(a, b, m, n, k, mult, zero, p)
                                     matrix product over Z[G] or F_p[G],
                                     entries coefficient tuples
-    rref_mod(a, m, n, p)            reduced row echelon form over F_p
+    rref_mod(a, m, n, p)            reduced row echelon form over F_p,
+                                    entries canonical residues in [0, p)
+
+The pipeline's tower-size matrices are mostly zeros, so every kernel does
+work only where entries are nonzero: the products skip zero factors and
+write only the outputs some pair reaches, and elimination updates a row
+only on the pivot row's nonzero columns.
 """
 
 from itertools import compress
@@ -57,11 +64,15 @@ def matmul_int(a, b, m, n, k):
 def matmul_mod(a, b, m, n, k, p):
     """(m x n) @ (n x k) with entries reduced into [0, p).
 
-    Each output row accumulates in Python ints and is reduced once.
+    Each output row accumulates in Python ints; only its nonzero
+    accumulators are reduced and written, the other outputs stay 0.
     """
     out = [0] * (m * k)
+    cols = range(k)
     for i, row in _product_rows(a, b, m, n, k):
-        out[i * k : (i + 1) * k] = [v % p for v in row]
+        base = i * k
+        for j in compress(cols, row):
+            out[base + j] = row[j] % p
     return out
 
 
@@ -110,25 +121,32 @@ def matmul_group(a, b, m, n, k, mult, zero, p):
 def rref_mod(a, m, n, p):
     """Reduced row echelon form over F_p.
 
-    Returns (entries, pivots) where pivots lists the pivot column of each
-    nonzero row, in order.
+    The entries must be canonical residues in [0, p), as every F_p
+    ``Matrix`` holds them: a pivot is any entry that is not 0. Returns
+    (entries, pivots) where pivots lists the pivot column of each nonzero
+    row, in order. Clearing a pivot column touches each other row only on
+    the pivot row's nonzero columns.
     """
     rows = [list(a[i * n : (i + 1) * n]) for i in range(m)]
+    cols = range(n)
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        pivot = next((i for i in range(r, m) if rows[i][c] % p), None)
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
+        prow = rows[r] = [(x * inv) % p for x in rows[r]]
+        support = [(j, prow[j]) for j in compress(cols, prow)]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
     flat = [x for row in rows for x in row]

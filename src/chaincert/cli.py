@@ -2,8 +2,8 @@
 
 Commands: validate, stabilize, compare, check, generate, dualize.
 Exit codes are part of the public contract: 0 = pass, 1 = malformed input,
-a usage error or an unusable input combination, 2 = mathematically invalid
-data.
+a usage error, an unusable input combination or an output file that cannot
+be written, 2 = mathematically invalid data.
 """
 
 from __future__ import annotations
@@ -51,6 +51,16 @@ def _load(path: str, want: str | None = None):
     return kind, obj
 
 
+def _save(path: str, doc: dict) -> bool:
+    """Write ``doc`` to ``path``; on an OS error print it and return False."""
+    try:
+        io.save(path, doc)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_validate(args) -> int:
     try:
         kind, obj = _load(args.path)
@@ -94,7 +104,8 @@ def cmd_stabilize(args, emit_certificate: bool = True) -> int:
         return EXIT_INVALID
 
     if emit_certificate and args.out:
-        io.save(args.out, io.certificate_to_json(cert))
+        if not _save(args.out, io.certificate_to_json(cert)):
+            return EXIT_MALFORMED
         print(f"certificate written to {args.out}")
 
     if not emit_certificate:
@@ -187,7 +198,8 @@ def cmd_generate(args) -> int:
     if not report.ok:
         _print_report(report, True)
         return EXIT_INVALID
-    io.save(args.out, io.resolution_to_json(res))
+    if not _save(args.out, io.resolution_to_json(res)):
+        return EXIT_MALFORMED
     print(f"resolution written to {args.out} (ranks {list(res.complex.ranks)})")
     return EXIT_OK
 
@@ -203,7 +215,8 @@ def cmd_dualize(args) -> int:
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    io.save(args.out, io.resolution_to_json(dual))
+    if not _save(args.out, io.resolution_to_json(dual)):
+        return EXIT_MALFORMED
     orientation = "cochain" if dual.cochain else "chain"
     print(f"dual ({orientation}) written to {args.out}")
     return EXIT_OK

@@ -183,9 +183,25 @@ class Matrix:
         return Matrix(self.ring, count, self.cols, self._e[: count * self.cols])
 
     def submatrix(self, rows, cols) -> "Matrix":
-        """The entries at the given row and column indices, in that order."""
+        """The entries at the given row and column indices, in that order.
+
+        ``rows`` and ``cols`` are sized sequences of in-range indices, in
+        any order, repeats allowed. ``cols`` is split once into maximal
+        runs of consecutive indices, and each row is copied as one slice
+        per run.
+        """
         e, width, cols = self._e, self.cols, list(cols)
-        entries = [e[i * width + j] for i in rows for j in cols]
+        runs = []
+        start = 0
+        for t in range(1, len(cols) + 1):
+            if t == len(cols) or cols[t] != cols[t - 1] + 1:
+                runs.append((cols[start], cols[t - 1] + 1))
+                start = t
+        entries = []
+        for i in rows:
+            base = i * width
+            for lo, hi in runs:
+                entries += e[base + lo : base + hi]
         return Matrix(self.ring, len(rows), len(cols), entries)
 
     def transpose(self) -> "Matrix":
@@ -221,16 +237,14 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ring = a.ring
     m, n, k = a.rows, a.cols, b.cols
     if isinstance(ring, IntegerRing):
-        flat = _kernels.matmul_int(list(a._e), list(b._e), m, n, k)
+        flat = _kernels.matmul_int(a._e, b._e, m, n, k)
         return Matrix(ring, m, k, flat)
     if isinstance(ring, PrimeField):
-        flat = _kernels.matmul_mod(list(a._e), list(b._e), m, n, k, ring.p)
+        flat = _kernels.matmul_mod(a._e, b._e, m, n, k, ring.p)
         return Matrix(ring, m, k, flat)
     if isinstance(ring, GroupRing):
         p = ring.base.p if isinstance(ring.base, PrimeField) else 0
-        flat = _kernels.matmul_group(
-            list(a._e), list(b._e), m, n, k, ring.group.mult, ring.zero, p
-        )
+        flat = _kernels.matmul_group(a._e, b._e, m, n, k, ring.group.mult, ring.zero, p)
         return Matrix(ring, m, k, flat)
     raise RingError(f"unsupported ring {ring}")
 
@@ -270,11 +284,36 @@ def vstack(*mats: Matrix) -> Matrix:
 
 
 def block(grid) -> Matrix:
-    """Assemble a 2D arrangement of matrices with consistent edge sizes."""
+    """Assemble a 2D arrangement of matrices with consistent edge sizes.
+
+    Equal to ``vstack(*[hstack(*row) for row in grid])``, raising
+    ``ShapeError`` or ``RingError`` where that would, but the entries are
+    copied once, block row by block row.
+    """
     grid = [list(row) for row in grid]
     if not grid or not grid[0]:
         raise ShapeError("block needs a nonempty grid")
-    return vstack(*[hstack(*row) for row in grid])
+    ring = grid[0][0].ring
+    width = sum(mat.cols for mat in grid[0])
+    entries: list = []
+    rows = 0
+    for row in grid:
+        if not row:
+            raise ShapeError("block needs a nonempty block row")
+        height = row[0].rows
+        for mat in row:
+            if mat.rows != height:
+                raise ShapeError("block row height mismatch")
+            if mat.ring != ring:
+                raise RingError("block ring mismatch")
+        if sum(mat.cols for mat in row) != width:
+            raise ShapeError("block width mismatch")
+        parts = [(mat._e, mat.cols) for mat in row]
+        for i in range(height):
+            for e, w in parts:
+                entries += e[i * w : (i + 1) * w]
+        rows += height
+    return Matrix(ring, rows, width, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +616,7 @@ def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
 def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
     p = a.ring.p
     aug = hstack(a, b)
-    flat, pivots = _kernels.rref_mod(list(aug._e), aug.rows, aug.cols, p)
+    flat, pivots = _kernels.rref_mod(aug._e, aug.rows, aug.cols, p)
     n = a.cols
     if any(c >= n for c in pivots):
         return None
@@ -629,7 +668,7 @@ def kernel_basis(a: Matrix) -> Matrix:
         cols = [[v[i][j] for i in range(a.cols)] for j in range(rank, a.cols)]
     elif isinstance(ring, PrimeField):
         p = ring.p
-        flat, pivots = _kernels.rref_mod(list(a._e), a.rows, a.cols, p)
+        flat, pivots = _kernels.rref_mod(a._e, a.rows, a.cols, p)
         pivot_set = set(pivots)
         free = [j for j in range(a.cols) if j not in pivot_set]
         cols = []
@@ -665,7 +704,7 @@ class Invariants:
 def rank_field(a: Matrix) -> int:
     if not isinstance(a.ring, PrimeField):
         raise RingError("rank_field needs a prime-field matrix")
-    _, pivots = _kernels.rref_mod(list(a._e), a.rows, a.cols, a.ring.p)
+    _, pivots = _kernels.rref_mod(a._e, a.rows, a.cols, a.ring.p)
     return len(pivots)
 
 

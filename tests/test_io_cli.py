@@ -393,6 +393,27 @@ def test_cli_dualize_round_trip(tmp_path):
     assert open(out).read() == open(double).read()
 
 
+@pytest.mark.parametrize("command", ["stabilize", "generate", "dualize"])
+def test_cli_unwritable_out_exits_1(tmp_path, capsys, command):
+    field_res = generate_resolution(
+        ModulePresentation(F2, 2, Matrix(F2, 2, 0, ())), n=2, max_rank=4, seed=3
+    )
+    p = _write(tmp_path, "p.json", field_res)
+    q = _write(tmp_path, "q.json", pad_top(field_res, 1))
+    out = tmp_path / "missing" / "out.json"
+    argv = {
+        "stabilize": ["stabilize", p, q],
+        "generate": ["generate", "--ring", "Z", "--module", "Z/2", "--seed", "7"],
+        "dualize": ["dualize", p],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_cli_dualize_rejects_integers(tmp_path):
     _, res = canonical_resolution("Z_over_Z", 1)
     p = _write(tmp_path, "p.json", res)

@@ -24,6 +24,7 @@ from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField, RingError
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+ZS3 = GroupRing(ZZ, GroupTable.symmetric(3))
 
 
 def rand_int_matrix(rng, rows, cols, bound=9):
@@ -83,6 +84,91 @@ def test_transpose_round_trip():
     rng = random.Random(1)
     a = rand_int_matrix(rng, 3, 5)
     assert a.transpose().transpose() == a
+
+
+# ---------------------------------------------------------------------------
+# copying: submatrix and block, against entry-by-entry oracles
+
+
+def _ring_entries(ring, count):
+    if ring is ZZ:
+        element = st.integers(-9, 9)
+    elif isinstance(ring, PrimeField):
+        element = st.integers(0, ring.p - 1)
+    else:
+        element = st.tuples(*[st.integers(-3, 3)] * ring.group.order)
+    return st.lists(element, min_size=count, max_size=count)
+
+
+@st.composite
+def _indices(draw, size):
+    """Indices into range(size): a range, or a list in any order with
+    repeats; either may be empty."""
+    if size == 0 or draw(st.booleans()):
+        lo = draw(st.integers(0, size))
+        return range(lo, draw(st.integers(lo, size)))
+    return draw(st.lists(st.integers(0, size - 1), max_size=2 * size))
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5, ZS3], ids=["Z", "F5", "Z[S3]"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_submatrix_matches_entrywise_copy(ring, data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    e = data.draw(_ring_entries(ring, rows * cols))
+    row_idx, col_idx = data.draw(_indices(rows)), data.draw(_indices(cols))
+    sub = Matrix(ring, rows, cols, e).submatrix(row_idx, col_idx)
+    assert sub.ring == ring
+    assert sub.shape == (len(row_idx), len(col_idx))
+    assert sub.entries == tuple(e[i * cols + j] for i in row_idx for j in col_idx)
+
+
+def test_submatrix_empty_index_sets():
+    a = rand_int_matrix(random.Random(5), 3, 4)
+    assert a.submatrix([], [3, 1, 1]) == Matrix(ZZ, 0, 3, ())
+    assert a.submatrix(range(3), []) == Matrix(ZZ, 3, 0, ())
+    assert Matrix(ZZ, 0, 4, ()).submatrix([], range(4)) == Matrix(ZZ, 0, 4, ())
+    assert a.submatrix([2, 0], [3, 0, 1]).to_rows() == [
+        [a.entry(2, 3), a.entry(2, 0), a.entry(2, 1)],
+        [a.entry(0, 3), a.entry(0, 0), a.entry(0, 1)],
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5, ZS3], ids=["Z", "F5", "Z[S3]"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_matches_stacked_rows(ring, data):
+    width = data.draw(st.integers(0, 5))
+    grid = []
+    for height in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+        # each block row cuts the same total width its own way
+        cuts = sorted(data.draw(st.lists(st.integers(0, width), max_size=2)))
+        edges = [0, *cuts, width]
+        grid.append([
+            Matrix(ring, height, hi - lo, data.draw(_ring_entries(ring, height * (hi - lo))))
+            for lo, hi in zip(edges, edges[1:])
+        ])
+    assert block(grid) == vstack(*[hstack(*row) for row in grid])
+
+
+def test_block_errors():
+    def z(rows, cols, ring=ZZ):
+        return Matrix.zeros(ring, rows, cols)
+
+    with pytest.raises(ShapeError):
+        block([])
+    with pytest.raises(ShapeError):
+        block([[z(2, 1), z(3, 1)]])  # heights differ within a block row
+    with pytest.raises(ShapeError):
+        block([[z(1, 2), z(1, 1)], [z(2, 2)]])  # total widths differ
+    with pytest.raises(ShapeError):
+        block([[z(1, 2)], [z(0, 3)]])  # even with no rows to copy
+    with pytest.raises(ShapeError):
+        block([[z(1, 2)], [z(1, 3)], [z(1, 1)]])  # the entry count still fits
+    with pytest.raises(RingError):
+        block([[z(1, 1), z(1, 1, F5)]])
+    with pytest.raises(RingError):
+        block([[z(1, 1)], [z(1, 1, F5)]])
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,12 @@ from .matrix import (
 )
 from .chain import (
     ChainComplex,
-    ChainHomotopy,
     ChainMap,
     HomotopyEquivalence,
     Report,
     compose_equivalences,
-    direct_sum,
     dualize_complex,
     dualize_equivalence,
-    elementary_complex,
     euler_characteristic,
     homology_invariants,
     identity_equivalence,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .matrix import (
     Invariants,
     Matrix,
-    block,
     cokernel_invariants,
     kernel_basis,
     restrict_scalars as _restrict_matrix,
@@ -117,44 +116,6 @@ class ChainComplex:
         return f"ChainComplex({self.ring}, ranks={list(self.ranks)})"
 
 
-def zero_complex(ring: Ring, length: int) -> ChainComplex:
-    ranks = (0,) * (length + 1)
-    diffs = [Matrix.zeros(ring, 0, 0) for _ in range(length)]
-    return ChainComplex(ring, ranks, diffs)
-
-
-def elementary_complex(ring: Ring, rank: int, degree: int, length: int) -> ChainComplex:
-    """The two-term complex with an identity boundary from degree+1 to
-    degree and zeros elsewhere; adjoining it is the elementary expansion."""
-    if not 0 <= degree <= length - 1:
-        raise ShapeError("elementary complex needs 0 <= degree <= length-1")
-    ranks = [0] * (length + 1)
-    ranks[degree] = ranks[degree + 1] = rank
-    diffs = []
-    for i in range(1, length + 1):
-        if i == degree + 1:
-            diffs.append(Matrix.identity(ring, rank))
-        else:
-            diffs.append(Matrix.zeros(ring, ranks[i - 1], ranks[i]))
-    return ChainComplex(ring, ranks, diffs)
-
-
-def direct_sum(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
-    if c1.ring != c2.ring:
-        raise RingError("direct_sum: ring mismatch")
-    if c1.length != c2.length:
-        raise ShapeError("direct_sum: length mismatch")
-    ring = c1.ring
-    ranks = [a + b for a, b in zip(c1.ranks, c2.ranks)]
-    diffs = []
-    for i in range(1, c1.length + 1):
-        a, b = c1.d(i), c2.d(i)
-        top = Matrix.zeros(ring, a.rows, b.cols)
-        bot = Matrix.zeros(ring, b.rows, a.cols)
-        diffs.append(block([[a, top], [bot, b]]))
-    return ChainComplex(ring, ranks, diffs)
-
-
 def validate_complex(c: ChainComplex) -> Report:
     report = Report()
     for i in range(1, c.length):
@@ -235,88 +196,19 @@ def validate_chain_map(f: ChainMap) -> Report:
     return report
 
 
-class ChainHomotopy:
-    """Witness that two chain maps with the same source and target agree up
-    to homotopy: f - g = d s + s d. Components run from degree i to i+1 for
-    i = 0..n-1; the top component is the zero map and is not stored.
-
-    ``round_trip`` builds the homotopy from a composite outer.inner to the
-    identity without forming the composite: ``f`` is computed on first
-    access (in practice only by ``validate_homotopy``)."""
-
-    __slots__ = ("_f", "_factors", "g", "parts")
-
-    def __init__(self, f: ChainMap, g: ChainMap, parts):
-        self._f = f
-        self._factors = None
-        self._attach(f.source, f.target, g, parts)
-
-    @classmethod
-    def round_trip(cls, outer: ChainMap, inner: ChainMap, parts) -> "ChainHomotopy":
-        """Homotopy from outer.inner to the identity on inner.source."""
-        if inner.target != outer.source:
-            raise ShapeError("composition mismatch")
-        h = cls.__new__(cls)
-        h._f = None
-        h._factors = (outer, inner)
-        h._attach(inner.source, outer.target, identity_chain_map(inner.source), parts)
-        return h
-
-    def _attach(self, source: ChainComplex, target: ChainComplex, g: ChainMap, parts):
-        if source != g.source or target != g.target:
-            raise ShapeError("homotopy needs maps with equal source and target")
-        parts = tuple(parts)
-        n = source.length
-        if len(parts) != n:
-            raise ShapeError("need one homotopy component per degree below the top")
-        for i, s in enumerate(parts):
-            if s.shape != (target.ranks[i + 1], source.ranks[i]):
-                raise ShapeError(
-                    f"homotopy component {i} must be "
-                    f"{target.ranks[i+1]}x{source.ranks[i]}"
-                )
-        self.g = g
-        self.parts = parts
-
-    @property
-    def f(self) -> ChainMap:
-        if self._f is None:
-            outer, inner = self._factors
-            self._f = outer.after(inner)
-            self._factors = None
-        return self._f
-
-    def part(self, i: int) -> Matrix:
-        """Component degree i -> i+1; zero above the top."""
-        src = self.g.source
-        n = src.length
-        if 0 <= i < n:
-            return self.parts[i]
-        if i == n:
-            return Matrix.zeros(src.ring, 0, src.ranks[n])
-        raise ShapeError(f"no homotopy component at degree {i}")
-
-
-def zero_homotopy(f: ChainMap, g: ChainMap) -> ChainHomotopy:
-    ring = f.source.ring
-    parts = [
-        Matrix.zeros(ring, f.target.ranks[i + 1], f.source.ranks[i])
-        for i in range(f.source.length)
-    ]
-    return ChainHomotopy(f, g, parts)
-
-
-def validate_homotopy(h: ChainHomotopy) -> Report:
+def validate_homotopy(f: ChainMap, g: ChainMap, parts) -> Report:
+    """Check f - g = d s + s d degreewise, where ``parts`` holds the
+    components s_i from degree i to i+1 for i = 0..n-1 (the top component
+    is zero and not stored)."""
     report = Report()
-    f, g = h.f, h.g
     src, tgt = f.source, f.target
     n = src.length
     for i in range(n + 1):
         rhs = g[i]
         if i < n:
-            rhs = rhs + tgt.d(i + 1) * h.parts[i]
+            rhs = rhs + tgt.d(i + 1) * parts[i]
         if i > 0:
-            rhs = rhs + h.parts[i - 1] * src.d(i)
+            rhs = rhs + parts[i - 1] * src.d(i)
         ok = f[i] == rhs
         report.add(
             f"homotopy identity at degree {i}",
@@ -329,13 +221,13 @@ def validate_homotopy(h: ChainHomotopy) -> Report:
 @dataclass(frozen=True)
 class HomotopyEquivalence:
     """A chain homotopy equivalence with all witnesses explicit: forward
-    and backward maps plus the two homotopies contracting the round trips
-    to the identities."""
+    and backward maps plus the components of the two homotopies contracting
+    the round trips to the identities."""
 
     fwd: ChainMap
     bwd: ChainMap
-    src_homotopy: ChainHomotopy  # bwd.fwd vs identity on the source
-    tgt_homotopy: ChainHomotopy  # fwd.bwd vs identity on the target
+    src_homotopy: tuple[Matrix, ...]  # bwd.fwd vs identity on the source
+    tgt_homotopy: tuple[Matrix, ...]  # fwd.bwd vs identity on the target
 
     @property
     def source(self) -> ChainComplex:
@@ -346,23 +238,48 @@ class HomotopyEquivalence:
         return self.fwd.target
 
     def validate(self) -> Report:
+        """Both chain maps and both homotopies; the round-trip composites
+        and the identity maps are formed here and nowhere else."""
+        fwd, bwd = self.fwd, self.bwd
         report = Report()
-        report.extend(validate_chain_map(self.fwd), "forward map: ")
-        report.extend(validate_chain_map(self.bwd), "backward map: ")
-        report.extend(validate_homotopy(self.src_homotopy), "source homotopy: ")
-        report.extend(validate_homotopy(self.tgt_homotopy), "target homotopy: ")
+        report.extend(validate_chain_map(fwd), "forward map: ")
+        report.extend(validate_chain_map(bwd), "backward map: ")
+        report.extend(
+            validate_homotopy(bwd.after(fwd), identity_chain_map(self.source), self.src_homotopy),
+            "source homotopy: ",
+        )
+        report.extend(
+            validate_homotopy(fwd.after(bwd), identity_chain_map(self.target), self.tgt_homotopy),
+            "target homotopy: ",
+        )
         return report
+
+
+def _homotopy_parts(c: ChainComplex, parts) -> tuple[Matrix, ...]:
+    parts = tuple(parts)
+    if len(parts) != c.length:
+        raise ShapeError("need one homotopy component per degree below the top")
+    for i, s in enumerate(parts):
+        if s.shape != (c.ranks[i + 1], c.ranks[i]):
+            raise ShapeError(
+                f"homotopy component {i} must be {c.ranks[i+1]}x{c.ranks[i]}"
+            )
+    return parts
 
 
 def make_equivalence(fwd: ChainMap, bwd: ChainMap, s_parts, t_parts) -> HomotopyEquivalence:
     """Package witnesses: s contracts bwd.fwd on the source, t contracts
-    fwd.bwd on the target. The round-trip composites are formed only if a
-    homotopy is validated."""
+    fwd.bwd on the target. Only composability and shapes are checked here;
+    ``HomotopyEquivalence.validate`` checks the identities."""
+    if fwd.target != bwd.source:
+        raise ShapeError("composition mismatch")
+    if bwd.target != fwd.source:
+        raise ShapeError("homotopy needs maps with equal source and target")
     return HomotopyEquivalence(
         fwd=fwd,
         bwd=bwd,
-        src_homotopy=ChainHomotopy.round_trip(bwd, fwd, s_parts),
-        tgt_homotopy=ChainHomotopy.round_trip(fwd, bwd, t_parts),
+        src_homotopy=_homotopy_parts(fwd.source, s_parts),
+        tgt_homotopy=_homotopy_parts(fwd.target, t_parts),
     )
 
 
@@ -371,15 +288,11 @@ def identity_equivalence(c: ChainComplex) -> HomotopyEquivalence:
     zeros = [
         Matrix.zeros(c.ring, c.ranks[i + 1], c.ranks[i]) for i in range(c.length)
     ]
-    return make_equivalence(ident, ident, zeros, list(zeros))
+    return make_equivalence(ident, ident, zeros, zeros)
 
 
 def reverse_equivalence(e: HomotopyEquivalence) -> HomotopyEquivalence:
-    return make_equivalence(
-        e.bwd, e.fwd,
-        [s for s in e.tgt_homotopy.parts],
-        [t for t in e.src_homotopy.parts],
-    )
+    return make_equivalence(e.bwd, e.fwd, e.tgt_homotopy, e.src_homotopy)
 
 
 def compose_equivalences(
@@ -397,11 +310,11 @@ def compose_equivalences(
     bwd = e1.bwd.after(e2.bwd)
     n = e1.source.length
     s_parts = [
-        e1.src_homotopy.parts[i] + e1.bwd[i + 1] * e2.src_homotopy.parts[i] * e1.fwd[i]
+        e1.src_homotopy[i] + e1.bwd[i + 1] * e2.src_homotopy[i] * e1.fwd[i]
         for i in range(n)
     ]
     t_parts = [
-        e2.tgt_homotopy.parts[i] + e2.fwd[i + 1] * e1.tgt_homotopy.parts[i] * e2.bwd[i]
+        e2.tgt_homotopy[i] + e2.fwd[i + 1] * e1.tgt_homotopy[i] * e2.bwd[i]
         for i in range(n)
     ]
     return make_equivalence(fwd, bwd, s_parts, t_parts)
@@ -431,8 +344,8 @@ def dualize_equivalence(e: HomotopyEquivalence) -> HomotopyEquivalence:
     n = e.source.length
     fwd = ChainMap(src, tgt, [e.bwd[n - j].transpose() for j in range(n + 1)])
     bwd = ChainMap(tgt, src, [e.fwd[n - j].transpose() for j in range(n + 1)])
-    s_parts = [e.src_homotopy.parts[n - j - 1].transpose() for j in range(n)]
-    t_parts = [e.tgt_homotopy.parts[n - j - 1].transpose() for j in range(n)]
+    s_parts = [e.src_homotopy[n - j - 1].transpose() for j in range(n)]
+    t_parts = [e.tgt_homotopy[n - j - 1].transpose() for j in range(n)]
     return make_equivalence(fwd, bwd, s_parts, t_parts)
 
 

@@ -172,27 +172,83 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# sub-documents shared by resolutions and certificates
+
+
+def _payload(doc: dict) -> dict:
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise MalformedFileError("missing payload")
+    return payload
+
+
+def _ranks_from_json(data) -> list[int]:
+    if not isinstance(data, list) or not data:
+        raise MalformedFileError("ranks must be a nonempty list")
+    ranks = [_int_in(r) for r in data]
+    lowest = min(ranks)
+    if lowest < 0:
+        raise MalformedFileError(f"negative rank {lowest}")
+    return ranks
+
+
+def _presentation_to_json(pres: ModulePresentation) -> dict:
+    return {
+        "ambient_rank": _int_out(pres.ambient_rank),
+        "relation_count": _int_out(pres.relations.cols),
+        "relations": matrix_to_json(pres.relations),
+    }
+
+
+def _presentation_from_json(ring: Ring, doc) -> ModulePresentation:
+    try:
+        ambient = _int_in(doc["ambient_rank"])
+        rel_count = _int_in(doc["relation_count"])
+        relations_doc = doc["relations"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedFileError(f"bad presentation: {exc}") from exc
+    relations = matrix_from_json(ring, ambient, rel_count, relations_doc)
+    return ModulePresentation(ring, ambient, relations)
+
+
+def _complex_to_json(c: ChainComplex) -> dict:
+    """The ranks and the boundaries, stored top degree first."""
+    return {
+        "ranks": [_int_out(r) for r in c.ranks],
+        "boundaries": [matrix_to_json(c.d(i)) for i in range(c.length, 0, -1)],
+    }
+
+
+def _complex_from_json(ring: Ring, doc) -> ChainComplex:
+    try:
+        ranks_doc = doc["ranks"]
+        boundaries_doc = doc["boundaries"]
+    except (KeyError, TypeError) as exc:
+        raise MalformedFileError(f"bad complex: {exc}") from exc
+    ranks = _ranks_from_json(ranks_doc)
+    n = len(ranks) - 1
+    if not isinstance(boundaries_doc, list) or len(boundaries_doc) != n:
+        raise MalformedFileError(f"expected {n} boundaries")
+    diffs = [
+        matrix_from_json(ring, ranks[i - 1], ranks[i], boundaries_doc[n - i])
+        for i in range(1, n + 1)
+    ]
+    return ChainComplex(ring, ranks, diffs)
+
+
+# ---------------------------------------------------------------------------
 # resolutions
 
 
 def resolution_to_json(res: TruncatedResolution) -> dict:
     doc = ring_to_json(res.ring)
-    ranks = res.complex.ranks
     doc.update(
         {
             "format_version": _int_out(FORMAT_VERSION),
             "kind": "resolution",
             "payload": {
-                "presentation": {
-                    "ambient_rank": _int_out(res.presentation.ambient_rank),
-                    "relation_count": _int_out(res.presentation.relations.cols),
-                    "relations": matrix_to_json(res.presentation.relations),
-                },
-                "ranks": [_int_out(r) for r in ranks],
-                "boundaries": [
-                    matrix_to_json(res.complex.d(i))
-                    for i in range(res.length, 0, -1)
-                ],
+                "presentation": _presentation_to_json(res.presentation),
+                **_complex_to_json(res.complex),
                 "augmentation": matrix_to_json(res.augmentation),
                 "cochain": res.cochain,
             },
@@ -203,38 +259,20 @@ def resolution_to_json(res: TruncatedResolution) -> dict:
 
 def resolution_from_json(doc: dict) -> TruncatedResolution:
     ring = ring_from_json(doc)
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise MalformedFileError("missing payload")
+    payload = _payload(doc)
     try:
         pres_doc = payload["presentation"]
-        ambient = _int_in(pres_doc["ambient_rank"])
-        rel_count = _int_in(pres_doc["relation_count"])
-        relations = matrix_from_json(ring, ambient, rel_count, pres_doc["relations"])
-        ranks = [_int_in(r) for r in payload["ranks"]]
-        boundaries_doc = payload["boundaries"]
         augmentation_doc = payload["augmentation"]
-        cochain = payload.get("cochain", False)
-        if not isinstance(cochain, bool):
-            raise MalformedFileError("cochain flag must be a boolean")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise MalformedFileError(f"missing resolution field: {exc}") from exc
-    if not ranks:
-        raise MalformedFileError("ranks must be nonempty")
-    n = len(ranks) - 1
-    if not isinstance(boundaries_doc, list) or len(boundaries_doc) != n:
-        raise MalformedFileError(f"expected {n} boundary matrices")
-    diffs = []
-    for i in range(1, n + 1):
-        # stored top degree first
-        diffs.append(
-            matrix_from_json(ring, ranks[i - 1], ranks[i], boundaries_doc[n - i])
-        )
-    aug_cols = ranks[-1] if cochain else ranks[0]
-    augmentation = matrix_from_json(ring, ambient, aug_cols, augmentation_doc)
+    cochain = payload.get("cochain", False)
+    if not isinstance(cochain, bool):
+        raise MalformedFileError("cochain flag must be a boolean")
+    pres = _presentation_from_json(ring, pres_doc)
+    complex_ = _complex_from_json(ring, payload)
+    aug_cols = complex_.ranks[-1] if cochain else complex_.ranks[0]
+    augmentation = matrix_from_json(ring, pres.ambient_rank, aug_cols, augmentation_doc)
     try:
-        pres = ModulePresentation(ring, ambient, relations)
-        complex_ = ChainComplex(ring, ranks, diffs)
         return TruncatedResolution(pres, complex_, augmentation, cochain=cochain)
     except (ValueError, RingError) as exc:
         raise MalformedFileError(str(exc)) from exc
@@ -244,57 +282,22 @@ def resolution_from_json(doc: dict) -> TruncatedResolution:
 # certificates
 
 
-def _complex_to_json(c: ChainComplex) -> dict:
-    return {
-        "ranks": [_int_out(r) for r in c.ranks],
-        "boundaries": [matrix_to_json(c.d(i)) for i in range(c.length, 0, -1)],
-    }
-
-
-def _complex_from_json(ring: Ring, doc: dict) -> ChainComplex:
-    try:
-        ranks = [_int_in(r) for r in doc["ranks"]]
-        boundaries_doc = doc["boundaries"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedFileError(f"bad complex: {exc}") from exc
-    n = len(ranks) - 1
-    if not isinstance(boundaries_doc, list) or len(boundaries_doc) != n:
-        raise MalformedFileError(f"expected {n} boundaries")
-    diffs = [
-        matrix_from_json(ring, ranks[i - 1], ranks[i], boundaries_doc[n - i])
-        for i in range(1, n + 1)
-    ]
-    try:
-        return ChainComplex(ring, ranks, diffs)
-    except (ValueError, RingError) as exc:
-        raise MalformedFileError(str(exc)) from exc
-
-
 def certificate_to_json(cert: EquivalenceCertificate) -> dict:
     doc = ring_to_json(cert.source.ring)
     eq = cert.equivalence
-    n = cert.source.length
     doc.update(
         {
             "format_version": _int_out(FORMAT_VERSION),
             "kind": "certificate",
             "payload": {
                 "certificate_version": _int_out(CERTIFICATE_VERSION),
-                "presentation": {
-                    "ambient_rank": _int_out(cert.presentation.ambient_rank),
-                    "relation_count": _int_out(cert.presentation.relations.cols),
-                    "relations": matrix_to_json(cert.presentation.relations),
-                },
+                "presentation": _presentation_to_json(cert.presentation),
                 "source": _complex_to_json(cert.source),
                 "target": _complex_to_json(cert.target),
-                "forward": [matrix_to_json(eq.fwd[i]) for i in range(n + 1)],
-                "backward": [matrix_to_json(eq.bwd[i]) for i in range(n + 1)],
-                "source_homotopy": [
-                    matrix_to_json(m) for m in eq.src_homotopy.parts
-                ],
-                "target_homotopy": [
-                    matrix_to_json(m) for m in eq.tgt_homotopy.parts
-                ],
+                "forward": [matrix_to_json(m) for m in eq.fwd.parts],
+                "backward": [matrix_to_json(m) for m in eq.bwd.parts],
+                "source_homotopy": [matrix_to_json(m) for m in eq.src_homotopy],
+                "target_homotopy": [matrix_to_json(m) for m in eq.tgt_homotopy],
                 "tower_ranks": {
                     "t": [_int_out(r) for r in cert.t_ranks],
                     "s": [_int_out(r) for r in cert.s_ranks],
@@ -311,16 +314,11 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
 
 def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     ring = ring_from_json(doc)
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise MalformedFileError("missing payload")
+    payload = _payload(doc)
     try:
         pres_doc = payload["presentation"]
-        ambient = _int_in(pres_doc["ambient_rank"])
-        rel_count = _int_in(pres_doc["relation_count"])
-        relations = matrix_from_json(ring, ambient, rel_count, pres_doc["relations"])
-        source = _complex_from_json(ring, payload["source"])
-        target = _complex_from_json(ring, payload["target"])
+        source_doc = payload["source"]
+        target_doc = payload["target"]
         fwd_doc = payload["forward"]
         bwd_doc = payload["backward"]
         s_doc = payload["source_homotopy"]
@@ -330,10 +328,13 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
         s_ranks = tuple(_int_in(r) for r in towers["s"])
         iso_fwd_doc = payload["block_isomorphisms"]["forward"]
         iso_bwd_doc = payload["block_isomorphisms"]["backward"]
-        stage_doc = payload.get("stage_report", [])
     except (KeyError, TypeError) as exc:
         raise MalformedFileError(f"missing certificate field: {exc}") from exc
+    stage_doc = payload.get("stage_report", [])
 
+    presentation = _presentation_from_json(ring, pres_doc)
+    source = _complex_from_json(ring, source_doc)
+    target = _complex_from_json(ring, target_doc)
     if source.length != target.length:
         raise MalformedFileError("source and target lengths differ")
     n = source.length
@@ -365,14 +366,6 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
         n + 1,
     )
 
-    try:
-        fwd = ChainMap(source, target, fwd_parts)
-        bwd = ChainMap(target, source, bwd_parts)
-        equivalence = make_equivalence(fwd, bwd, s_parts, t_parts)
-        presentation = ModulePresentation(ring, ambient, relations)
-    except (ValueError, RingError) as exc:
-        raise MalformedFileError(str(exc)) from exc
-
     # older writers stored a stage report; it is shape-checked and dropped
     if not isinstance(stage_doc, list):
         raise MalformedFileError("stage_report must be a list")
@@ -382,9 +375,12 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 
     return EquivalenceCertificate(
         presentation=presentation,
-        source=source,
-        target=target,
-        equivalence=equivalence,
+        equivalence=make_equivalence(
+            ChainMap(source, target, fwd_parts),
+            ChainMap(target, source, bwd_parts),
+            s_parts,
+            t_parts,
+        ),
         t_ranks=t_ranks,
         s_ranks=s_ranks,
         iso_fwd=tuple(iso_fwd),

@@ -192,10 +192,11 @@ class PrimeField(Ring):
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise RingError(f"{self.p} is not prime")
+        # the bound first: trial division is too slow to run on huge moduli
         if self.p >= 2**31:
             raise RingError("prime fields supported for p < 2^31 only")
+        if not is_prime(self.p):
+            raise RingError(f"{self.p} is not prime")
 
     @property
     def zero(self):

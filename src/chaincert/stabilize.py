@@ -506,19 +506,26 @@ def chain_isomorphism(
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """Everything a third party needs to re-check the result: the two
-    stabilized complexes, the equivalence with all four witnesses, the
-    tower ranks and the per-degree block isomorphism pair. Nothing in it
-    is trusted: ``verify_certificate`` re-checks every identity."""
+    """Everything a third party needs to re-check the result: the
+    equivalence with all four witnesses (and with it the two stabilized
+    complexes), the tower ranks and the per-degree block isomorphism pair.
+    Nothing in it is trusted: ``verify_certificate`` re-checks every
+    identity."""
 
     presentation: ModulePresentation
-    source: ChainComplex
-    target: ChainComplex
     equivalence: HomotopyEquivalence
     t_ranks: tuple[int, ...]
     s_ranks: tuple[int, ...]
     iso_fwd: tuple[Matrix, ...]
     iso_bwd: tuple[Matrix, ...]
+
+    @property
+    def source(self) -> ChainComplex:
+        return self.equivalence.source
+
+    @property
+    def target(self) -> ChainComplex:
+        return self.equivalence.target
 
 
 def total_equivalence(
@@ -562,8 +569,6 @@ def total_equivalence(
     ]
     return EquivalenceCertificate(
         presentation=res_p.presentation,
-        source=source,
-        target=target,
         equivalence=make_equivalence(fwd, bwd, s_parts, t_parts),
         t_ranks=t,
         s_ranks=s,
@@ -572,37 +577,46 @@ def total_equivalence(
     )
 
 
+def _tower_ranks_fit(cert: EquivalenceCertificate) -> bool:
+    """The stored tower ranks follow the recursion from the complexes'
+    ranks, the top terms taken without their stabilizers."""
+    n = cert.source.length
+    t, s = cert.t_ranks, cert.s_ranks
+    if len(t) != n + 1 or len(s) != n + 1:
+        return False
+    p_top = cert.source.ranks[n] - s[n]
+    q_top = cert.target.ranks[n] - t[n]
+    if p_top < 0 or q_top < 0:
+        return False
+    t_expect, s_expect = ladder_ranks(
+        [*cert.source.ranks[:n], p_top], [*cert.target.ranks[:n], q_top]
+    )
+    return tuple(t_expect) == t and tuple(s_expect) == s
+
+
 def verify_certificate(cert: EquivalenceCertificate) -> Report:
     """Re-run every identity from the raw matrices: d.d = 0 on both
     complexes, both chain maps and both homotopies, the tower rank
     recursion and the mutual inverseness of every block pair. This is what
     the file checker executes, and what ``stabilize`` runs before it writes
-    a certificate."""
+    a certificate.
+
+    The rank recursion is checked first. When it holds, every rank of
+    either complex is at most t_i + s_i, the side of a block pair the
+    certificate stores in full, so no identity forms a matrix larger than
+    the stored ones. When it fails, the identities are skipped."""
     report = Report()
+    if not _tower_ranks_fit(cert):
+        report.add("tower rank recursion", False)
+        report.add("matrix identities", False, "skipped: tower ranks do not fit the complexes")
+        return report
     report.extend(validate_complex(cert.source), "first complex: ")
     report.extend(validate_complex(cert.target), "second complex: ")
     report.extend(cert.equivalence.validate())
-
-    n = cert.source.length
-    ok_ranks = (
-        len(cert.t_ranks) == n + 1
-        and len(cert.s_ranks) == n + 1
-        and cert.source.ranks[n] >= cert.s_ranks[n]
-        and cert.target.ranks[n] >= cert.t_ranks[n]
-    )
-    if ok_ranks:
-        p_top = cert.source.ranks[n] - cert.s_ranks[n]
-        q_top = cert.target.ranks[n] - cert.t_ranks[n]
-        p_ranks = list(cert.source.ranks[:n]) + [p_top]
-        q_ranks = list(cert.target.ranks[:n]) + [q_top]
-        t_expect, s_expect = ladder_ranks(p_ranks, q_ranks)
-        ok_ranks = (
-            tuple(t_expect) == cert.t_ranks and tuple(s_expect) == cert.s_ranks
-        )
-    report.add("tower rank recursion", ok_ranks)
+    report.add("tower rank recursion", True)
 
     ring = cert.source.ring
-    for i in range(n + 1):
+    for i in range(cert.source.length + 1):
         h, k = cert.iso_fwd[i], cert.iso_bwd[i]
         expected = cert.t_ranks[i] + cert.s_ranks[i]
         shaped = h.shape == (expected, expected) and k.shape == (expected, expected)

@@ -4,14 +4,12 @@ import pytest
 
 from chaincert.chain import (
     ChainComplex,
-    ChainHomotopy,
     ChainMap,
     HomologyError,
+    Report,
     compose_equivalences,
-    direct_sum,
     dualize_complex,
     dualize_equivalence,
-    elementary_complex,
     euler_characteristic,
     homology_invariants,
     identity_chain_map,
@@ -22,8 +20,6 @@ from chaincert.chain import (
     validate_chain_map,
     validate_complex,
     validate_homotopy,
-    zero_complex,
-    zero_homotopy,
 )
 from chaincert.matrix import Invariants, Matrix, ShapeError
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField, RingError
@@ -72,16 +68,14 @@ def test_validators_report_residuals_on_failure():
 
     f = identity_chain_map(c)
     g = ChainMap(c, c, [Matrix.from_rows(ZZ, [[-2]]), Matrix.from_rows(ZZ, [[-2]])])
-    wrong = ChainHomotopy(f, g, [Matrix.from_rows(ZZ, [[2]])])
-    report = validate_homotopy(wrong)
+    report = validate_homotopy(f, g, [Matrix.from_rows(ZZ, [[2]])])
     assert not report.ok
     # degree 0: f - g - d s = 1 + 2 - 3*2; degree 1: 1 + 2 - 2*3
     assert [ch.detail for ch in report.checks] == [
         f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
         f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
     ]
-    right = ChainHomotopy(f, g, [Matrix.from_rows(ZZ, [[1]])])
-    assert validate_homotopy(right).ok
+    assert validate_homotopy(f, g, [Matrix.from_rows(ZZ, [[1]])]).ok
 
 
 def test_make_equivalence_round_trips_are_composites():
@@ -90,12 +84,25 @@ def test_make_equivalence_round_trips_are_composites():
     bwd = ChainMap(c, c, [Matrix.identity(F3, 1), Matrix.from_rows(F3, [[2, 1], [0, 1]])])
     zeros = [Matrix.zeros(F3, 2, 1)]
     e = make_equivalence(fwd, bwd, zeros, list(zeros))
-    assert e.src_homotopy.f == bwd.after(fwd)
-    assert e.tgt_homotopy.f == fwd.after(bwd)
-    assert e.src_homotopy.g == identity_chain_map(c)
+    assert e.src_homotopy == e.tgt_homotopy == tuple(zeros)
+    # validate checks s against bwd.fwd and t against fwd.bwd (which differ
+    # here, so a swap would change the residuals), each against the identity
+    ident = identity_chain_map(c)
+    expected = Report()
+    expected.extend(validate_homotopy(bwd.after(fwd), ident, zeros), "source homotopy: ")
+    expected.extend(validate_homotopy(fwd.after(bwd), ident, zeros), "target homotopy: ")
+    assert bwd.after(fwd) != fwd.after(bwd)
+    assert e.validate().checks[-len(expected.checks):] == expected.checks
     # witness shapes are still checked when the equivalence is made
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="homotopy component 0 must be 2x1"):
         make_equivalence(fwd, ChainMap(c, c, fwd.parts), zeros, [Matrix.zeros(F3, 1, 1)])
+    with pytest.raises(ShapeError, match="one homotopy component per degree"):
+        make_equivalence(fwd, bwd, [], zeros)
+    other = two_step(F3, [[1, 1]])
+    with pytest.raises(ShapeError, match="composition mismatch"):
+        make_equivalence(fwd, ChainMap(other, c, bwd.parts), zeros, zeros)
+    with pytest.raises(ShapeError, match="equal source and target"):
+        make_equivalence(fwd, ChainMap(c, other, bwd.parts), zeros, zeros)
 
 
 def test_identity_chain_map_validates():
@@ -106,7 +113,7 @@ def test_identity_chain_map_validates():
 def test_zero_homotopy_between_equal_maps():
     c = two_step(ZZ, [[3]])
     f = identity_chain_map(c)
-    assert validate_homotopy(zero_homotopy(f, f)).ok
+    assert validate_homotopy(f, f, [Matrix.zeros(ZZ, 1, 1)]).ok
 
 
 def test_chain_map_shape_check():
@@ -141,25 +148,6 @@ def test_homology_degree_range():
     c = two_step(ZZ, [[2]])
     with pytest.raises(ShapeError):
         homology_invariants(c, 2)
-
-
-def test_elementary_complex():
-    e = elementary_complex(ZZ, 2, 1, 3)
-    assert e.ranks == (0, 2, 2, 0)
-    assert e.d(2) == Matrix.identity(ZZ, 2)
-    assert validate_complex(e).ok
-    for i in range(4):
-        assert homology_invariants(e, i).trivial
-
-
-def test_direct_sum():
-    c = two_step(ZZ, [[2]])
-    z = zero_complex(ZZ, 1)
-    assert direct_sum(c, z) == c
-    e = elementary_complex(ZZ, 3, 0, 1)
-    summed = direct_sum(c, e)
-    assert summed.ranks == (4, 4)
-    assert validate_complex(summed).ok
 
 
 def test_restrict_scalars_complex():
@@ -200,7 +188,7 @@ def test_compose_with_identity_is_same():
     composed = compose_equivalences(e, e)
     assert composed.validate().ok
     assert composed.fwd == e.fwd
-    assert composed.src_homotopy.parts == e.src_homotopy.parts
+    assert composed.src_homotopy == e.src_homotopy
 
 
 def test_compose_equivalence_with_its_reverse():

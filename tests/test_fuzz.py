@@ -2,13 +2,15 @@
 
 Mutations of a valid Z[S_3] certificate and a Z[C_6] resolution file are
 fed to ``check`` and ``validate``: whatever the damage, the command exits
-0, 1 or 2 and raises nothing.
+0, 1 or 2 and raises nothing. Bad ring strings and broken Cayley tables
+are malformed input: they exit 1, at once.
 """
 
 import contextlib
 import copy
 import io as textio
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,3 +106,58 @@ def test_unmutated_files_pass(tmp_path, name):
     path.write_text(json.dumps(doc))
     command = "check" if name.endswith("certificate") else "validate"
     assert main([command, str(path)]) == 0
+
+
+def _run(workdir, command, doc):
+    """Exit code, wall time and stderr of ``command`` on ``doc``."""
+    path = workdir / "case.json"
+    path.write_text(json.dumps(doc))
+    out, err = textio.StringIO(), textio.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    return code, perf_counter() - start, err.getvalue()
+
+
+BAD_RINGS = ["Q", "Fp:", "Fp:4", "Fp:-5", "FpG:x", "ZG", f"Fp:{2**61 - 1}", f"FpG:{2**61 - 1}"]
+
+
+@pytest.mark.parametrize("ring", BAD_RINGS)
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_bad_ring_strings_exit_1_at_once(workdir, name, ring):
+    doc = copy.deepcopy(DOCUMENTS[name][0])
+    doc["ring"] = ring
+    if ring == "ZG":
+        del doc["group"]
+    command = "check" if name.endswith("certificate") else "validate"
+    code, elapsed, err = _run(workdir, command, doc)
+    assert (code, err.startswith("error:")) == (1, True)
+    assert elapsed < 1.0
+
+
+def _swap_in_row(group):
+    row = group["mult"][1]
+    row[1], row[2] = row[2], row[1]
+
+
+def _out_of_range(group):
+    group["mult"][2][3] = group["order"]
+
+
+def _wrong_identity(group):
+    group["identity"] = "1"
+
+
+def _ragged_row(group):
+    group["mult"][4].pop()
+
+
+@pytest.mark.parametrize("damage", [_swap_in_row, _out_of_range, _wrong_identity, _ragged_row])
+def test_broken_cayley_tables_exit_1_at_once(workdir, damage):
+    doc = copy.deepcopy(DOCUMENTS["ZS3-certificate"][0])
+    assert doc["group"]["order"] == "6" and doc["group"]["identity"] == "0"
+    damage(doc["group"])
+    code, elapsed, err = _run(workdir, "check", doc)
+    assert (code, err.startswith("error:")) == (1, True)
+    assert "bad group table" in err
+    assert elapsed < 1.0

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from time import perf_counter
 
 import pytest
 
@@ -97,6 +99,37 @@ def test_malformed_documents_rejected(mangle, tmp_path):
     path.write_text(io.dump_canonical(doc))
     with pytest.raises(io.MalformedFileError):
         io.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "ranks,message",
+    [
+        pytest.param([], "ranks must be a nonempty list", id="empty"),
+        pytest.param(["2", "-1", "1"], "negative rank -1", id="negative"),
+    ],
+)
+@pytest.mark.parametrize(
+    "kind,path",
+    [
+        pytest.param("resolution", ("ranks",), id="resolution"),
+        pytest.param("certificate", ("source", "ranks"), id="source"),
+        pytest.param("certificate", ("target", "ranks"), id="target"),
+    ],
+)
+def test_rank_lists_rejected_by_name(tmp_path, kind, path, ranks, message):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    if kind == "resolution":
+        doc = io.resolution_to_json(res)
+    else:
+        doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = ranks
+    file = tmp_path / "ranks.json"
+    file.write_text(io.dump_canonical(doc))
+    with pytest.raises(io.MalformedFileError, match=f"^{message}$"):
+        io.load(str(file))
 
 
 @pytest.mark.parametrize("isos", [[], {"forward": []}, {"backward": []}])
@@ -493,3 +526,76 @@ def test_cli_bad_group_ring_coefficient(tmp_path, capsys, command, cell):
     doc = json.loads(json.dumps(doc))
     _first_cell(doc["payload"]["forward"])[0][1] = cell
     _run_bad(tmp_path, capsys, command, doc)
+
+
+# ---------------------------------------------------------------------------
+# hostile shapes stay bounded
+
+
+def _declared_rank_certificate(rank: int) -> dict:
+    """A length-0 certificate whose source declares rank ``rank`` and holds
+    no entries: the backward map is rank x 0, every other matrix is empty."""
+    return {
+        "format_version": "1",
+        "kind": "certificate",
+        "ring": "Z",
+        "payload": {
+            "certificate_version": "1",
+            "presentation": {"ambient_rank": "0", "relation_count": "0", "relations": []},
+            "source": {"ranks": [str(rank)], "boundaries": []},
+            "target": {"ranks": ["0"], "boundaries": []},
+            "forward": [[]],
+            "backward": [[[]] * rank],
+            "source_homotopy": [],
+            "target_homotopy": [],
+            "tower_ranks": {"t": ["0"], "s": ["0"]},
+            "block_isomorphisms": {"forward": [[]], "backward": [[]]},
+        },
+    }
+
+
+def test_cli_check_large_declared_rank_is_bounded(tmp_path, capsys):
+    path = tmp_path / "declared.json"
+    path.write_text(io.dump_canonical(_declared_rank_certificate(20000)))
+    assert 50_000 < path.stat().st_size < 70_000
+    start = perf_counter()
+    assert main(["check", str(path)]) == 2
+    elapsed = perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < 1.0
+    assert len(captured.out) + len(captured.err) < 1024
+    assert "[FAIL] tower rank recursion" in captured.out
+    assert "skipped" in captured.out
+
+
+def test_verify_certificate_skips_identities_when_ranks_do_not_fit():
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    cert = total_equivalence(res, pad_top(res, 1))
+    names = [check.name for check in verify_certificate(cert).checks]
+    assert names.index("tower rank recursion") > names.index("second complex: d1.d2 = 0")
+    bad = dataclasses.replace(cert, t_ranks=(cert.t_ranks[0] + 1,) + cert.t_ranks[1:])
+    report = verify_certificate(bad)
+    assert [(check.name, check.ok) for check in report.checks] == [
+        ("tower rank recursion", False),
+        ("matrix identities", False),
+    ]
+
+
+HUGE_PRIME = 2**61 - 1  # prime, far above the 2^31 bound
+
+
+def test_cli_generate_and_stabilize_reject_a_huge_modulus_at_once(tmp_path, capsys):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.resolution_to_json(res)
+    doc["ring"] = f"FpG:{HUGE_PRIME}"
+    path = tmp_path / "huge.json"
+    path.write_text(io.dump_canonical(doc))
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["generate", "--ring", f"Fp:{HUGE_PRIME}", "--module", "dim:1", "--out", out],
+        ["stabilize", str(path), str(path), "--out", out],
+    ):
+        start = perf_counter()
+        assert main(argv) == 1
+        assert perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error:")

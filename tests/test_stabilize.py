@@ -513,8 +513,8 @@ def test_total_equivalence_matches_the_stage_loop(pairs):
         assert (cert.source, cert.target) == (oracle.source, oracle.target)
         assert e.fwd.parts == oracle.fwd.parts
         assert e.bwd.parts == oracle.bwd.parts
-        assert e.src_homotopy.parts == oracle.src_homotopy.parts
-        assert e.tgt_homotopy.parts == oracle.tgt_homotopy.parts
+        assert e.src_homotopy == oracle.src_homotopy
+        assert e.tgt_homotopy == oracle.tgt_homotopy
         count += 1
     assert count >= 6
 

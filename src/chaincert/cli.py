@@ -4,6 +4,13 @@ Commands: validate, stabilize, compare, check, generate, dualize.
 Exit codes are part of the public contract: 0 = pass, 1 = malformed input,
 a usage error, an unusable input combination or an output file that cannot
 be written, 2 = mathematically invalid data.
+
+``main`` holds the map from exceptions to exit codes: an ``OSError``, a
+``MalformedFileError`` or an ``InputMismatchError`` prints one ``error:``
+line and exits 1; any other ``StabilizeError`` prints ``stabilization
+failed:`` and exits 2. A command lets these through and catches only the
+library errors that mean malformed input to that command (a bad module
+preset, a ring that cannot be dualized).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .resolution import (
     generate_resolution,
     validate_resolution,
 )
-from .rings import ZZ, PrimeField, Ring, RingError
+from .rings import PrimeField, Ring, RingError
 from .stabilize import (
     InputMismatchError,
     StabilizeError,
@@ -51,35 +58,24 @@ def _load(path: str, want: str | None = None):
     return kind, obj
 
 
-def _save(path: str, doc: dict) -> bool:
-    """Write ``doc`` to ``path``; on an OS error print it and return False."""
+def _save(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path``; an OS error names the file."""
     try:
         io.save(path, doc)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
-    try:
-        kind, obj = _load(args.path)
-    except (OSError, io.MalformedFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    kind, obj = _load(args.path)
     report = validate_resolution(obj) if kind == "resolution" else verify_certificate(obj)
     _print_report(report, args.verbose)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def cmd_stabilize(args, emit_certificate: bool = True) -> int:
-    try:
-        _, res_p = _load(args.first, "resolution")
-        _, res_q = _load(args.second, "resolution")
-    except (OSError, io.MalformedFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-
+    _, res_p = _load(args.first, "resolution")
+    _, res_q = _load(args.second, "resolution")
     for label, res in (("first", res_p), ("second", res_q)):
         report = validate_resolution(res)
         if not report.ok:
@@ -87,15 +83,7 @@ def cmd_stabilize(args, emit_certificate: bool = True) -> int:
             _print_report(report, args.verbose)
             return EXIT_INVALID
 
-    try:
-        cert = total_equivalence(res_p, res_q)
-    except InputMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except StabilizeError as exc:
-        print(f"stabilization failed: {exc}")
-        return EXIT_INVALID
-
+    cert = total_equivalence(res_p, res_q)
     print("tower ranks t:", " ".join(str(r) for r in cert.t_ranks))
     print("tower ranks s:", " ".join(str(r) for r in cert.s_ranks))
     report = verify_certificate(cert)
@@ -104,8 +92,7 @@ def cmd_stabilize(args, emit_certificate: bool = True) -> int:
         return EXIT_INVALID
 
     if emit_certificate and args.out:
-        if not _save(args.out, io.certificate_to_json(cert)):
-            return EXIT_MALFORMED
+        _save(args.out, io.certificate_to_json(cert))
         print(f"certificate written to {args.out}")
 
     if not emit_certificate:
@@ -123,22 +110,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        _, cert = _load(args.path, "certificate")
-    except (OSError, io.MalformedFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    _, cert = _load(args.path, "certificate")
     report = verify_certificate(cert)
     _print_report(report, args.verbose)
     return EXIT_OK if report.ok else EXIT_INVALID
-
-
-def _parse_ring(text: str) -> Ring:
-    if text == "Z":
-        return ZZ
-    if text.startswith("Fp:"):
-        return PrimeField(int(text[3:]))
-    raise RingError(f"unsupported ring {text!r} for this command")
 
 
 def _parse_module(ring: Ring, text: str) -> ModulePresentation:
@@ -185,10 +160,10 @@ def cmd_generate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MALFORMED
+    ring = io.ring_from_json({"ring": args.ring})
     try:
-        ring = _parse_ring(args.ring)
         presentation = _parse_module(ring, args.module)
-    except (ValueError, RingError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     res = generate_resolution(
@@ -198,25 +173,19 @@ def cmd_generate(args) -> int:
     if not report.ok:
         _print_report(report, True)
         return EXIT_INVALID
-    if not _save(args.out, io.resolution_to_json(res)):
-        return EXIT_MALFORMED
+    _save(args.out, io.resolution_to_json(res))
     print(f"resolution written to {args.out} (ranks {list(res.complex.ranks)})")
     return EXIT_OK
 
 
 def cmd_dualize(args) -> int:
-    try:
-        _, res = _load(args.path, "resolution")
-    except (OSError, io.MalformedFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    _, res = _load(args.path, "resolution")
     try:
         dual = dualize(res)
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    if not _save(args.out, io.resolution_to_json(dual)):
-        return EXIT_MALFORMED
+    _save(args.out, io.resolution_to_json(dual))
     orientation = "cochain" if dual.cochain else "chain"
     print(f"dual ({orientation}) written to {args.out}")
     return EXIT_OK
@@ -294,7 +263,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help
         return exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, io.MalformedFileError, InputMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except StabilizeError as exc:
+        print(f"stabilization failed: {exc}")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -315,6 +315,12 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
 def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     ring = ring_from_json(doc)
     payload = _payload(doc)
+    version = payload.get("certificate_version")
+    if version != _int_out(CERTIFICATE_VERSION):
+        raise MalformedFileError(
+            f"certificate_version must be {_int_out(CERTIFICATE_VERSION)!r},"
+            f" got {_shown(version)}"
+        )
     try:
         pres_doc = payload["presentation"]
         source_doc = payload["source"]

@@ -250,45 +250,22 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def hstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeError("hstack needs at least one matrix")
-    rows = mats[0].rows
-    ring = mats[0].ring
-    for mat in mats[1:]:
-        if mat.rows != rows:
-            raise ShapeError("hstack row mismatch")
-        if mat.ring != ring:
-            raise RingError("hstack ring mismatch")
-    entries: list = []
-    for i in range(rows):
-        for mat in mats:
-            entries.extend(mat._e[i * mat.cols : (i + 1) * mat.cols])
-    return Matrix(ring, rows, sum(m.cols for m in mats), entries)
+    """Side by side: ``block([mats])``."""
+    return block([mats])
 
 
 def vstack(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ShapeError("vstack needs at least one matrix")
-    cols = mats[0].cols
-    ring = mats[0].ring
-    entries: list = []
-    rows = 0
-    for mat in mats:
-        if mat.cols != cols:
-            raise ShapeError("vstack column mismatch")
-        if mat.ring != ring:
-            raise RingError("vstack ring mismatch")
-        entries.extend(mat._e)
-        rows += mat.rows
-    return Matrix(ring, rows, cols, entries)
+    """One above the other: ``block([[m] for m in mats])``."""
+    return block([[mat] for mat in mats])
 
 
 def block(grid) -> Matrix:
     """Assemble a 2D arrangement of matrices with consistent edge sizes.
 
-    Equal to ``vstack(*[hstack(*row) for row in grid])``, raising
-    ``ShapeError`` or ``RingError`` where that would, but the entries are
-    copied once, block row by block row.
+    Every matrix in a block row has the row's height, every block row has
+    the first row's total width, and all share the first matrix's ring;
+    otherwise ``ShapeError`` or ``RingError``. The entries are copied once,
+    block row by block row.
     """
     grid = [list(row) for row in grid]
     if not grid or not grid[0]:

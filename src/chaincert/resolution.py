@@ -186,14 +186,6 @@ def _random_matrix(ring: Ring, rows: int, cols: int, rng: random.Random) -> Matr
     return Matrix(ring, rows, cols, [_random_entry(ring, rng) for _ in range(rows * cols)])
 
 
-def _permute_columns(m: Matrix, perm: list[int]) -> Matrix:
-    entries = []
-    for i in range(m.rows):
-        row = m.row_list(i)
-        entries.extend(row[j] for j in perm)
-    return Matrix(m.ring, m.rows, m.cols, entries)
-
-
 def _pad_with_redundant_columns(
     m: Matrix, max_rank: int, rng: random.Random
 ) -> Matrix:
@@ -205,7 +197,7 @@ def _pad_with_redundant_columns(
         m = hstack(m, m * coeffs)
     perm = list(range(m.cols))
     rng.shuffle(perm)
-    return _permute_columns(m, perm)
+    return m.submatrix(range(m.rows), perm)
 
 
 def generate_resolution(

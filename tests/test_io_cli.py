@@ -4,11 +4,13 @@ from time import perf_counter
 
 import pytest
 
-from chaincert import io
+from chaincert import cli, io
+from chaincert.chain import ChainComplex, Report
 from chaincert.cli import main
 from chaincert.matrix import Matrix
 from chaincert.resolution import (
     ModulePresentation,
+    TruncatedResolution,
     canonical_resolution,
     generate_resolution,
     pad_top,
@@ -599,3 +601,84 @@ def test_cli_generate_and_stabilize_reject_a_huge_modulus_at_once(tmp_path, caps
         assert main(argv) == 1
         assert perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# one ring-name reader, one exception-to-exit-code map
+
+
+def test_cli_generate_reads_a_prime_field(tmp_path):
+    out = tmp_path / "res.json"
+    assert main(["generate", "--ring", "Fp:7", "--module", "dim:1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ring"] == "Fp:7"
+
+
+@pytest.mark.parametrize("ring", ["Fp:4", f"Fp:{HUGE_PRIME}", "Q", "ZG", "FpG:2"])
+def test_cli_generate_rejects_ring_names_like_the_file_reader(tmp_path, capsys, ring):
+    out = tmp_path / "no.json"
+    assert main(["generate", "--ring", ring, "--module", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(io.MalformedFileError) as raised:
+        io.ring_from_json({"ring": ring})
+    assert err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{missing}"],
+        ["stabilize", "{missing}", "{missing}"],
+        ["check", "{missing}"],
+        ["dualize", "{missing}", "--out", "{out}"],
+    ],
+    ids=["validate", "stabilize", "check", "dualize"],
+)
+def test_cli_missing_input_exits_1(tmp_path, capsys, argv):
+    missing, out = tmp_path / "missing.json", tmp_path / "out.json"
+    assert main([a.format(missing=missing, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "missing.json" in err
+    assert not out.exists()
+
+
+def test_cli_non_exact_pair_reports_stabilization_failed(tmp_path, capsys, monkeypatch):
+    # the first input is not exact at degree 0 (image 4Z instead of 2Z);
+    # with input validation waved through, the lift at degree 1 fails
+    pres = ModulePresentation(ZZ, 1, Matrix.from_rows(ZZ, [[2]]))
+
+    def resolution(d):
+        return TruncatedResolution(
+            pres, ChainComplex(ZZ, [1, 1], [Matrix.from_rows(ZZ, [[d]])]), Matrix.identity(ZZ, 1)
+        )
+
+    p = _write(tmp_path, "p.json", resolution(4))
+    q = _write(tmp_path, "q.json", resolution(2))
+    monkeypatch.setattr(cli, "validate_resolution", lambda res: Report())
+    out = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert main(["stabilize", p, q, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("stabilization failed: no backward lift at degree 1")
+    assert captured.err == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", ["999", "2", None], ids=["999", "2", "missing"])
+def test_cli_check_refuses_an_unknown_certificate_version(tmp_path, capsys, version):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    if version is None:
+        del doc["payload"]["certificate_version"]
+    else:
+        doc["payload"]["certificate_version"] = version
+    path = tmp_path / "versioned.json"
+    path.write_text(io.dump_canonical(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: certificate_version must be '1'")
+    assert "Traceback" not in err

@@ -134,10 +134,24 @@ def test_submatrix_empty_index_sets():
     ]
 
 
+def _random_matrix(ring, data, rows, cols):
+    return Matrix(ring, rows, cols, data.draw(_ring_entries(ring, rows * cols)))
+
+
+def _entrywise_block(grid):
+    """Oracle: entry (i, j) of the assembled matrix, read off the block
+    that covers it."""
+    rows = []
+    for row in grid:
+        for i in range(row[0].rows):
+            rows.append([m.entry(i, j) for m in row for j in range(m.cols)])
+    return rows
+
+
 @pytest.mark.parametrize("ring", [ZZ, F5, ZS3], ids=["Z", "F5", "Z[S3]"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_block_matches_stacked_rows(ring, data):
+def test_block_matches_entrywise_copy(ring, data):
     width = data.draw(st.integers(0, 5))
     grid = []
     for height in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
@@ -145,10 +159,64 @@ def test_block_matches_stacked_rows(ring, data):
         cuts = sorted(data.draw(st.lists(st.integers(0, width), max_size=2)))
         edges = [0, *cuts, width]
         grid.append([
-            Matrix(ring, height, hi - lo, data.draw(_ring_entries(ring, height * (hi - lo))))
-            for lo, hi in zip(edges, edges[1:])
+            _random_matrix(ring, data, height, hi - lo) for lo, hi in zip(edges, edges[1:])
         ])
-    assert block(grid) == vstack(*[hstack(*row) for row in grid])
+    out = block(grid)
+    assert out.ring == ring
+    assert out.shape == (sum(row[0].rows for row in grid), width)
+    assert out.to_rows() == _entrywise_block(grid)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5, ZS3], ids=["Z", "F5", "Z[S3]"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hstack_matches_entrywise_copy(ring, data):
+    rows = data.draw(st.integers(0, 3))
+    widths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    mats = [_random_matrix(ring, data, rows, w) for w in widths]
+    out = hstack(*mats)
+    assert out.ring == ring
+    assert out.shape == (rows, sum(widths))
+    assert out.entries == tuple(
+        m.entry(i, j) for i in range(rows) for m in mats for j in range(m.cols)
+    )
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5, ZS3], ids=["Z", "F5", "Z[S3]"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vstack_matches_entrywise_copy(ring, data):
+    cols = data.draw(st.integers(0, 3))
+    heights = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    mats = [_random_matrix(ring, data, h, cols) for h in heights]
+    out = vstack(*mats)
+    assert out.ring == ring
+    assert out.shape == (sum(heights), cols)
+    assert out.entries == tuple(
+        m.entry(i, j) for m in mats for i in range(m.rows) for j in range(cols)
+    )
+
+
+def test_stack_errors():
+    def z(rows, cols, ring=ZZ):
+        return Matrix.zeros(ring, rows, cols)
+
+    with pytest.raises(ShapeError):
+        hstack()
+    with pytest.raises(ShapeError):
+        vstack()
+    with pytest.raises(ShapeError):
+        hstack(z(2, 1), z(3, 1))  # row mismatch
+    with pytest.raises(ShapeError):
+        hstack(z(0, 1), z(1, 0))  # even with no entries to copy
+    with pytest.raises(ShapeError):
+        vstack(z(1, 2), z(1, 3))  # column mismatch
+    with pytest.raises(ShapeError):
+        vstack(z(1, 0), z(0, 1))
+    with pytest.raises(RingError):
+        hstack(z(1, 1), z(1, 1, F5))
+    with pytest.raises(RingError):
+        vstack(z(1, 1), z(1, 1, F5))
 
 
 def test_block_errors():

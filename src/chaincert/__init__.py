@@ -7,7 +7,6 @@ from .matrix import (
     Invariants,
     Matrix,
     ShapeError,
-    SmithNormalForm,
     block,
     cokernel_invariants,
     hnf,

@@ -27,7 +27,7 @@ the homology and module invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from math import gcd
 
 from . import _kernels
 from .rings import GroupRing, IntegerRing, PrimeField, Ring, RingError
@@ -367,17 +367,6 @@ class HermiteNormalForm:
     u: Matrix  # unimodular, u * a = h
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
-    d: Matrix
-    u: Matrix  # unimodular, u * a * v = d
-    v: Matrix
-
-    def diagonal(self) -> list[int]:
-        k = min(self.d.rows, self.d.cols)
-        return [self.d.entry(i, i) for i in range(k)]
-
-
 def _require_int_ring(a: Matrix, what: str):
     if not isinstance(a.ring, IntegerRing):
         raise RingError(f"{what} is defined over Z only")
@@ -456,9 +445,11 @@ def _column_echelon(a: Matrix) -> tuple[list[list[int]], list[list[int]], list[i
     return e.to_rows(), v.to_rows(), pivot_rows
 
 
-def snf(a: Matrix) -> SmithNormalForm:
-    """Smith normal form over Z: u*a*v = d with d diagonal, nonnegative,
-    each entry dividing the next, zeros trailing.
+def snf(a: Matrix) -> list[int]:
+    """The diagonal of the Smith normal form over Z, without its
+    transforms: min(rows, cols) entries, nonnegative, each dividing the
+    next, zeros trailing. The nonzero entries are the invariant factors of
+    ``a``; their count is its rank.
 
     Pivoting picks the smallest nonzero entry in the remaining block, which
     keeps coefficient growth tame at desk scale.
@@ -466,8 +457,6 @@ def snf(a: Matrix) -> SmithNormalForm:
     _require_int_ring(a, "snf")
     m, n = a.rows, a.cols
     d = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def col_combine(j1, j2, i):
         """Column ops putting gcd at (i, j1), zero at (i, j2)."""
@@ -477,23 +466,15 @@ def snf(a: Matrix) -> SmithNormalForm:
         if p == 0:
             for row in d:
                 row[j1], row[j2] = row[j2], row[j1]
-            for row in v:
-                row[j1], row[j2] = row[j2], row[j1]
             return
         if q % p == 0:
             f = q // p
             for row in d:
                 row[j2] -= f * row[j1]
-            for row in v:
-                row[j2] -= f * row[j1]
             return
         x, y, g = _xgcd(p, q)
         pg, mqg = p // g, -(q // g)
         for row in d:
-            r1, r2 = row[j1], row[j2]
-            row[j1] = x * r1 + y * r2
-            row[j2] = mqg * r1 + pg * r2
-        for row in v:
             r1, r2 = row[j1], row[j2]
             row[j1] = x * r1 + y * r2
             row[j2] = mqg * r1 + pg * r2
@@ -511,11 +492,8 @@ def snf(a: Matrix) -> SmithNormalForm:
         _, i, j = best
         if i != k:
             d[k], d[i] = d[i], d[k]
-            u[k], u[i] = u[i], u[k]
         if j != k:
             for row in d:
-                row[k], row[j] = row[j], row[k]
-            for row in v:
                 row[k], row[j] = row[j], row[k]
         return True
 
@@ -525,7 +503,7 @@ def snf(a: Matrix) -> SmithNormalForm:
             break
         while True:
             for i in range(k + 1, m):
-                _combine_rows((d, u), k, i, k)
+                _combine_rows((d,), k, i, k)
             if all(d[k][j] == 0 for j in range(k + 1, n)):
                 break
             for j in range(k + 1, n):
@@ -534,31 +512,14 @@ def snf(a: Matrix) -> SmithNormalForm:
                 break
         rank = k + 1
 
-    # enforce the divisibility chain with block-local fixes: pull the next
-    # diagonal entry alongside, then one column and one row combination
-    # leave (gcd, +-lcm) on the diagonal
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i] == 0:
-                continue
-            changed = True
-            d[i] = [x + y for x, y in zip(d[i], d[i + 1])]
-            u[i] = [x + y for x, y in zip(u[i], u[i + 1])]
-            col_combine(i, i + 1, i)
-            _combine_rows((d, u), i, i + 1, i)
-
+    # diag(a, b) is equivalent to diag(gcd, lcm), so gcd/lcm swaps put the
+    # nonzero diagonal into a divisibility chain
+    diag = [abs(d[k][k]) for k in range(rank)]
     for i in range(rank):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-
-    return SmithNormalForm(
-        d=Matrix.from_rows(a.ring, d, cols=n),
-        u=Matrix.from_rows(a.ring, u, cols=m),
-        v=Matrix.from_rows(a.ring, v, cols=n),
-    )
+        for j in range(i + 1, rank):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (min(m, n) - rank)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +533,7 @@ def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
     cols_out = []
     for col in range(b.cols):
         resid = [b.entry(i, col) for i in range(b.rows)]
-        y = [0] * n
+        y = []  # (j, q) for each nonzero coefficient q of column j of v
         for j in range(rank):
             r = pivot_rows[j]
             lead = e[r][j]
@@ -580,12 +541,12 @@ def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
                 return None
             q = resid[r] // lead
             if q:
-                y[j] = q
+                y.append((j, q))
                 for i in range(r, len(resid)):
                     resid[i] -= q * e[i][j]
         if any(resid):
             return None
-        cols_out.append([sum(map(mul, row, y)) for row in v])
+        cols_out.append([sum([row[j] * q for j, q in y]) for row in v])
     entries = [cols_out[j][i] for i in range(n) for j in range(b.cols)]
     return Matrix(a.ring, n, b.cols, entries)
 
@@ -691,8 +652,7 @@ def cokernel_invariants(a: Matrix) -> Invariants:
     Group-ring callers restrict scalars first."""
     ring = a.ring
     if isinstance(ring, IntegerRing):
-        diag = snf(a).diagonal()
-        nonzero = [d for d in diag if d != 0]
+        nonzero = [d for d in snf(a) if d]
         return Invariants(
             free_rank=a.rows - len(nonzero),
             torsion=tuple(d for d in nonzero if d > 1),

@@ -21,7 +21,7 @@ from .chain import (
     ChainComplex,
     Report,
     dualize_complex,
-    homology_invariants,
+    homology_from_boundaries,
     restrict_complex,
     validate_complex,
 )
@@ -33,7 +33,7 @@ from .matrix import (
     hstack,
     kernel_basis,
     restrict_scalars,
-    solve,
+    solve,  # noqa: F401  unused here; perfbench/test_perfbench.py looks it up
 )
 from .rings import GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError, ZZ
 
@@ -137,14 +137,18 @@ def validate_resolution(res: TruncatedResolution) -> Report:
     complex_report = validate_complex(res.complex)
     report.extend(complex_report)
 
-    factored = solve(res.presentation.relations, res.augmentation * res.complex.d(1))
+    # Every degree-0 identity is an invariant comparison over the base
+    # ring: a surjection between isomorphic finitely generated modules over
+    # Z or F_p is an isomorphism (they are Hopfian), also after restriction.
+    aug_b, rel_b, complex_b = _base_view(res)
+    module = cokernel_invariants(rel_b)
+    factored = cokernel_invariants(hstack(rel_b, aug_b * complex_b.d(1))) == module
     report.add(
         "augmentation kills the first boundary",
-        factored is not None,
-        "" if factored is not None else "aug.d1 does not factor through the relations",
+        factored,
+        "" if factored else "aug.d1 does not factor through the relations",
     )
 
-    aug_b, rel_b, complex_b = _base_view(res)
     surj = cokernel_invariants(hstack(aug_b, rel_b))
     report.add(
         "augmentation surjective onto the module",
@@ -153,20 +157,24 @@ def validate_resolution(res: TruncatedResolution) -> Report:
     )
 
     if complex_report.ok:
+        homology = homology_from_boundaries(complex_b)
         for i in range(1, n):
-            inv = homology_invariants(complex_b, i)
+            inv = homology[i]
             report.add(
                 f"exact at degree {i}",
                 inv.trivial,
                 "" if inv.trivial else f"homology {inv}",
             )
-        proj = kernel_basis(hstack(aug_b, rel_b)).top_rows(aug_b.cols)
-        covered = solve(complex_b.d(1), proj)
-        report.add(
-            "exact at degree 0",
-            covered is not None,
-            "" if covered is not None else "augmentation kernel exceeds the first image",
-        )
+        # given both checks above, H_0 = coker d_1 maps onto the module
+        if not (factored and surj.trivial):
+            report.add("exact at degree 0", False, "skipped: the augmentation checks failed")
+        else:
+            covered = homology[0] == module
+            report.add(
+                "exact at degree 0",
+                covered,
+                "" if covered else "augmentation kernel exceeds the first image",
+            )
     else:
         report.add("exactness", False, "skipped: boundaries do not compose to zero")
     return report

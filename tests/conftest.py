@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -44,6 +45,38 @@ def random_resolution_pair(ring, n, max_rank, rng):
     res_p = generate_resolution(pres, n=n, max_rank=max_rank, seed=rng.randrange(2**30))
     res_q = generate_resolution(pres, n=n, max_rank=max_rank, seed=rng.randrange(2**30))
     return res_p, res_q
+
+
+def _det(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * _det(minor)
+    return total
+
+
+def invariant_factors_by_minors(a: Matrix):
+    """Independent oracle: the product of the first k invariant factors is
+    the gcd of all k x k minors."""
+    rows = a.to_rows()
+    out = []
+    prev = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rsel in itertools.combinations(range(a.rows), k):
+            for csel in itertools.combinations(range(a.cols), k):
+                sub = [[rows[i][j] for j in csel] for i in rsel]
+                g = math.gcd(g, _det(sub))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
 
 
 def s3_resolution():

@@ -6,12 +6,13 @@ lines; the whole suite is budgeted to finish in well under a minute.
 
 import itertools
 import json
+import math
 import random
 import time
 
 import pytest
 
-from conftest import s3_resolution
+from conftest import invariant_factors_by_minors, s3_resolution
 from chaincert import io
 from chaincert.chain import (
     dualize_complex,
@@ -314,7 +315,9 @@ def test_criterion_7_negative_controls(acceptance_certificates):
 
 
 def test_criterion_8_exact_linalg_oracles(f2c2):
-    """Normal-form transform identities on 500 random integer matrices and
+    """Smith diagonals against the Hermite form (rank, and |det| when
+    square of full rank) and, when small, against the minor oracle; the
+    Hermite transform identity; on 500 random integer matrices. Then
     exhaustive solve-vs-brute-force agreement over F2[C2]."""
     rng = random.Random(8)
     for _ in range(500):
@@ -323,18 +326,23 @@ def test_criterion_8_exact_linalg_oracles(f2c2):
             ZZ, rows, cols,
             [rng.randint(-100, 100) for _ in range(rows * cols)],
         )
-        s = snf(a)
-        assert s.u * a * s.v == s.d
-        assert solve(s.u, Matrix.identity(ZZ, rows)) is not None
-        assert solve(s.v, Matrix.identity(ZZ, cols)) is not None
-        diag = s.diagonal()
+        diag = snf(a)
         nonzero = [x for x in diag if x]
+        assert len(diag) == min(rows, cols)
         assert all(x >= 0 for x in diag)
         assert diag[: len(nonzero)] == nonzero
         assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+        if min(rows, cols) <= 3:
+            assert nonzero == invariant_factors_by_minors(a)
         h = hnf(a)
         assert h.u * a == h.h
         assert solve(h.u, Matrix.identity(ZZ, rows)) is not None
+        # u is unimodular, so a and h share their rank and, when square of
+        # full rank, |det|: the product of the pivots, and of the factors
+        pivots = [next(x for x in row if x) for row in h.h.to_rows() if any(row)]
+        assert len(pivots) == len(nonzero)
+        if rows == cols == len(nonzero):
+            assert math.prod(pivots) == math.prod(nonzero)
 
     elements = list(itertools.product(range(2), repeat=2))
     # 1x1 systems: 16 of them

@@ -14,6 +14,7 @@ from chaincert.resolution import (
     canonical_resolution,
     generate_resolution,
     pad_top,
+    validate_resolution,
 )
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 from chaincert.stabilize import total_equivalence, verify_certificate
@@ -568,6 +569,32 @@ def test_cli_check_large_declared_rank_is_bounded(tmp_path, capsys):
     assert len(captured.out) + len(captured.err) < 1024
     assert "[FAIL] tower rank recursion" in captured.out
     assert "skipped" in captured.out
+
+
+def _interior_rank_resolution(rank: int) -> TruncatedResolution:
+    """A Z resolution of the zero module with ranks 0, ``rank``, 0: both
+    boundaries are empty, so H_1 = Z^rank and the file is invalid."""
+    pres = ModulePresentation(ZZ, 0, Matrix.zeros(ZZ, 0, 0))
+    complex_ = ChainComplex(
+        ZZ, [0, rank, 0], [Matrix.zeros(ZZ, 0, rank), Matrix.zeros(ZZ, rank, 0)]
+    )
+    return TruncatedResolution(pres, complex_, Matrix.zeros(ZZ, 0, 0))
+
+
+def test_large_interior_rank_validates_at_once(tmp_path, capsys):
+    res = _interior_rank_resolution(4000)
+    start = perf_counter()
+    report = validate_resolution(res)
+    assert perf_counter() - start < 1.0
+    assert report.first_failure.name == "exact at degree 1"
+
+    path = _write(tmp_path, "interior.json", res)
+    assert (tmp_path / "interior.json").stat().st_size < 16_384
+    capsys.readouterr()
+    start = perf_counter()
+    assert main(["validate", path]) == 2
+    assert perf_counter() - start < 1.0
+    assert "[FAIL] exact at degree 1" in capsys.readouterr().out
 
 
 def test_verify_certificate_skips_identities_when_ranks_do_not_fit():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -20,6 +19,8 @@ from chaincert.matrix import (
     vstack,
 )
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField, RingError
+
+from conftest import invariant_factors_by_minors
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -243,78 +244,40 @@ def test_block_errors():
 # Smith normal form, with the minor-gcd oracle
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-def _invariant_factors_by_minors(a: Matrix):
-    """Independent oracle: the product of the first k invariant factors is
-    the gcd of all k x k minors."""
-    rows = a.to_rows()
-    out = []
-    prev = 1
-    for k in range(1, min(a.rows, a.cols) + 1):
-        g = 0
-        for rsel in itertools.combinations(range(a.rows), k):
-            for csel in itertools.combinations(range(a.cols), k):
-                sub = [[rows[i][j] for j in csel] for i in rsel]
-                g = math.gcd(g, _det(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
-
-
 def _is_unimodular(u: Matrix) -> bool:
     inverse = solve(u, Matrix.identity(ZZ, u.rows))
     return inverse is not None and u * inverse == Matrix.identity(ZZ, u.rows)
 
 
 def assert_valid_snf(a: Matrix):
-    res = snf(a)
-    assert res.u * a * res.v == res.d
-    assert _is_unimodular(res.u)
-    assert _is_unimodular(res.v)
-    diag = res.diagonal()
-    for i in range(res.d.rows):
-        for j in range(res.d.cols):
-            if i != j:
-                assert res.d.entry(i, j) == 0
+    """The diagonal is nonnegative with zeros trailing and each entry
+    dividing the next; on matrices small enough for the minor oracle, its
+    nonzero entries are the invariant factors."""
+    diag = snf(a)
+    assert len(diag) == min(a.rows, a.cols)
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x]
     assert diag[: len(nonzero)] == nonzero, "zeros must trail"
     for x, y in zip(nonzero, nonzero[1:]):
         assert y % x == 0
-    return res
+    if min(a.rows, a.cols) <= 5:
+        assert nonzero == invariant_factors_by_minors(a)
+    return diag
 
 
 def test_snf_examples():
-    res = assert_valid_snf(Matrix.from_rows(ZZ, [[2, 0], [0, 3]]))
-    assert res.diagonal() == [1, 6]
-    res = assert_valid_snf(Matrix.identity(ZZ, 4))
-    assert res.diagonal() == [1, 1, 1, 1]
-    res = assert_valid_snf(Matrix.zeros(ZZ, 3, 2))
-    assert res.diagonal() == [0, 0]
+    assert assert_valid_snf(Matrix.from_rows(ZZ, [[2, 0], [0, 3]])) == [1, 6]
+    assert assert_valid_snf(Matrix.identity(ZZ, 4)) == [1, 1, 1, 1]
+    assert assert_valid_snf(Matrix.zeros(ZZ, 3, 2)) == [0, 0]
+    assert assert_valid_snf(Matrix.from_rows(ZZ, [[0, 4], [6, 0]])) == [2, 12]
+    assert assert_valid_snf(Matrix.zeros(ZZ, 0, 3)) == []
 
 
 def test_snf_against_minor_oracle():
     rng = random.Random(7)
     for _ in range(60):
         a = rand_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bound=6)
-        res = assert_valid_snf(a)
-        expected = _invariant_factors_by_minors(a)
-        got = [x for x in res.diagonal() if x]
-        assert got == expected
+        assert_valid_snf(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,6 +287,8 @@ def test_snf_against_minor_oracle():
     st.data(),
 )
 def test_snf_transform_identity_property(rows, cols, data):
+    """Diagonal shape and invariant factors by minors; ``snf`` forms no
+    transforms, so there is no u*a*v = d identity left to check."""
     entries = data.draw(
         st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols)
     )

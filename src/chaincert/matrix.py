@@ -635,7 +635,12 @@ class Invariants:
         return self.free_rank == 0 and not self.torsion
 
     def __str__(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
+        """``0``, or the free part (``Z``, or ``Z^r`` when r > 1) and one
+        ``Z/t`` per invariant factor, joined by `` + ``."""
+        r = self.free_rank
+        parts = ([] if r == 0 else ["Z" if r == 1 else f"Z^{r}"]) + [
+            f"Z/{t}" for t in self.torsion
+        ]
         return " + ".join(parts) if parts else "0"
 
 

@@ -142,7 +142,13 @@ def validate_resolution(res: TruncatedResolution) -> Report:
     # Z or F_p is an isomorphism (they are Hopfian), also after restriction.
     aug_b, rel_b, complex_b = _base_view(res)
     module = cokernel_invariants(rel_b)
-    factored = cokernel_invariants(hstack(rel_b, aug_b * complex_b.d(1))) == module
+    d1_b = complex_b.d(1)
+    # a zero factor makes aug.d1 zero, and zero columns leave coker rel as it is
+    factored = (
+        aug_b.is_zero()
+        or d1_b.is_zero()
+        or cokernel_invariants(hstack(rel_b, aug_b * d1_b)) == module
+    )
     report.add(
         "augmentation kills the first boundary",
         factored,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -586,7 +587,8 @@ def test_large_interior_rank_validates_at_once(tmp_path, capsys):
     start = perf_counter()
     report = validate_resolution(res)
     assert perf_counter() - start < 1.0
-    assert report.first_failure.name == "exact at degree 1"
+    failure = report.first_failure
+    assert (failure.name, failure.detail) == ("exact at degree 1", "homology Z^4000")
 
     path = _write(tmp_path, "interior.json", res)
     assert (tmp_path / "interior.json").stat().st_size < 16_384
@@ -595,6 +597,50 @@ def test_large_interior_rank_validates_at_once(tmp_path, capsys):
     assert main(["validate", path]) == 2
     assert perf_counter() - start < 1.0
     assert "[FAIL] exact at degree 1" in capsys.readouterr().out
+
+
+def _wide_augmentation_resolution(ambient: int, p0: int, rank: int) -> TruncatedResolution:
+    """A Z resolution of Z^ambient (no relations) with ranks ``p0``,
+    ``rank``: the augmentation sends the first generator to the first basis
+    vector, and d_1 is the zero p0 x rank matrix. aug.d_1 is zero and
+    ambient x rank, and the augmentation is onto only if p0 >= ambient."""
+    pres = ModulePresentation(ZZ, ambient, Matrix.zeros(ZZ, ambient, 0))
+    complex_ = ChainComplex(ZZ, [p0, rank], [Matrix.zeros(ZZ, p0, rank)])
+    aug = Matrix.identity(ZZ, ambient).submatrix(range(ambient), range(p0))
+    return TruncatedResolution(pres, complex_, aug)
+
+
+@pytest.mark.parametrize("p0", [0, 1], ids=["empty-augmentation", "zero-d1"])
+def test_zero_factor_of_aug_d1_is_not_multiplied_out(p0):
+    res = _wide_augmentation_resolution(100, p0, 100_000)
+    start = perf_counter()
+    report = validate_resolution(res)
+    assert perf_counter() - start < 1.0
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("d.d = 0", True, "no adjacent boundary pairs"),
+        ("augmentation kills the first boundary", True, ""),
+        ("augmentation surjective onto the module", False, f"cokernel Z^{100 - p0}"),
+        ("exact at degree 0", False, "skipped: the augmentation checks failed"),
+    ]
+    tracemalloc.start()
+    try:
+        validate_resolution(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the 100 x 100000 zero product alone is 80 MB
+
+
+def test_wide_augmentation_validates_at_once(tmp_path, capsys):
+    path = _write(tmp_path, "wide.json", _wide_augmentation_resolution(100, 0, 100_000))
+    assert (tmp_path / "wide.json").stat().st_size < 1_536
+    capsys.readouterr()
+    start = perf_counter()
+    assert main(["validate", path]) == 2
+    assert perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "[FAIL] augmentation surjective onto the module: cokernel Z^100\n" in out
+    assert max(map(len, out.splitlines())) < 80
 
 
 def test_verify_certificate_skips_identities_when_ranks_do_not_fit():

@@ -453,6 +453,21 @@ def test_cokernel_examples():
     assert cokernel_invariants(Matrix.from_rows(F5, [[0, 0], [0, 1]])) == Invariants(1, ())
 
 
+@pytest.mark.parametrize(
+    "inv,text",
+    [
+        (Invariants(0), "0"),
+        (Invariants(1), "Z"),
+        (Invariants(2), "Z^2"),
+        (Invariants(0, (2, 6)), "Z/2 + Z/6"),
+        (Invariants(1, (3,)), "Z + Z/3"),
+        (Invariants(100_000, (2, 2)), "Z^100000 + Z/2 + Z/2"),
+    ],
+)
+def test_invariants_render_free_part_as_one_power(inv, text):
+    assert str(inv) == text
+
+
 def test_cokernel_group_ring_rejected(zc2):
     with pytest.raises(RingError):
         cokernel_invariants(Matrix.zeros(zc2, 1, 1))

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -12,7 +14,7 @@ from chaincert.chain import (
     validate_complex,
 )
 from chaincert.cli import main
-from chaincert.matrix import Matrix, rank_field, restrict_scalars, solve
+from chaincert.matrix import Matrix, hstack, rank_field, restrict_scalars, solve, vstack
 from chaincert.resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -20,7 +22,7 @@ from chaincert.resolution import (
     generate_resolution,
     pad_top,
 )
-from chaincert.rings import ZZ, PrimeField
+from chaincert.rings import ZZ, GroupRing, PrimeField
 from chaincert import stabilize
 from chaincert.chain import compose_equivalences, identity_equivalence, reverse_equivalence
 from chaincert.stabilize import (
@@ -46,6 +48,7 @@ from test_golden import GOLDEN
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +275,167 @@ def test_inverse_pair_random_rectangular():
             h, k = inverse_pair(f, g)
             assert h * k == Matrix.identity(ring, a + b)
             assert k * h == Matrix.identity(ring, a + b)
+
+
+# ---------------------------------------------------------------------------
+# the one-product block pair check: h k = 1 forces k h = 1 over every
+# supported ring, so verify_certificate forms only h k
+
+
+def _padded_certificate(res):
+    return total_equivalence(res, pad_top(res, 1))
+
+
+def _zc3_certificate():
+    return _padded_certificate(canonical_resolution("Z_over_Z[C_3]", 3)[1])
+
+
+ONE_PRODUCT_CERTIFICATES = [
+    pytest.param(
+        lambda: total_equivalence(*random_resolution_pair(ZZ, 3, 4, random.Random(12))),
+        id="Z",
+    ),
+    pytest.param(
+        lambda: total_equivalence(*random_resolution_pair(F5, 3, 4, random.Random(12))),
+        id="F5",
+    ),
+    pytest.param(_zc3_certificate, id="ZC3"),
+    pytest.param(lambda: _padded_certificate(f2c4_resolution(3)), id="F2C4"),
+    pytest.param(lambda: _padded_certificate(s3_resolution()), id="ZS3"),
+]
+
+
+def _random_entry(ring, rng):
+    if isinstance(ring, GroupRing):
+        return tuple(_random_entry(ring.base, rng) for _ in range(ring.group.order))
+    if isinstance(ring, PrimeField):
+        return rng.randrange(ring.p)
+    return rng.randint(-2, 2)
+
+
+def _random_square(ring, size, rng):
+    return Matrix(ring, size, size, [_random_entry(ring, rng) for _ in range(size * size)])
+
+
+def _bumped(m, rng):
+    """``m`` with one seeded entry increased by 1."""
+    entries = list(m.entries)
+    at = rng.randrange(len(entries))
+    entries[at] = m.ring.add(entries[at], m.ring.one)
+    return Matrix(m.ring, m.rows, m.cols, entries)
+
+
+def _elementary_pair(ring, size, rng):
+    """A product u of elementary matrices 1 + c e_ab (a != b) and its
+    inverse, built from the factors 1 - c e_ab in reverse order."""
+    u = v = Matrix.identity(ring, size)
+    for _ in range(3):
+        a, b = rng.sample(range(size), 2)
+        c = _random_entry(ring, rng)
+        fwd = list(Matrix.identity(ring, size).entries)
+        bwd = list(fwd)
+        fwd[a * size + b], bwd[a * size + b] = c, ring.neg(c)
+        u = u * Matrix(ring, size, size, fwd)
+        v = Matrix(ring, size, size, bwd) * v
+    return u, v
+
+
+def _block_pair_verdicts(cert, i, h, k):
+    """verify_certificate's verdict on degree i with (h, k) stored there,
+    and whether every other check still passes."""
+    cert = dataclasses.replace(
+        cert,
+        iso_fwd=cert.iso_fwd[:i] + (h,) + cert.iso_fwd[i + 1 :],
+        iso_bwd=cert.iso_bwd[:i] + (k,) + cert.iso_bwd[i + 1 :],
+    )
+    name = f"block pair mutually inverse at degree {i}"
+    checks = verify_certificate(cert).checks
+    verdict = next(c.ok for c in checks if c.name == name)
+    return verdict, all(c.ok for c in checks if c.name != name)
+
+
+def _mutually_inverse(h, k):
+    """The two-sided oracle: both products, as the check formed them before."""
+    one = Matrix.identity(h.ring, h.rows)
+    return h * k == one and k * h == one
+
+
+@pytest.mark.parametrize("side", ["iso_fwd", "iso_bwd"])
+@pytest.mark.parametrize("build", ONE_PRODUCT_CERTIFICATES)
+def test_block_pair_check_fails_exactly_the_bumped_degree(build, side):
+    cert = build()
+    assert verify_certificate(cert).ok
+    rng = random.Random(f"bump {side}")
+    degrees = [i for i, h in enumerate(cert.iso_fwd) if h.rows]
+    for i in rng.sample(degrees, min(3, len(degrees))):
+        blocks = list(getattr(cert, side))
+        blocks[i] = _bumped(blocks[i], rng)
+        report = verify_certificate(dataclasses.replace(cert, **{side: tuple(blocks)}))
+        failed = [check.name for check in report.checks if not check.ok]
+        assert failed == [f"block pair mutually inverse at degree {i}"]
+
+
+@pytest.mark.parametrize("build", ONE_PRODUCT_CERTIFICATES)
+def test_block_pair_check_agrees_with_two_sided_oracle(build):
+    cert = build()
+    ring = cert.source.ring
+    rng = random.Random(f"oracle {ring}")
+    verdicts = []
+    for i, (h, k) in enumerate(zip(cert.iso_fwd, cert.iso_bwd)):
+        size = h.rows
+        if size < 2:
+            continue
+        u, v = _elementary_pair(ring, size, rng)
+        r = _random_square(ring, size, rng)
+        singular = Matrix(ring, size, size, r.entries[:size] * size)  # equal rows
+        candidates = [
+            (h, k),
+            (k, h),
+            (h * u, v * k),
+            (u, v),
+            (_bumped(h, rng), k),
+            (h, _bumped(k, rng)),
+            (h, h),
+            (r, _random_square(ring, size, rng)),
+            (h, r),
+            (singular, k),
+            (Matrix.zeros(ring, size, size), Matrix.identity(ring, size)),
+        ]
+        for a, b in candidates:
+            verdict, rest_ok = _block_pair_verdicts(cert, i, a, b)
+            assert rest_ok
+            assert verdict == _mutually_inverse(a, b)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_block_pair_check_refuses_misshapen_pairs():
+    cert = _zc3_certificate()
+    i = len(cert.iso_fwd) - 1
+    h, k = cert.iso_fwd[i], cert.iso_bwd[i]
+    ring, size = h.ring, h.rows
+    taller = vstack(k, Matrix.zeros(ring, 1, size))  # h * taller cannot be formed
+    wider = hstack(k, Matrix.zeros(ring, size, 1))
+    # wider * [h; one row of h] = k h = 1: only the shape check refuses it
+    for a, b in [(h, taller), (h, wider), (taller, h), (wider, vstack(h, h.top_rows(1)))]:
+        assert _block_pair_verdicts(cert, i, a, b) == (False, True)
+
+
+def test_block_pair_check_forms_one_product_per_degree(monkeypatch):
+    cert = _zc3_certificate()
+    products = []
+    mul = Matrix.__mul__
+
+    def recording(a, b):
+        products.append((id(a), id(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", recording)
+    assert verify_certificate(cert).ok
+    blocks = {id(m) for m in cert.iso_fwd + cert.iso_bwd}
+    assert [pair for pair in products if blocks.intersection(pair)] == [
+        (id(h), id(k)) for h, k in zip(cert.iso_fwd, cert.iso_bwd)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +794,8 @@ def _zs3_compare_pair():
 
 
 # sha256 of everything `compare` prints, recorded before schanuel_check
-# restricted each complex only once
+# restricted each complex only once; the free parts were written then as
+# one ``Z`` per summand, so the output is hashed in that rendering
 COMPARE_OUTPUT = [
     pytest.param(
         _zc6_compare_pair,
@@ -656,7 +821,9 @@ def test_compare_output_is_unchanged(build, digest, tmp_path, capsys):
     assert main(["compare", *paths]) == 0
     out = capsys.readouterr().out
     assert "homology comparison:" in out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert "Z + Z" not in out
+    one_z_per_summand = re.sub(r"Z\^(\d+)", lambda m: " + ".join(["Z"] * int(m[1])), out)
+    assert hashlib.sha256(one_z_per_summand.encode()).hexdigest() == digest
 
 
 def test_schanuel_check_restricts_each_boundary_once(monkeypatch):

@@ -12,7 +12,7 @@ with s_{-1} = 0 and s_n = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .matrix import (
     Invariants,
@@ -380,7 +380,7 @@ def _homology_at(c: ChainComplex, i: int, below: Invariants, above: Invariants) 
     and im d_i is free of rank rk d_i, so H_i is coker d_{i+1} with rk d_i
     fewer free summands."""
     rank_below = c.d(i).rows - below.free_rank
-    return Invariants(above.free_rank - rank_below, above.torsion)
+    return replace(above, free_rank=above.free_rank - rank_below)
 
 
 def homology_from_boundaries(c: ChainComplex) -> list[Invariants]:

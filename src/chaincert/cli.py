@@ -92,7 +92,7 @@ def cmd_stabilize(args, emit_certificate: bool = True) -> int:
         return EXIT_INVALID
 
     if emit_certificate and args.out:
-        _save(args.out, io.certificate_to_json(cert))
+        _save(args.out, io.certificate_document(cert))
         print(f"certificate written to {args.out}")
 
     if not emit_certificate:
@@ -173,7 +173,7 @@ def cmd_generate(args) -> int:
     if not report.ok:
         _print_report(report, True)
         return EXIT_INVALID
-    _save(args.out, io.resolution_to_json(res))
+    _save(args.out, io.resolution_document(res))
     print(f"resolution written to {args.out} (ranks {list(res.complex.ranks)})")
     return EXIT_OK
 
@@ -185,7 +185,7 @@ def cmd_dualize(args) -> int:
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    _save(args.out, io.resolution_to_json(dual))
+    _save(args.out, io.resolution_document(dual))
     orientation = "cochain" if dual.cochain else "chain"
     print(f"dual ({orientation}) written to {args.out}")
     return EXIT_OK

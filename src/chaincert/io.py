@@ -8,11 +8,18 @@ arrays of base-ring strings in the table's element order. Serialization is
 canonical (sorted keys, fixed separators), so identical data produces
 byte-identical files.
 
-Matrices are coded through a table: each distinct literal of a matrix is
-parsed (or rendered) once and the cells are mapped through that table.
-The accepted literal language is exactly that of ``ring.parse`` (the base
-ring's, for group-ring coefficients); a cell that is not a string, or a
-literal ``ring.parse`` rejects, is a ``MalformedFileError``.
+Matrices are coded through a table. Reading parses each distinct literal
+of a matrix once and maps the cells through that table. The accepted
+literal language is exactly that of ``ring.parse`` (the base ring's, for
+group-ring coefficients); a cell that is not a string, or a literal
+``ring.parse`` rejects, is a ``MalformedFileError``. Writing never builds
+the nested lists: the document builders (``resolution_document``,
+``certificate_document``) leave every matrix as a ``Matrix`` leaf, and
+``dump_canonical`` renders the JSON text of each distinct entry once and
+joins each row from that table straight into the file's text. The
+plain-JSON forms (``resolution_to_json``, ``certificate_to_json``) are the
+same documents with each leaf replaced by ``matrix_to_json``'s rows of
+strings, the values that parsing the file gives back.
 """
 
 from __future__ import annotations
@@ -132,7 +139,34 @@ def _literal_table(base: Ring, literals) -> dict:
     return table
 
 
+def _entry_texts(ring: Ring, values) -> dict:
+    """{value: its JSON text} for each distinct value: a quoted decimal, or
+    over a group ring an array of them, each coefficient rendered once."""
+    distinct = set(values)
+    if isinstance(ring, GroupRing):
+        coeff = _entry_texts(ring.base, itertools.chain.from_iterable(distinct))
+        return {v: "[" + ",".join(map(coeff.__getitem__, v)) + "]" for v in distinct}
+    render = ring.render
+    return {v: '"' + render(v) + '"' for v in distinct}
+
+
+def _matrix_text(m: Matrix) -> str:
+    """The canonical JSON text of ``m``: an array of rows, each an array of
+    entries. Each row is one join over the table of entry texts."""
+    if not m.rows:
+        return "[]"
+    if not m.cols:
+        return "[" + ",".join(["[]"] * m.rows) + "]"
+    e = m.entries
+    cells = map(_entry_texts(m.ring, e).__getitem__, e)
+    rows = map(",".join, zip(*[cells] * m.cols))  # consecutive runs of `cols`
+    return "[[" + "],[".join(rows) + "]]"
+
+
 def matrix_to_json(m: Matrix) -> list:
+    """``m`` as plain JSON: rows of cells, from one table of rendered
+    values. Files are written by ``_matrix_text``; ``tests/test_render.py``
+    holds the two to the same JSON."""
     ring = m.ring
     group_ring = isinstance(ring, GroupRing)
     base = ring.base if group_ring else ring
@@ -144,6 +178,17 @@ def matrix_to_json(m: Matrix) -> list:
         cells = [cells[k : k + order] for k in range(0, len(cells), order)]
     cols = m.cols
     return [cells[i * cols : (i + 1) * cols] for i in range(m.rows)]
+
+
+def _plain(node):
+    """``node`` with each ``Matrix`` leaf replaced by ``matrix_to_json``."""
+    if isinstance(node, Matrix):
+        return matrix_to_json(node)
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(value) for value in node]
+    return node
 
 
 def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
@@ -192,11 +237,11 @@ def _ranks_from_json(data) -> list[int]:
     return ranks
 
 
-def _presentation_to_json(pres: ModulePresentation) -> dict:
+def _presentation_document(pres: ModulePresentation) -> dict:
     return {
         "ambient_rank": _int_out(pres.ambient_rank),
         "relation_count": _int_out(pres.relations.cols),
-        "relations": matrix_to_json(pres.relations),
+        "relations": pres.relations,
     }
 
 
@@ -211,11 +256,11 @@ def _presentation_from_json(ring: Ring, doc) -> ModulePresentation:
     return ModulePresentation(ring, ambient, relations)
 
 
-def _complex_to_json(c: ChainComplex) -> dict:
+def _complex_document(c: ChainComplex) -> dict:
     """The ranks and the boundaries, stored top degree first."""
     return {
         "ranks": [_int_out(r) for r in c.ranks],
-        "boundaries": [matrix_to_json(c.d(i)) for i in range(c.length, 0, -1)],
+        "boundaries": [c.d(i) for i in range(c.length, 0, -1)],
     }
 
 
@@ -240,21 +285,27 @@ def _complex_from_json(ring: Ring, doc) -> ChainComplex:
 # resolutions
 
 
-def resolution_to_json(res: TruncatedResolution) -> dict:
+def resolution_document(res: TruncatedResolution) -> dict:
+    """The resolution file's document, matrices left as ``Matrix`` leaves
+    for ``dump_canonical``."""
     doc = ring_to_json(res.ring)
     doc.update(
         {
             "format_version": _int_out(FORMAT_VERSION),
             "kind": "resolution",
             "payload": {
-                "presentation": _presentation_to_json(res.presentation),
-                **_complex_to_json(res.complex),
-                "augmentation": matrix_to_json(res.augmentation),
+                "presentation": _presentation_document(res.presentation),
+                **_complex_document(res.complex),
+                "augmentation": res.augmentation,
                 "cochain": res.cochain,
             },
         }
     )
     return doc
+
+
+def resolution_to_json(res: TruncatedResolution) -> dict:
+    return _plain(resolution_document(res))
 
 
 def resolution_from_json(doc: dict) -> TruncatedResolution:
@@ -282,7 +333,9 @@ def resolution_from_json(doc: dict) -> TruncatedResolution:
 # certificates
 
 
-def certificate_to_json(cert: EquivalenceCertificate) -> dict:
+def certificate_document(cert: EquivalenceCertificate) -> dict:
+    """The certificate file's document, matrices left as ``Matrix`` leaves
+    for ``dump_canonical``."""
     doc = ring_to_json(cert.source.ring)
     eq = cert.equivalence
     doc.update(
@@ -291,25 +344,29 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
             "kind": "certificate",
             "payload": {
                 "certificate_version": _int_out(CERTIFICATE_VERSION),
-                "presentation": _presentation_to_json(cert.presentation),
-                "source": _complex_to_json(cert.source),
-                "target": _complex_to_json(cert.target),
-                "forward": [matrix_to_json(m) for m in eq.fwd.parts],
-                "backward": [matrix_to_json(m) for m in eq.bwd.parts],
-                "source_homotopy": [matrix_to_json(m) for m in eq.src_homotopy],
-                "target_homotopy": [matrix_to_json(m) for m in eq.tgt_homotopy],
+                "presentation": _presentation_document(cert.presentation),
+                "source": _complex_document(cert.source),
+                "target": _complex_document(cert.target),
+                "forward": list(eq.fwd.parts),
+                "backward": list(eq.bwd.parts),
+                "source_homotopy": list(eq.src_homotopy),
+                "target_homotopy": list(eq.tgt_homotopy),
                 "tower_ranks": {
                     "t": [_int_out(r) for r in cert.t_ranks],
                     "s": [_int_out(r) for r in cert.s_ranks],
                 },
                 "block_isomorphisms": {
-                    "forward": [matrix_to_json(m) for m in cert.iso_fwd],
-                    "backward": [matrix_to_json(m) for m in cert.iso_bwd],
+                    "forward": list(cert.iso_fwd),
+                    "backward": list(cert.iso_bwd),
                 },
             },
         }
     )
     return doc
+
+
+def certificate_to_json(cert: EquivalenceCertificate) -> dict:
+    return _plain(certificate_document(cert))
 
 
 def certificate_from_json(doc: dict) -> EquivalenceCertificate:
@@ -398,8 +455,43 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 # files
 
 
-def dump_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+class _HoldsMatrix(Exception):
+    """``json.dumps`` met a ``Matrix``: the node is written part by part."""
+
+
+def _no_matrix(node):
+    if isinstance(node, Matrix):
+        raise _HoldsMatrix
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_no_matrix)
+
+
+def _canonical(node) -> str:
+    """``json.dumps(node, sort_keys=True, separators=(",", ":"))``, with
+    each ``Matrix`` leaf written by ``_matrix_text``. A subtree that holds
+    no matrix is one encoder call; only the dicts, lists and tuples on the
+    way to a matrix are taken apart here."""
+    if isinstance(node, Matrix):
+        return _matrix_text(node)
+    try:
+        return _ENCODER.encode(node)
+    except _HoldsMatrix:
+        pass
+    if isinstance(node, dict):
+        if not all(isinstance(key, str) for key in node):
+            raise TypeError("a dict holding a Matrix must have string keys")
+        items = (_ENCODER.encode(key) + ":" + _canonical(node[key]) for key in sorted(node))
+        return "{" + ",".join(items) + "}"
+    return "[" + ",".join(map(_canonical, node)) + "]"
+
+
+def dump_canonical(doc) -> str:
+    """The file text of ``doc``: canonical JSON (sorted keys, fixed
+    separators) and a newline. ``Matrix`` leaves are rendered straight from
+    their entries; every other node is written as ``json.dumps`` writes it."""
+    return _canonical(doc) + "\n"
 
 
 def save(path: str, doc: dict) -> None:

@@ -26,7 +26,7 @@ the homology and module invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from . import _kernels
@@ -625,20 +625,26 @@ def kernel_basis(a: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class Invariants:
     """Isomorphism invariants of a finitely generated module: free rank
-    (dimension, over a field) plus invariant factors > 1 (over Z)."""
+    (dimension, over a field) plus invariant factors > 1 (over Z).
+
+    ``characteristic`` is 0 over Z and p over F_p. It only names the free
+    part when printed and takes no part in equality."""
 
     free_rank: int
     torsion: tuple[int, ...] = ()
+    characteristic: int = field(default=0, compare=False)
 
     @property
     def trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
     def __str__(self):
-        """``0``, or the free part (``Z``, or ``Z^r`` when r > 1) and one
-        ``Z/t`` per invariant factor, joined by `` + ``."""
-        r = self.free_rank
-        parts = ([] if r == 0 else ["Z" if r == 1 else f"Z^{r}"]) + [
+        """``0``, or the free part (``Z`` or ``F_p``, as ``Z^r`` or
+        ``F_p^r`` when r > 1) and one ``Z/t`` per invariant factor, joined
+        by `` + ``."""
+        r, p = self.free_rank, self.characteristic
+        free = f"F_{p}" if p else "Z"
+        parts = ([] if r == 0 else [free if r == 1 else f"{free}^{r}"]) + [
             f"Z/{t}" for t in self.torsion
         ]
         return " + ".join(parts) if parts else "0"
@@ -654,14 +660,18 @@ def rank_field(a: Matrix) -> int:
 def cokernel_invariants(a: Matrix) -> Invariants:
     """Invariants of coker(A) = R^rows / im(A). Over Z: free rank and
     invariant factors from the Smith form; over a field: dimension.
-    Group-ring callers restrict scalars first."""
+    Group-ring callers restrict scalars first.
+
+    A matrix with no rows or no columns has the free cokernel R^rows; it
+    is answered without a pass over its rows, whatever rank it declares."""
     ring = a.ring
     if isinstance(ring, IntegerRing):
-        nonzero = [d for d in snf(a) if d]
+        nonzero = [d for d in snf(a) if d] if a.rows and a.cols else []
         return Invariants(
             free_rank=a.rows - len(nonzero),
             torsion=tuple(d for d in nonzero if d > 1),
         )
     if isinstance(ring, PrimeField):
-        return Invariants(free_rank=a.rows - rank_field(a))
+        rank = rank_field(a) if a.rows and a.cols else 0
+        return Invariants(free_rank=a.rows - rank, characteristic=ring.p)
     raise RingError("cokernel_invariants over Z and prime fields; restrict scalars first")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from chaincert.chain import (
     ChainMap,
     HomologyError,
     Report,
+    all_homology_invariants,
     compose_equivalences,
     dualize_complex,
     dualize_equivalence,
@@ -133,6 +135,22 @@ def test_homology_examples():
     lazy = ChainComplex(ZZ, [2, 3], [Matrix.zeros(ZZ, 2, 3)])
     assert homology_invariants(lazy, 0) == Invariants(2, ())
     assert homology_invariants(lazy, 1) == Invariants(3, ())
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(5)], ids=["Z", "F5"])
+def test_homology_of_a_huge_declared_top_rank_stores_nothing_of_it(ring):
+    """The top placeholder d_{n+1} is a 10^7 x 0 matrix: no row pass."""
+    rank = 10**7
+    c = ChainComplex(ring, [0, rank], [Matrix(ring, 0, rank, ())])
+    tracemalloc.start()
+    try:
+        invariants = all_homology_invariants(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert invariants == [Invariants(0), Invariants(rank)]
+    assert str(invariants[1]) == ("Z" if ring is ZZ else "F_5") + f"^{rank}"
+    assert peak < 2**20  # one list per row would be hundreds of megabytes
 
 
 def test_homology_rejects_bad_complex():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaincert import _kernels
 from chaincert.matrix import (
     Invariants,
     Matrix,
@@ -462,10 +463,35 @@ def test_cokernel_examples():
         (Invariants(0, (2, 6)), "Z/2 + Z/6"),
         (Invariants(1, (3,)), "Z + Z/3"),
         (Invariants(100_000, (2, 2)), "Z^100000 + Z/2 + Z/2"),
+        (Invariants(0, characteristic=5), "0"),
+        (Invariants(1, characteristic=5), "F_5"),
+        (Invariants(3, characteristic=5), "F_5^3"),
+        (Invariants(100_000, characteristic=2), "F_2^100000"),
     ],
 )
 def test_invariants_render_free_part_as_one_power(inv, text):
     assert str(inv) == text
+
+
+def test_field_label_is_printed_but_not_compared():
+    inv = cokernel_invariants(Matrix.zeros(F5, 3, 1))
+    assert str(inv) == "F_5^3"
+    assert inv == Invariants(3) and hash(inv) == hash(Invariants(3))
+    assert str(cokernel_invariants(Matrix.zeros(ZZ, 3, 1))) == "Z^3"
+    # over F_p[G] the invariants are those of the restriction to F_p
+    f2c4 = GroupRing(F2, GroupTable.cyclic(4))
+    assert str(cokernel_invariants(restrict_scalars(Matrix.zeros(f2c4, 1, 1)))) == "F_2^4"
+
+
+@pytest.mark.parametrize("ring", [ZZ, F5], ids=["Z", "F5"])
+@pytest.mark.parametrize("rows,cols", [(10**7, 0), (0, 10**7), (0, 0)])
+def test_cokernel_of_an_empty_matrix_needs_no_row_pass(ring, rows, cols, monkeypatch):
+    def row_pass(*args):
+        raise AssertionError("a pass over the rows of a matrix with no entries")
+
+    monkeypatch.setattr(Matrix, "to_rows", row_pass)
+    monkeypatch.setattr(_kernels, "rref_mod", row_pass)
+    assert cokernel_invariants(Matrix(ring, rows, cols, ())) == Invariants(rows)
 
 
 def test_cokernel_group_ring_rejected(zc2):

@@ -826,6 +826,38 @@ def test_compare_output_is_unchanged(build, digest, tmp_path, capsys):
     assert hashlib.sha256(one_z_per_summand.encode()).hexdigest() == digest
 
 
+def _f5_dim1_pair():
+    f5 = PrimeField(5)
+    pres = ModulePresentation(f5, 1, Matrix(f5, 1, 0, ()))
+    return tuple(generate_resolution(pres, n=3, max_rank=4, seed=s) for s in (1, 2))
+
+
+def _f2c4_compare_pair():
+    res = f2c4_resolution(3)
+    return res, pad_top(res, 1)
+
+
+@pytest.mark.parametrize(
+    "pair,free",
+    [
+        pytest.param(_f5_dim1_pair, "F_5", id="F5-dim1"),
+        pytest.param(_f2c4_compare_pair, "F_2", id="F2C4-n3-pad1"),
+    ],
+)
+def test_compare_prints_field_dimensions_as_powers_of_the_field(pair, free, tmp_path, capsys):
+    paths = []
+    for name, r in zip("pq", pair()):
+        path = str(tmp_path / f"{name}.json")
+        io.save(path, io.resolution_document(r))
+        paths.append(path)
+    capsys.readouterr()
+    assert main(["compare", *paths]) == 0
+    out = capsys.readouterr().out
+    assert f"degree 0 equals the presented module: {free} vs module {free}\n" in out
+    assert re.search(rf"homology match at degree \d+: {free}\^\d+ vs {free}\^\d+\n", out)
+    assert "Z" not in out.split("homology comparison:")[1]
+
+
 def test_schanuel_check_restricts_each_boundary_once(monkeypatch):
     cert = total_equivalence(*_zc6_compare_pair())
     calls = []

@@ -121,7 +121,9 @@ def _parse_module(ring: Ring, text: str) -> ModulePresentation:
 
     Over Z: "0", "Z", "Z/6", or sums like "Z+Z/2+Z/4" (one ambient summand
     per term, one relation column per torsion term). Over a prime field:
-    "dim:d" for the free module of dimension d, or "0".
+    "dim:d" for the free module of dimension d, or "0"; d is refused when
+    a d x d matrix (the augmentation) has more entries than a Python list
+    can index.
     """
     text = text.strip()
     if text == "0":
@@ -129,6 +131,11 @@ def _parse_module(ring: Ring, text: str) -> ModulePresentation:
     if isinstance(ring, PrimeField):
         if text.startswith("dim:"):
             d = int(text[4:])
+            if d * d > sys.maxsize:
+                raise ValueError(
+                    f"dim:{d} is too large: a {d} x {d} augmentation has more "
+                    "entries than a list can hold"
+                )
             return ModulePresentation(ring, d, Matrix(ring, d, 0, ()))
         raise ValueError(f"field modules are given as dim:<d>, got {text!r}")
     terms = [t.strip() for t in text.split("+")]

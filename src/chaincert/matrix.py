@@ -527,28 +527,33 @@ def snf(a: Matrix) -> list[int]:
 
 
 def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve A X = B over Z through the column echelon form A V = E.
+
+    Forward substitution runs over whole rows of B. At pivot j, the floor
+    quotients of the residual's row r = pivot_rows[j] by the pivot form
+    row j of Y, and the residual's rows from r down are updated on every
+    column at once, only where E's column j is nonzero. That leaves the
+    remainders in row r, which no later pivot touches (their rows lie
+    below), so a column not divisible at some pivot keeps a nonzero
+    residual. B is in the column lattice of A exactly when the residual
+    ends at zero, and then X = V[:, :rank] Y is one product."""
     e, v, pivot_rows = _column_echelon(a)
-    n = a.cols
     rank = len(pivot_rows)
-    cols_out = []
-    for col in range(b.cols):
-        resid = [b.entry(i, col) for i in range(b.rows)]
-        y = []  # (j, q) for each nonzero coefficient q of column j of v
-        for j in range(rank):
-            r = pivot_rows[j]
-            lead = e[r][j]
-            if resid[r] % lead:
-                return None
-            q = resid[r] // lead
-            if q:
-                y.append((j, q))
-                for i in range(r, len(resid)):
-                    resid[i] -= q * e[i][j]
-        if any(resid):
-            return None
-        cols_out.append([sum([row[j] * q for j, q in y]) for row in v])
-    entries = [cols_out[j][i] for i in range(n) for j in range(b.cols)]
-    return Matrix(a.ring, n, b.cols, entries)
+    resid = b.to_rows()
+    y = []
+    for j, r in enumerate(pivot_rows):
+        lead = e[r][j]
+        q = [x // lead for x in resid[r]]
+        y += q
+        if any(q):
+            for i in range(r, b.rows):
+                c = e[i][j]
+                if c:
+                    resid[i] = [x - c * t for x, t in zip(resid[i], q)]
+    if any([any(row) for row in resid]):
+        return None
+    basis = Matrix(a.ring, a.cols, rank, [x for row in v for x in row[:rank]])
+    return basis * Matrix(a.ring, rank, b.cols, y)
 
 
 def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
@@ -578,7 +583,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of A*X = B, or None when none exists.
 
     Over a prime field this is Gaussian elimination; over Z, a column
-    Hermite form (solvable iff B lies in the column lattice of A); over a
+    Hermite form (solvable iff B lies in the column lattice of A), with
+    one substitution pass over all columns of B (``_solve_int``); over a
     group ring the system is rewritten through the regular representation
     into a base-ring system and folded back.
     """

@@ -359,6 +359,9 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
         h = [[f, 1 - f g], [1, -g]]      k = [[g, 1 - g f], [1, -f]]
 
     h k = k h = 1 identically, for every f and g of compatible shapes.
+    The corner 1 - f g is formed as (-f) g with one added to each
+    diagonal entry, and 1 - g f as (-g) f; -f and -g are blocks of k and
+    h anyway.
 
     A checker that receives such a pair needs only one of the two
     products. h and k are square of equal size over a ring R whose matrix
@@ -381,20 +384,18 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
     if f.rows != g.cols or f.cols != g.rows:
         raise ShapeError("inverse_pair needs opposite shapes")
     ring = f.ring
-    a, b = f.cols, f.rows
-    h = block(
-        [
-            [f, Matrix.identity(ring, b) - f * g],
-            [Matrix.identity(ring, a), -g],
-        ]
-    )
-    k = block(
-        [
-            [g, Matrix.identity(ring, a) - g * f],
-            [Matrix.identity(ring, b), -f],
-        ]
-    )
+    neg_f, neg_g = -f, -g
+    h = block([[f, _one_plus(neg_f * g)], [Matrix.identity(ring, f.cols), neg_g]])
+    k = block([[g, _one_plus(neg_g * f)], [Matrix.identity(ring, f.rows), neg_f]])
     return h, k
+
+
+def _one_plus(m: Matrix) -> Matrix:
+    """1 + m for a square m: one added to each diagonal entry."""
+    entries = list(m.entries)
+    add, one = m.ring.add, m.ring.one
+    entries[:: m.rows + 1] = [add(x, one) for x in entries[:: m.rows + 1]]
+    return Matrix(m.ring, m.rows, m.cols, entries)
 
 
 @dataclass(frozen=True)
@@ -421,22 +422,38 @@ def _lift(
     split as S_{i-1} (+) T_{i-1} = Q_{i-1} (+) T_{i-2} (+) T_{i-1}, and
     step^Q_i is [[d^Q_i, 0], [0, 0], [0, 1]] in that split. So the top
     rows of X solve d^Q_i Y = B[Q_{i-1}], the T_{i-2} rows of B must be
-    zero, and the bottom t_{i-1} rows of X are those of B."""
-    rows = range(h.rows)
-    rhs = hstack(
-        h.submatrix(rows, range(d_from.rows)) * d_from,
-        h.submatrix(rows, range(from_prev, h.cols)),
-    )
-    own = d_to.rows
-    if not rhs.submatrix(range(own, to_prev), range(rhs.cols)).is_zero():
+    zero, and the bottom t_{i-1} rows of X are those of B.
+
+    B itself is never assembled. Only the product h[:, P_{i-1}] d^P_i is
+    formed, and each row of B is that product's row followed by the
+    slice of h's row from column t_{i-1} on. The top band is built as a
+    matrix to solve against, the T_{i-2} band is checked by counting
+    zeros on those slices, and the bottom band is copied straight into
+    the lift."""
+    prod = h.submatrix(range(h.rows), range(d_from.rows)) * d_from
+    pe, he, pw, hw = prod.entries, h.entries, prod.cols, h.cols
+    width = pw + hw - from_prev
+
+    def band(lo, hi, entries):
+        for r in range(lo, hi):
+            entries += pe[r * pw : (r + 1) * pw]
+            entries += he[r * hw + from_prev : (r + 1) * hw]
+        return entries
+
+    own, zero = d_to.rows, h.ring.zero
+    if pe[own * pw : to_prev * pw].count(zero) != (to_prev - own) * pw or any(
+        he[r * hw + from_prev : (r + 1) * hw].count(zero) != hw - from_prev
+        for r in range(own, to_prev)
+    ):
         raise LiftError(degree, direction)
-    top = rhs.top_rows(own)
+    top = Matrix(h.ring, own, width, band(0, own, []))
     x = solve(d_to, top)
     if x is None:
         raise LiftError(degree, direction)
     if d_to * x != top:
         raise StabilizeError(f"{direction} lift square fails at degree {degree}")
-    return vstack(x, rhs.submatrix(range(to_prev, rhs.rows), range(rhs.cols)))
+    entries = band(to_prev, h.rows, list(x.entries))  # f_i = [x; bottom band]
+    return Matrix(h.ring, x.rows + h.rows - to_prev, width, entries)
 
 
 def build_ladder_maps(

@@ -416,6 +416,17 @@ def test_cli_generate_rejects_bad_sizes(tmp_path, capsys, size):
     assert not out.exists()
 
 
+def test_cli_generate_rejects_a_dimension_too_large_to_hold(tmp_path, capsys):
+    # its d x d augmentation would overflow a list index: one error line
+    out = tmp_path / "no.json"
+    argv = ["generate", "--ring", "Fp:2", "--module", "dim:99999999999", "--n", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim:99999999999 is too large")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_dualize_round_trip(tmp_path):
     out = str(tmp_path / "res.json")
     assert main([

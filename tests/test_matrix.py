@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaincert import _kernels
 from chaincert.matrix import (
     Invariants,
     Matrix,
     ShapeError,
+    _column_echelon,
+    _expand_columns,
+    _fold_columns,
     block,
     cokernel_invariants,
     hnf,
@@ -390,6 +393,101 @@ def test_solve_field_consistency():
     # rank-1 matrix, right side off the column space
     a2 = Matrix.from_rows(F3, [[1, 2], [2, 1]])
     assert solve(a2, Matrix.from_rows(F3, [[1], [1]])) is None
+
+
+def _solve_int_by_columns(a, b):
+    """Oracle: the integer solve one right-hand column at a time, with one
+    residual update per column and one sum per row of V."""
+    e, v, pivot_rows = _column_echelon(a)
+    rank = len(pivot_rows)
+    cols_out = []
+    for col in range(b.cols):
+        resid = [b.entry(i, col) for i in range(b.rows)]
+        y = []
+        for j in range(rank):
+            r = pivot_rows[j]
+            lead = e[r][j]
+            if resid[r] % lead:
+                return None
+            q = resid[r] // lead
+            if q:
+                y.append((j, q))
+                for i in range(r, len(resid)):
+                    resid[i] -= q * e[i][j]
+        if any(resid):
+            return None
+        cols_out.append([sum([row[j] * q for j, q in y]) for row in v])
+    entries = [cols_out[j][i] for i in range(a.cols) for j in range(b.cols)]
+    return Matrix(a.ring, a.cols, b.cols, entries)
+
+
+@st.composite
+def _int_systems(draw):
+    """A x = B over Z: A full or rank-deficient (a product through a
+    narrower middle), small or above 2^64 entries, B solvable (A X0),
+    random (mostly unsolvable) or with some columns zeroed; any of the
+    three dimensions may be 0."""
+    m, n, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    element = st.integers(-(2**70), 2**70) if draw(st.booleans()) else st.integers(-6, 6)
+
+    def mat(rows, cols):
+        return Matrix(ZZ, rows, cols, draw(st.lists(element, min_size=rows * cols, max_size=rows * cols)))
+
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, min(m, n)))
+        a = mat(m, middle) * mat(middle, n)
+    else:
+        a = mat(m, n)
+    b = a * mat(n, k) if draw(st.booleans()) else mat(m, k)
+    zeroed = draw(st.sets(st.integers(0, max(k - 1, 0)))) if k else set()
+    entries = [0 if j in zeroed else x for x, j in zip(b.entries, itertools.cycle(range(k)))]
+    return a, Matrix(ZZ, m, k, entries)
+
+
+_BIG = 2**64 + 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_int_systems())
+@example(system=(Matrix.zeros(ZZ, 0, 3), Matrix.zeros(ZZ, 0, 2)))  # A has no rows
+@example(system=(Matrix.zeros(ZZ, 3, 0), Matrix.zeros(ZZ, 3, 2)))  # no columns, solvable
+@example(system=(Matrix.zeros(ZZ, 2, 0), Matrix.from_rows(ZZ, [[0, 1], [0, 0]])))
+@example(system=(Matrix.from_rows(ZZ, [[2, 4], [1, 2]]), Matrix.zeros(ZZ, 2, 0)))  # B has no columns
+@example(system=(  # rank 1, entries above 2^64, one zero column of B
+    Matrix.from_rows(ZZ, [[_BIG, 2 * _BIG], [3, 6]]),
+    Matrix.from_rows(ZZ, [[0, 5 * _BIG], [0, 15]]),
+))
+def test_solve_int_matches_the_column_by_column_oracle(system):
+    a, b = system
+    got = solve(a, b)
+    assert got == _solve_int_by_columns(a, b)
+    assert got is None or a * got == b
+
+
+@pytest.mark.parametrize(
+    "ring", [GroupRing(ZZ, GroupTable.cyclic(3)), ZS3], ids=["Z[C3]", "Z[S3]"]
+)
+def test_group_ring_solve_matches_the_column_by_column_oracle(ring):
+    # a group-ring system restricts to Z; the oracle solves the restricted
+    # system column by column and folds the solution back
+    rng = random.Random(17)
+
+    def rand(rows, cols):
+        return Matrix(ring, rows, cols, [
+            tuple(rng.randint(-2, 2) for _ in range(ring.group.order)) for _ in range(rows * cols)
+        ])
+
+    outcomes = set()
+    for _ in range(30):
+        m, n, k = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        a = rand(m, n)
+        b = a * rand(n, k) if rng.random() < 0.5 else rand(m, k)
+        y = _solve_int_by_columns(restrict_scalars(a), _expand_columns(b))
+        expected = None if y is None else _fold_columns(y, ring, n)
+        got = solve(a, b)
+        assert got == expected
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

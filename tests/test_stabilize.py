@@ -14,7 +14,7 @@ from chaincert.chain import (
     validate_complex,
 )
 from chaincert.cli import main
-from chaincert.matrix import Matrix, hstack, rank_field, restrict_scalars, solve, vstack
+from chaincert.matrix import Matrix, block, hstack, rank_field, restrict_scalars, solve, vstack
 from chaincert.resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -22,7 +22,7 @@ from chaincert.resolution import (
     generate_resolution,
     pad_top,
 )
-from chaincert.rings import ZZ, GroupRing, PrimeField
+from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 from chaincert import stabilize
 from chaincert.chain import compose_equivalences, identity_equivalence, reverse_equivalence
 from chaincert.stabilize import (
@@ -277,6 +277,31 @@ def test_inverse_pair_random_rectangular():
             assert k * h == Matrix.identity(ring, a + b)
 
 
+def _random_element(ring, rng):
+    if isinstance(ring, GroupRing):
+        return tuple(_random_element(ring.base, rng) for _ in range(ring.group.order))
+    return rng.randrange(ring.p) if isinstance(ring, PrimeField) else rng.randint(-4, 4)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZZ, F5, GroupRing(ZZ, GroupTable.symmetric(3)), GroupRing(F2, GroupTable.cyclic(4))],
+    ids=["Z", "F5", "Z[S3]", "F2[C4]"],
+)
+def test_inverse_pair_equals_the_literal_blocks(ring):
+    # the corners are formed from -f and -g; they must equal 1 - f g and
+    # 1 - g f written out with Matrix arithmetic, for empty f too
+    rng = random.Random(23)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+    for b, a in shapes * 3:
+        f = Matrix(ring, b, a, [_random_element(ring, rng) for _ in range(a * b)])
+        g = Matrix(ring, a, b, [_random_element(ring, rng) for _ in range(a * b)])
+        one_a, one_b = Matrix.identity(ring, a), Matrix.identity(ring, b)
+        h, k = inverse_pair(f, g)
+        assert h == block([[f, one_b - f * g], [one_a, -g]])
+        assert k == block([[g, one_a - g * f], [one_b, -f]])
+
+
 # ---------------------------------------------------------------------------
 # the one-product block pair check: h k = 1 forces k h = 1 over every
 # supported ring, so verify_certificate forms only h k
@@ -477,7 +502,9 @@ def test_lift_failure_names_degree():
     assert err.value.degree == 1
 
 
-@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3"])
+@pytest.mark.parametrize(
+    "ring", [ZZ, F3, GroupRing(ZZ, GroupTable.cyclic(2))], ids=["Z", "F3", "Z[C2]"]
+)
 def test_block_lift_matches_the_full_system_on_random_data(ring):
     # random boundaries and a random h_1, not from any resolution: the block
     # solve must return the full-size solve's solution, and raise LiftError
@@ -510,6 +537,39 @@ def test_block_lift_matches_the_full_system_on_random_data(ring):
         assert got is None or got == expected
         outcomes.add((cleared, got is None))
     assert outcomes == {(False, True), (True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3"])
+def test_block_lift_checks_the_product_part_of_the_between_band(ring):
+    # h's T_0 rows vanish from column t_1 on but not on P_1, so only the
+    # product h[:, P_1] d_2 decides whether the right-hand side's T_0 band
+    # is zero; the block lift must agree with the full-size system
+    rng = random.Random(29)
+
+    def rand(rows, cols):
+        return Matrix(ring, rows, cols, [ring.from_int(rng.randint(-3, 3)) for _ in range(rows * cols)])
+
+    outcomes = set()
+    for _ in range(80):
+        p = [rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)]
+        q = [rng.randint(0, 3) for _ in range(3)]
+        d2 = rand(p[1], p[2]) if rng.random() < 0.7 else Matrix.zeros(ring, p[1], p[2])
+        left = ChainComplex(ring, p, [rand(p[0], p[1]), d2])
+        right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
+        t, s = ladder_ranks(p, q)
+        ladder = StabilizerLadder(2, tuple(t), tuple(s), left, right)
+        rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
+        for r in range(q[1], s[1]):
+            rows[r][t[1] :] = [ring.zero] * s[1]
+        h = Matrix.from_rows(ring, rows, t[1] + s[1])
+        expected = solve(ladder.step("right", 2), h * ladder.step("left", 2))
+        try:
+            got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
+        except LiftError:
+            got = None
+        assert got == expected
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,16 @@
 
 Commands: validate, stabilize, compare, check, generate, dualize.
 Exit codes are part of the public contract: 0 = pass, 1 = malformed input,
-a usage error, an unusable input combination or an output file that cannot
-be written, 2 = mathematically invalid data.
+a usage error, an unusable input combination, an output file that cannot
+be written or an input too large for memory, 2 = mathematically invalid
+data.
 
 ``main`` holds the map from exceptions to exit codes: an ``OSError``, a
-``MalformedFileError`` or an ``InputMismatchError`` prints one ``error:``
-line and exits 1; any other ``StabilizeError`` prints ``stabilization
-failed:`` and exits 2. A command lets these through and catches only the
-library errors that mean malformed input to that command (a bad module
-preset, a ring that cannot be dualized).
+``MalformedFileError``, an ``InputMismatchError`` or a ``MemoryError``
+prints one ``error:`` line and exits 1; any other ``StabilizeError``
+prints ``stabilization failed:`` and exits 2. A command lets these
+through and catches only the library errors that mean malformed input to
+that command (a bad module preset, a ring that cannot be dualized).
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
     except StabilizeError as exc:
         print(f"stabilization failed: {exc}")
         return EXIT_INVALID
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -20,6 +20,17 @@ joins each row from that table straight into the file's text. The
 plain-JSON forms (``resolution_to_json``, ``certificate_to_json``) are the
 same documents with each leaf replaced by ``matrix_to_json``'s rows of
 strings, the values that parsing the file gives back.
+
+Matrices whose entries are single decimal digits take a byte path. Over
+F_p with p <= 10 every canonical entry is a residue 0-9, whose text is
+that one digit, so ``_matrix_text`` writes the entries' bytes, mapped to
+ASCII digits, into a template of the whole text (brackets, quotes and
+commas) and decodes it once; that is the text the table path writes, and
+a hand-built entry outside 0-9 sends the matrix back to the table path.
+Reading still parses each distinct literal once; when every one is a
+single ASCII character (so one of "0"-"9") and the ring is not a group
+ring, the cells are joined and mapped to their values by one
+``bytes.translate``, giving the values the table lookup gives.
 """
 
 from __future__ import annotations
@@ -150,13 +161,46 @@ def _entry_texts(ring: Ring, values) -> dict:
     return {v: '"' + render(v) + '"' for v in distinct}
 
 
+# byte value -> ASCII digit for 0-9; every other byte maps to "?", which no
+# digit text holds, so one search finds an entry that is not a single digit
+_DIGIT_OF = bytes(range(48, 58)) + b"?" * 246
+
+
+def _digit_text(m: Matrix) -> str | None:
+    """The canonical JSON text of ``m`` when every entry is an int in 0-9,
+    else None. The digits are written by one strided slice per row into a
+    template of the whole text, brackets, quotes and commas included."""
+    try:
+        digits = bytes(m.entries).translate(_DIGIT_OF)
+    except (TypeError, ValueError):  # an entry that is not an int in 0-255
+        return None
+    if b"?" in digits:
+        return None
+    rows, cols = m.rows, m.cols
+    # "[" then one '["d",...,"d"],' per row; the last row's "," becomes the
+    # outer array's "]"
+    text = bytearray(b"[") + (b"[" + b'"0",' * (cols - 1) + b'"0"],') * rows
+    text[-1] = ord("]")
+    stride = 4 * cols + 2
+    for i in range(rows):
+        first = 3 + i * stride
+        text[first : first + 4 * cols : 4] = digits[i * cols : (i + 1) * cols]
+    return text.decode("ascii")
+
+
 def _matrix_text(m: Matrix) -> str:
     """The canonical JSON text of ``m``: an array of rows, each an array of
-    entries. Each row is one join over the table of entry texts."""
+    entries. Over F_p with p <= 10 every canonical entry is one digit, and
+    the text is filled in from the entries' bytes (``_digit_text``);
+    otherwise each row is one join over the table of entry texts."""
     if not m.rows:
         return "[]"
     if not m.cols:
         return "[" + ",".join(["[]"] * m.rows) + "]"
+    if isinstance(m.ring, PrimeField) and m.ring.p <= 10:
+        text = _digit_text(m)
+        if text is not None:
+            return text
     e = m.entries
     cells = map(_entry_texts(m.ring, e).__getitem__, e)
     rows = map(",".join, zip(*[cells] * m.cols))  # consecutive runs of `cols`
@@ -209,7 +253,15 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
         coeffs = map(_literal_table(ring.base, literals).__getitem__, literals)
         entries = zip(*[coeffs] * order)  # consecutive runs of `order`
     else:
-        entries = map(_literal_table(ring, cells).__getitem__, cells)
+        table = _literal_table(ring, cells)
+        literals = "".join(table)  # no literal is empty: int("") fails
+        if len(literals) == len(table) and literals.isascii():
+            # every literal is one of "0"-"9" (the only one-character ASCII
+            # texts int() accepts), parsed to a value in 0-9: one byte each
+            codes = bytes.maketrans(literals.encode(), bytes(table.values()))
+            entries = "".join(cells).encode().translate(codes)
+        else:
+            entries = map(table.__getitem__, cells)
     try:
         return Matrix(ring, rows, cols, entries)
     except (ValueError, RingError) as exc:

@@ -427,6 +427,22 @@ def test_cli_generate_rejects_a_dimension_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a d x d augmentation that fits a list index but not memory; the
+    # identity raises at once, so nothing large is allocated
+    def no_memory(cls, ring, n):
+        raise MemoryError
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(no_memory))
+    out = tmp_path / "no.json"
+    argv = ["generate", "--ring", "Fp:2", "--module", "dim:1000000000", "--n", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_dualize_round_trip(tmp_path):
     out = str(tmp_path / "res.json")
     assert main([

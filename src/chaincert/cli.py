@@ -60,10 +60,12 @@ def _load(path: str, want: str | None = None):
 
 
 def _save(path: str, doc: dict) -> None:
-    """Write ``doc`` to ``path``; an OS error names the file."""
+    """Write ``doc`` to ``path``. An OS error, or an entry with more digits
+    than ``sys.int_max_str_digits`` (a ``ValueError`` raised before the
+    file is opened), names the file."""
     try:
         io.save(path, doc)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 

@@ -12,14 +12,17 @@ Matrices are coded through a table. Reading parses each distinct literal
 of a matrix once and maps the cells through that table. The accepted
 literal language is exactly that of ``ring.parse`` (the base ring's, for
 group-ring coefficients); a cell that is not a string, or a literal
-``ring.parse`` rejects, is a ``MalformedFileError``. Writing never builds
-the nested lists: the document builders (``resolution_document``,
-``certificate_document``) leave every matrix as a ``Matrix`` leaf, and
-``dump_canonical`` renders the JSON text of each distinct entry once and
-joins each row from that table straight into the file's text. The
-plain-JSON forms (``resolution_to_json``, ``certificate_to_json``) are the
-same documents with each leaf replaced by ``matrix_to_json``'s rows of
-strings, the values that parsing the file gives back.
+``ring.parse`` rejects, is a ``MalformedFileError``. An integer literal
+may have at most ``sys.int_max_str_digits`` digits (4300 by default), the
+most Python converts; longer ones are bad literals on reading, and a
+write that meets one raises ``ValueError`` before the file is opened.
+Writing never builds the nested lists: the document builders
+(``resolution_document``, ``certificate_document``) leave every matrix as
+a ``Matrix`` leaf, and ``dump_canonical`` renders the JSON text of each
+distinct entry once and joins each row from that table straight into the
+file's text. ``resolution_to_json`` and ``certificate_to_json`` return
+the plain documents, rows of strings as parsing the file gives them back,
+by reading that same text.
 
 Matrices whose entries are single decimal digits take a byte path. Over
 F_p with p <= 10 every canonical entry is a residue 0-9, whose text is
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 from .chain import ChainComplex, ChainMap, make_equivalence
 from .matrix import Matrix
@@ -52,17 +56,23 @@ class MalformedFileError(ValueError):
     """The file is not a well-formed document of the expected schema."""
 
 
-def _int_out(n: int) -> str:
-    return str(n)
-
-
 def _int_in(value) -> int:
     if not isinstance(value, str):
         raise MalformedFileError(f"expected a decimal string, got {value!r}")
     try:
         return int(value)
     except ValueError as exc:
-        raise MalformedFileError(f"bad integer literal {value!r}") from exc
+        note = _over_limit(value)
+        raise MalformedFileError(f"bad integer literal {_shown(value)}{note}") from exc
+
+
+def _over_limit(text: str) -> str:
+    """The note for a literal past Python's digit limit, else ""."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = sum(map(str.isdigit, text))
+    if limit and digits > limit:
+        return f": {digits} digits, over the limit of {limit} (sys.int_max_str_digits)"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +89,9 @@ def ring_to_json(ring: Ring) -> dict:
         return {
             "ring": name,
             "group": {
-                "order": _int_out(ring.group.order),
-                "identity": _int_out(ring.group.identity),
-                "mult": [[_int_out(x) for x in row] for row in ring.group.mult],
+                "order": str(ring.group.order),
+                "identity": str(ring.group.identity),
+                "mult": [[str(x) for x in row] for row in ring.group.mult],
             },
         }
     raise RingError(f"unsupported ring {ring}")
@@ -146,7 +156,7 @@ def _literal_table(base: Ring, literals) -> dict:
         try:
             table[text] = base.parse(text)
         except ValueError as exc:
-            raise MalformedFileError(f"bad literal {_shown(text)}") from exc
+            raise MalformedFileError(f"bad literal {_shown(text)}{_over_limit(text)}") from exc
     return table
 
 
@@ -207,34 +217,6 @@ def _matrix_text(m: Matrix) -> str:
     return "[[" + "],[".join(rows) + "]]"
 
 
-def matrix_to_json(m: Matrix) -> list:
-    """``m`` as plain JSON: rows of cells, from one table of rendered
-    values. Files are written by ``_matrix_text``; ``tests/test_render.py``
-    holds the two to the same JSON."""
-    ring = m.ring
-    group_ring = isinstance(ring, GroupRing)
-    base = ring.base if group_ring else ring
-    values = list(itertools.chain.from_iterable(m.entries)) if group_ring else m.entries
-    table = {v: base.render(v) for v in set(values)}
-    cells = list(map(table.__getitem__, values))
-    if group_ring:
-        order = ring.group.order
-        cells = [cells[k : k + order] for k in range(0, len(cells), order)]
-    cols = m.cols
-    return [cells[i * cols : (i + 1) * cols] for i in range(m.rows)]
-
-
-def _plain(node):
-    """``node`` with each ``Matrix`` leaf replaced by ``matrix_to_json``."""
-    if isinstance(node, Matrix):
-        return matrix_to_json(node)
-    if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_plain(value) for value in node]
-    return node
-
-
 def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
     if not isinstance(data, list) or len(data) != rows:
         raise MalformedFileError(f"matrix must have {rows} rows")
@@ -291,8 +273,8 @@ def _ranks_from_json(data) -> list[int]:
 
 def _presentation_document(pres: ModulePresentation) -> dict:
     return {
-        "ambient_rank": _int_out(pres.ambient_rank),
-        "relation_count": _int_out(pres.relations.cols),
+        "ambient_rank": str(pres.ambient_rank),
+        "relation_count": str(pres.relations.cols),
         "relations": pres.relations,
     }
 
@@ -311,7 +293,7 @@ def _presentation_from_json(ring: Ring, doc) -> ModulePresentation:
 def _complex_document(c: ChainComplex) -> dict:
     """The ranks and the boundaries, stored top degree first."""
     return {
-        "ranks": [_int_out(r) for r in c.ranks],
+        "ranks": [str(r) for r in c.ranks],
         "boundaries": [c.d(i) for i in range(c.length, 0, -1)],
     }
 
@@ -343,7 +325,7 @@ def resolution_document(res: TruncatedResolution) -> dict:
     doc = ring_to_json(res.ring)
     doc.update(
         {
-            "format_version": _int_out(FORMAT_VERSION),
+            "format_version": str(FORMAT_VERSION),
             "kind": "resolution",
             "payload": {
                 "presentation": _presentation_document(res.presentation),
@@ -357,7 +339,8 @@ def resolution_document(res: TruncatedResolution) -> dict:
 
 
 def resolution_to_json(res: TruncatedResolution) -> dict:
-    return _plain(resolution_document(res))
+    """The resolution file's document as plain JSON values."""
+    return json.loads(dump_canonical(resolution_document(res)))
 
 
 def resolution_from_json(doc: dict) -> TruncatedResolution:
@@ -392,10 +375,10 @@ def certificate_document(cert: EquivalenceCertificate) -> dict:
     eq = cert.equivalence
     doc.update(
         {
-            "format_version": _int_out(FORMAT_VERSION),
+            "format_version": str(FORMAT_VERSION),
             "kind": "certificate",
             "payload": {
-                "certificate_version": _int_out(CERTIFICATE_VERSION),
+                "certificate_version": str(CERTIFICATE_VERSION),
                 "presentation": _presentation_document(cert.presentation),
                 "source": _complex_document(cert.source),
                 "target": _complex_document(cert.target),
@@ -404,8 +387,8 @@ def certificate_document(cert: EquivalenceCertificate) -> dict:
                 "source_homotopy": list(eq.src_homotopy),
                 "target_homotopy": list(eq.tgt_homotopy),
                 "tower_ranks": {
-                    "t": [_int_out(r) for r in cert.t_ranks],
-                    "s": [_int_out(r) for r in cert.s_ranks],
+                    "t": [str(r) for r in cert.t_ranks],
+                    "s": [str(r) for r in cert.s_ranks],
                 },
                 "block_isomorphisms": {
                     "forward": list(cert.iso_fwd),
@@ -418,16 +401,17 @@ def certificate_document(cert: EquivalenceCertificate) -> dict:
 
 
 def certificate_to_json(cert: EquivalenceCertificate) -> dict:
-    return _plain(certificate_document(cert))
+    """The certificate file's document as plain JSON values."""
+    return json.loads(dump_canonical(certificate_document(cert)))
 
 
 def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     ring = ring_from_json(doc)
     payload = _payload(doc)
     version = payload.get("certificate_version")
-    if version != _int_out(CERTIFICATE_VERSION):
+    if version != str(CERTIFICATE_VERSION):
         raise MalformedFileError(
-            f"certificate_version must be {_int_out(CERTIFICATE_VERSION)!r},"
+            f"certificate_version must be '{CERTIFICATE_VERSION}',"
             f" got {_shown(version)}"
         )
     try:
@@ -547,8 +531,12 @@ def dump_canonical(doc) -> str:
 
 
 def save(path: str, doc: dict) -> None:
+    """Write ``doc``'s file text to ``path``. The text is rendered before
+    the file is opened, so a render that raises leaves any earlier file
+    at ``path`` as it was."""
+    text = dump_canonical(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_canonical(doc))
+        fh.write(text)
 
 
 def load(path: str):
@@ -561,7 +549,7 @@ def load(path: str):
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")
-    if doc.get("format_version") != _int_out(FORMAT_VERSION):
+    if doc.get("format_version") != str(FORMAT_VERSION):
         raise MalformedFileError("missing or unsupported format_version")
     kind = doc.get("kind")
     if kind == "resolution":

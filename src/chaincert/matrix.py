@@ -151,18 +151,7 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "subtract")
-        if _all_zero(other):
-            return self
-        ring, a, b = self.ring, self._e, other._e
-        if isinstance(ring, IntegerRing):
-            entries = [x - y for x, y in zip(a, b)]
-        elif isinstance(ring, PrimeField):
-            p = ring.p
-            entries = [(x - y) % p for x, y in zip(a, b)]
-        else:
-            sub = ring.sub
-            entries = [sub(x, y) for x, y in zip(a, b)]
-        return Matrix(ring, self.rows, self.cols, entries)
+        return self + -other
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_same_ring(other)

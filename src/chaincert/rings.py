@@ -14,7 +14,6 @@ elements can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,13 +137,6 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        """Image of an integer under the unique map from Z."""
-        raise NotImplementedError
-
     def render(self, a) -> str:
         raise NotImplementedError
 
@@ -170,12 +162,6 @@ class IntegerRing(Ring):
 
     def mul(self, a, b):
         return a * b
-
-    def contains(self, a):
-        return isinstance(a, int)
-
-    def from_int(self, n):
-        return n
 
     def render(self, a):
         return str(a)
@@ -215,17 +201,6 @@ class PrimeField(Ring):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in a prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.p
-
-    def from_int(self, n):
-        return n % self.p
-
     def render(self, a):
         return str(a)
 
@@ -234,9 +209,6 @@ class PrimeField(Ring):
 
     def __str__(self):
         return f"F{self.p}"
-
-
-_TERM_RE = re.compile(r"([+-]?[^+-]+)")
 
 
 @dataclass(frozen=True)
@@ -293,20 +265,6 @@ class GroupRing(Ring):
                 out[k] = base.add(out[k], base.mul(x, y))
         return tuple(out)
 
-    def contains(self, a):
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.group.order
-            and all(self.base.contains(x) for x in a)
-        )
-
-    def from_int(self, n):
-        z = self.base.zero
-        return tuple(
-            self.base.from_int(n) if i == self.group.identity else z
-            for i in range(self.group.order)
-        )
-
     def regular_representation(self, a) -> tuple[tuple, ...]:
         """Matrix of left multiplication by ``a`` on the base-ring module
         with basis G, in table order: the (k, h) entry is the coefficient
@@ -347,31 +305,6 @@ class GroupRing(Ring):
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
         return out
-
-    def parse(self, text):
-        text = text.replace(" ", "")
-        coeffs = [self.base.zero] * self.group.order
-        if text in ("", "0"):
-            return tuple(coeffs)
-        for term in _TERM_RE.findall(text):
-            sign = self.base.one
-            if term.startswith("+"):
-                term = term[1:]
-            elif term.startswith("-"):
-                sign = self.base.neg(self.base.one)
-                term = term[1:]
-            if "*" in term:
-                c_text, g_text = term.split("*")
-            elif term.startswith("g"):
-                c_text, g_text = "1", term
-            else:
-                c_text, g_text = term, None
-            idx = self.group.identity if g_text is None else int(g_text[1:])
-            if not 0 <= idx < self.group.order:
-                raise RingError(f"no group element {g_text}")
-            c = self.base.mul(sign, self.base.parse(c_text))
-            coeffs[idx] = self.base.add(coeffs[idx], c)
-        return tuple(coeffs)
 
     def __str__(self):
         return f"{self.base}[G{self.group.order}]"

@@ -400,11 +400,11 @@ def _one_plus(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class LadderMaps:
-    """Degreewise lifts between the towers and the mutually inverse block
-    isomorphisms assembled from them."""
+    """The mutually inverse block isomorphisms assembled from the
+    degreewise lifts; the forward lift f_i: T_i -> S_i is the top-left
+    s_i x t_i block of iso_fwd[i], the backward lift g_i that of
+    iso_bwd[i]."""
 
-    lifts_fwd: tuple[Matrix, ...]  # T_i -> S_i
-    lifts_bwd: tuple[Matrix, ...]  # S_i -> T_i
     iso_fwd: tuple[Matrix, ...]  # T_i (+) S_i -> S_i (+) T_i
     iso_bwd: tuple[Matrix, ...]
 
@@ -487,8 +487,6 @@ def build_ladder_maps(
         raise LiftError(0, "backward")
     g0 = lifted.top_rows(res_p.complex.ranks[0])
 
-    lifts_fwd = [f0]
-    lifts_bwd = [g0]
     h0, k0 = inverse_pair(f0, g0)
     iso_fwd = [h0]
     iso_bwd = [k0]
@@ -498,17 +496,10 @@ def build_ladder_maps(
         fi = _lift(iso_fwd[i - 1], dp(i), dq(i), t[i - 1], s[i - 1], i, "forward")
         gi = _lift(iso_bwd[i - 1], dq(i), dp(i), s[i - 1], t[i - 1], i, "backward")
         hi, ki = inverse_pair(fi, gi)
-        lifts_fwd.append(fi)
-        lifts_bwd.append(gi)
         iso_fwd.append(hi)
         iso_bwd.append(ki)
 
-    return LadderMaps(
-        lifts_fwd=tuple(lifts_fwd),
-        lifts_bwd=tuple(lifts_bwd),
-        iso_fwd=tuple(iso_fwd),
-        iso_bwd=tuple(iso_bwd),
-    )
+    return LadderMaps(iso_fwd=tuple(iso_fwd), iso_bwd=tuple(iso_bwd))
 
 
 def chain_isomorphism(

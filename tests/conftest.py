@@ -23,6 +23,25 @@ def f2c2():
     return GroupRing(F2, GroupTable.cyclic(2))
 
 
+def ring_int(ring, n: int):
+    """The image of the integer ``n`` in ``ring``, in canonical form."""
+    if isinstance(ring, GroupRing):
+        at = ring.group.identity
+        return tuple(ring_int(ring.base, n if g == at else 0) for g in range(ring.group.order))
+    return n % ring.p if isinstance(ring, PrimeField) else n
+
+
+def is_canonical(ring, x) -> bool:
+    """``x`` is an element of ``ring`` in its canonical form."""
+    if isinstance(ring, GroupRing):
+        return (
+            isinstance(x, tuple)
+            and len(x) == ring.group.order
+            and all(is_canonical(ring.base, c) for c in x)
+        )
+    return isinstance(x, int) and (not isinstance(ring, PrimeField) or 0 <= x < ring.p)
+
+
 def random_presentation(ring, rng):
     """Small random module presentation over Z or a prime field."""
     if isinstance(ring, PrimeField):

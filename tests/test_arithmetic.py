@@ -15,6 +15,8 @@ from chaincert import _kernels
 from chaincert.matrix import Matrix
 from chaincert.rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField
 
+from conftest import is_canonical, ring_int
+
 F5 = PrimeField(5)
 F2C4 = GroupRing(PrimeField(2), GroupTable.cyclic(4))
 ZS3 = GroupRing(ZZ, GroupTable.symmetric(3))
@@ -71,7 +73,7 @@ def generic_sum(a, b, negate):
 
 
 def assert_canonical(m):
-    assert all(m.ring.contains(x) for row in m.to_rows() for x in row)
+    assert all(is_canonical(m.ring, x) for x in m.entries)
 
 
 KINDS = st.sampled_from(["zero", "identity", "random"])
@@ -121,7 +123,7 @@ def test_identity_is_recognized_only_when_exact(ring):
     ]
     two = ring.add(ring.one, ring.one)
     scaled = Matrix(ring, 3, 3, [two if i == j else ring.zero for i in range(3) for j in range(3)])
-    b = Matrix(ring, 3, 2, [ring.from_int(v) for v in (1, 2, 3, 4, 5, 6)])
+    b = Matrix(ring, 3, 2, [ring_int(ring, v) for v in (1, 2, 3, 4, 5, 6)])
     assert scaled * b == generic_product(scaled, b)
     assert ident * b is b
     assert b * Matrix.identity(ring, 2) is b

@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from chaincert import io
 from chaincert.matrix import Matrix
+from chaincert.resolution import ModulePresentation, generate_resolution, pad_top
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField, Ring
+from chaincert.stabilize import total_equivalence
+
+from conftest import f2c4_resolution
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -87,9 +91,8 @@ def matrices(draw, ring):
 @given(data=st.data())
 def test_codec_matches_per_entry_oracle(ring, data):
     m = data.draw(matrices(ring))
-    doc = io.matrix_to_json(m)
-    assert doc == oracle_to_json(m)
-    text = json.loads(json.dumps(doc))
+    text = json.loads(io.dump_canonical(m))
+    assert text == oracle_to_json(m)
     again = io.matrix_from_json(ring, m.rows, m.cols, text)
     assert again == m
     assert again == oracle_from_json(ring, m.rows, m.cols, text)
@@ -99,7 +102,7 @@ def test_codec_matches_per_entry_oracle(ring, data):
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_codec_empty_shapes(ring, shape):
     m = Matrix.zeros(ring, *shape)
-    doc = io.matrix_to_json(m)
+    doc = json.loads(io.dump_canonical(m))
     assert doc == oracle_to_json(m) == [[] for _ in range(shape[0])]
     assert io.matrix_from_json(ring, *shape, doc) == m
 
@@ -127,19 +130,25 @@ def test_non_canonical_group_ring_coefficients():
 
 
 # ---------------------------------------------------------------------------
-# the rendered document is fresh
+# the plain documents are fresh: editing one cell, as the fuzz tests do,
+# changes no other
 
 
 def test_group_ring_cells_are_distinct_lists():
-    one, zero = F2C4.one, F2C4.zero
-    m = Matrix(F2C4, 2, 2, [one, one, zero, one])
-    doc = io.matrix_to_json(m)
-    cells = [cell for row in doc for cell in row]
+    res = f2c4_resolution(2)
+    doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    cells = [cell for f in doc["payload"]["forward"] for row in f for cell in row]
     assert len({id(cell) for cell in cells}) == len(cells)
-    doc[0][0][0] = "mutated"
-    assert doc[0][1] == doc[1][1] == io.matrix_to_json(Matrix.identity(F2C4, 1))[0][0]
+    first = list(cells[0])
+    twins = [cell for cell in cells[1:] if cell == first]
+    assert twins
+    cells[0][0] = "mutated"
+    assert all(cell == first for cell in twins)
 
 
 def test_rows_are_distinct_lists():
-    doc = io.matrix_to_json(Matrix.zeros(ZZ, 3, 0))
-    assert len({id(row) for row in doc}) == 3
+    pres = ModulePresentation(ZZ, 3, Matrix.zeros(ZZ, 3, 0))
+    doc = io.resolution_to_json(generate_resolution(pres, n=1, max_rank=3, seed=1))
+    rows = doc["payload"]["presentation"]["relations"]
+    assert rows == [[], [], []]
+    assert len({id(row) for row in rows}) == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 from time import perf_counter
 
@@ -782,3 +783,110 @@ def test_cli_check_refuses_an_unknown_certificate_version(tmp_path, capsys, vers
     err = capsys.readouterr().err
     assert err.startswith("error: certificate_version must be '1'")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# over-long integers: one limit, sys.int_max_str_digits, on both sides
+
+DIGIT_LIMIT = 4300  # Python's default sys.int_max_str_digits
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run at the default limit, whatever the environment set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer string conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def _z_mod(digits: int) -> TruncatedResolution:
+    """The resolution 0 <- Z <- Z of Z/N, with N of ``digits`` digits."""
+    big = 10 ** (digits - 1) + 7
+    pres = ModulePresentation(ZZ, 1, Matrix(ZZ, 1, 1, [big]))
+    complex_ = ChainComplex(ZZ, [1, 1], [Matrix(ZZ, 1, 1, [-big])])
+    return TruncatedResolution(pres, complex_, Matrix.identity(ZZ, 1))
+
+
+@pytest.mark.parametrize("digits,code", [(DIGIT_LIMIT, 0), (DIGIT_LIMIT + 1, 1)])
+def test_cli_generate_writes_literals_up_to_the_digit_limit(
+    tmp_path, capsys, monkeypatch, default_digit_limit, digits, code
+):
+    monkeypatch.setattr(cli, "generate_resolution", lambda *args, **kwargs: _z_mod(digits))
+    out = tmp_path / "g.json"
+    capsys.readouterr()
+    assert main(["generate", "--ring", "Z", "--module", "Z/2", "--n", "1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert main(["validate", str(out)]) == 0
+        return
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert f"({DIGIT_LIMIT} digits)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("digits,code", [(DIGIT_LIMIT, 0), (DIGIT_LIMIT + 1, 1)])
+def test_cli_reads_literals_up_to_the_digit_limit(
+    tmp_path, capsys, default_digit_limit, digits, code
+):
+    path = tmp_path / "z.json"
+    sys.set_int_max_str_digits(0)  # write the file past the limit
+    path.write_text(io.dump_canonical(io.resolution_document(_z_mod(digits))))
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: bad literal ")
+        assert err.endswith(f": {digits} digits, over the limit of {DIGIT_LIMIT} (sys.int_max_str_digits)\n")
+
+
+def test_bad_integer_field_names_the_digit_limit(default_digit_limit):
+    doc = io.resolution_to_json(_z_mod(3))
+    doc["payload"]["ranks"][0] = "1" * (DIGIT_LIMIT + 1)
+    with pytest.raises(io.MalformedFileError, match="over the limit of 4300"):
+        io.resolution_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# io.save renders the text before it opens the file
+
+
+def test_save_that_cannot_render_leaves_no_file(tmp_path, default_digit_limit):
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError):
+        io.save(str(path), io.resolution_document(_z_mod(DIGIT_LIMIT + 1)))
+    assert not path.exists()
+
+
+def test_save_that_cannot_render_keeps_the_earlier_file(tmp_path, default_digit_limit):
+    path = tmp_path / "g.json"
+    io.save(str(path), io.resolution_document(_z_mod(3)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        io.save(str(path), io.resolution_document(_z_mod(DIGIT_LIMIT + 1)))
+    assert path.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# what check does not prove (certificate v1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="certificate v1: check never reads payload.presentation; v2 binds it",
+)
+def test_check_rejects_a_certificate_with_an_edited_presentation(tmp_path):
+    p, q, cert = (str(tmp_path / name) for name in ("p.json", "q.json", "cert.json"))
+    for seed, out in (("7", p), ("8", q)):
+        argv = ["generate", "--ring", "Z", "--module", "Z/2", "--n", "2", "--max-rank", "4"]
+        assert main([*argv, "--seed", seed, "--out", out]) == 0
+    assert main(["stabilize", p, q, "--out", cert]) == 0
+    doc = json.loads(open(cert).read())
+    doc["payload"]["presentation"]["relations"] = [["3"]]  # Z/3, not Z/2
+    with open(cert, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["check", cert]) == 2

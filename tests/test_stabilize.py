@@ -43,7 +43,7 @@ from chaincert.stabilize import (
     verify_certificate,
 )
 
-from conftest import f2c4_resolution, random_resolution_pair, relabel, s3_resolution
+from conftest import f2c4_resolution, random_resolution_pair, relabel, ring_int, s3_resolution
 from test_golden import GOLDEN
 
 F2 = PrimeField(2)
@@ -512,7 +512,7 @@ def test_block_lift_matches_the_full_system_on_random_data(ring):
     rng = random.Random(11)
 
     def rand(rows, cols):
-        return Matrix(ring, rows, cols, [ring.from_int(rng.randint(-3, 3)) for _ in range(rows * cols)])
+        return Matrix(ring, rows, cols, [ring_int(ring, rng.randint(-3, 3)) for _ in range(rows * cols)])
 
     outcomes = set()
     for _ in range(80):
@@ -547,7 +547,7 @@ def test_block_lift_checks_the_product_part_of_the_between_band(ring):
     rng = random.Random(29)
 
     def rand(rows, cols):
-        return Matrix(ring, rows, cols, [ring.from_int(rng.randint(-3, 3)) for _ in range(rows * cols)])
+        return Matrix(ring, rows, cols, [ring_int(ring, rng.randint(-3, 3)) for _ in range(rows * cols)])
 
     outcomes = set()
     for _ in range(80):
@@ -759,10 +759,12 @@ def test_block_lifts_match_the_full_size_solve(pairs):
     for res_p, res_q in pairs():
         ladder = build_ladder(res_p, res_q)
         maps = build_ladder_maps(ladder, res_p, res_q)
+        t, s = ladder.t_ranks, ladder.s_ranks
         for i in range(1, ladder.n + 1):
             fwd, bwd = full_size_lifts(ladder, maps, i)
-            assert maps.lifts_fwd[i] == fwd
-            assert maps.lifts_bwd[i] == bwd
+            # f_i and g_i are the top-left blocks of h_i and k_i
+            assert maps.iso_fwd[i].submatrix(range(s[i]), range(t[i])) == fwd
+            assert maps.iso_bwd[i].submatrix(range(t[i]), range(s[i])) == bwd
 
 
 def test_total_equivalence_builds_no_stage(monkeypatch):

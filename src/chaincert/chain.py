@@ -282,12 +282,14 @@ def make_equivalence(fwd: ChainMap, bwd: ChainMap, s_parts, t_parts) -> Homotopy
     )
 
 
+def zero_homotopy(c: ChainComplex) -> list[Matrix]:
+    """One zero map C_i -> C_{i+1} per degree below the top."""
+    return [Matrix.zeros(c.ring, c.ranks[i + 1], c.ranks[i]) for i in range(c.length)]
+
+
 def identity_equivalence(c: ChainComplex) -> HomotopyEquivalence:
     ident = identity_chain_map(c)
-    zeros = [
-        Matrix.zeros(c.ring, c.ranks[i + 1], c.ranks[i]) for i in range(c.length)
-    ]
-    return make_equivalence(ident, ident, zeros, zeros)
+    return make_equivalence(ident, ident, zero_homotopy(c), zero_homotopy(c))
 
 
 def reverse_equivalence(e: HomotopyEquivalence) -> HomotopyEquivalence:

@@ -491,36 +491,24 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 # files
 
 
-class _HoldsMatrix(Exception):
-    """``json.dumps`` met a ``Matrix``: the node is written part by part."""
-
-
-def _no_matrix(node):
-    if isinstance(node, Matrix):
-        raise _HoldsMatrix
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
-
-
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_no_matrix)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _canonical(node) -> str:
     """``json.dumps(node, sort_keys=True, separators=(",", ":"))``, with
-    each ``Matrix`` leaf written by ``_matrix_text``. A subtree that holds
-    no matrix is one encoder call; only the dicts, lists and tuples on the
-    way to a matrix are taken apart here."""
+    each ``Matrix`` leaf written by ``_matrix_text``. Dicts (whose keys
+    must be strings), lists and tuples are taken apart here; every other
+    node is one encoder call."""
     if isinstance(node, Matrix):
         return _matrix_text(node)
-    try:
-        return _ENCODER.encode(node)
-    except _HoldsMatrix:
-        pass
     if isinstance(node, dict):
         if not all(isinstance(key, str) for key in node):
-            raise TypeError("a dict holding a Matrix must have string keys")
+            raise TypeError("a document's dict keys must be strings")
         items = (_ENCODER.encode(key) + ":" + _canonical(node[key]) for key in sorted(node))
         return "{" + ",".join(items) + "}"
-    return "[" + ",".join(map(_canonical, node)) + "]"
+    if isinstance(node, (list, tuple)):
+        return "[" + ",".join(map(_canonical, node)) + "]"
+    return _ENCODER.encode(node)
 
 
 def dump_canonical(doc) -> str:
@@ -545,7 +533,8 @@ def load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # bad JSON, bad UTF-8, over-long JSON numbers
+    # bad JSON, bad UTF-8, over-long JSON numbers, nesting past the parser's depth
+    except (ValueError, RecursionError) as exc:
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")

@@ -14,9 +14,11 @@ middle complexes are chain isomorphic through an inductively lifted family
 of 2 x 2 block isomorphisms. The expansions only include, project and
 negate blocks, so ``total_equivalence`` reads the composite equivalence
 (forward/backward maps plus both contracting homotopies) straight off the
-block isomorphisms. The expansions themselves (``intermediate_complex``,
-``expansion_equivalence``, ``chain_isomorphism``) stay as the reference
-construction the closed form is tested against.
+block isomorphisms. The expansion chain itself stays as the reference
+construction the closed form is tested against: every stage is one
+elementary expansion (``_expand``: a free summand adjoined in two adjacent
+degrees, mapped by the identity), and ``intermediate_complex``,
+``expansion_equivalence`` and ``chain_isomorphism`` package its stages.
 
 Each tower step is [[incl d_i, 0], [0, 1]], so only the input boundaries
 carry content. Construction never forms a step at tower size: it checks
@@ -42,8 +44,9 @@ from .chain import (
     all_homology_invariants,
     make_equivalence,
     validate_complex,
+    zero_homotopy,
 )
-from .matrix import Matrix, ShapeError, block, hstack, solve, vstack
+from .matrix import Matrix, ShapeError, block, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -95,12 +98,13 @@ class StabilizerLadder:
     needs, since every lift is solved against an input boundary
     (``build_ladder_maps``).
 
-    The tower blocks are built on demand, for the reference expansion chain
-    only. ``incl(side, i)`` is the inclusion of the degree-i input term into
-    its tower module (P_i -> T_i on the left, Q_i -> S_i on the right), and
-    ``step(side, i)`` is the tower boundary [[incl_{i-1} d_i, 0], [0, 1]],
-    T_i -> T_{i-1} (+) S_{i-1} on the left, S_i -> S_{i-1} (+) T_{i-1} on
-    the right.
+    The tower blocks are built on demand, for the tests' oracle of the
+    lifts only (the lifting systems solved at tower size); the expansion
+    chain is built by ``_expand``. ``incl(side, i)`` is the inclusion of
+    the degree-i input term into its tower module (P_i -> T_i on the left,
+    Q_i -> S_i on the right), and ``step(side, i)`` is the tower boundary
+    [[incl_{i-1} d_i, 0], [0, 1]], T_i -> T_{i-1} (+) S_{i-1} on the left,
+    S_i -> S_{i-1} (+) T_{i-1} on the right.
     """
 
     n: int
@@ -111,10 +115,8 @@ class StabilizerLadder:
 
     def incl(self, side: str, i: int) -> Matrix:
         c = self.left if side == "left" else self.right
-        own = Matrix.identity(c.ring, c.ranks[i])
-        if i == 0:
-            return own
-        return vstack(own, Matrix.zeros(c.ring, self.added_ranks(side)[i - 1], c.ranks[i]))
+        size = c.ranks[i] + (self.added_ranks(side)[i - 1] if i else 0)
+        return _select(c.ring, size, range(c.ranks[i]))
 
     def step(self, side: str, i: int) -> Matrix:
         c = self.left if side == "left" else self.right
@@ -126,9 +128,6 @@ class StabilizerLadder:
                 [Matrix.zeros(c.ring, added, c.ranks[i]), Matrix.identity(c.ring, added)],
             ]
         )
-
-    def own_ranks(self, side: str) -> tuple[int, ...]:
-        return self.t_ranks if side == "left" else self.s_ranks
 
     def added_ranks(self, side: str) -> tuple[int, ...]:
         return self.s_ranks if side == "left" else self.t_ranks
@@ -191,161 +190,74 @@ def stabilized_complex(
     return ChainComplex(ring, ranks, diffs)
 
 
+def _select(ring, size: int, positions) -> Matrix:
+    """The columns of the size x size identity at ``positions``: the
+    inclusion of those basis vectors."""
+    return Matrix.identity(ring, size).submatrix(range(size), positions)
+
+
+def _expand(c: ChainComplex, r: int, a: int, at: int):
+    """The elementary expansion of ``c`` at degree r: a free summand of
+    rank a adjoined in degrees r and r+1, mapped by the identity from
+    degree r+1 to degree r. In degree r it follows the old basis; in
+    degree r+1 it starts at position ``at``.
+
+    With J_i including the old basis and N_i the new summand, the boundaries
+    become J_{i-1} d_i J_i^T, plus N_r N_{r+1}^T at i = r+1. Returns that
+    complex, the J_i and t_r = -N_{r+1} N_r^T: fwd = J, bwd = J^T, s = 0
+    and t = t_r are an equivalence, as J^T J = 1 and 1 - J J^T = d t + t d."""
+    ring = c.ring
+    spot = list(c.ranks)
+    spot[r + 1] = at
+    grow = [a if i in (r, r + 1) else 0 for i in range(c.length + 1)]
+    ranks = [m + g for m, g in zip(c.ranks, grow)]
+    incl = [
+        _select(ring, m, [*range(p), *range(p + g, m)]) for m, p, g in zip(ranks, spot, grow)
+    ]
+    new_r, new_up = (_select(ring, ranks[i], range(spot[i], spot[i] + a)) for i in (r, r + 1))
+    diffs = [incl[i - 1] * c.d(i) * incl[i].transpose() for i in range(1, c.length + 1)]
+    diffs[r] = diffs[r] + new_r * new_up.transpose()
+    return ChainComplex(ring, ranks, diffs), incl, -(new_up * new_r.transpose())
+
+
 def intermediate_complex(
     ladder: StabilizerLadder, res: TruncatedResolution, side: str, r: int
 ) -> ChainComplex:
-    """Stage r of the expansion chain: degrees below r are fully expanded
-    tower pairs, degree r is the bare tower module, degrees above carry the
-    untouched resolution terms (the top keeps its stabilizer summand).
-    Stage 0 is the stabilized complex; stage n is the fully expanded one."""
+    """Stage r of the expansion chain: the stabilized complex expanded
+    (``_expand``) at degrees 0..r-1 in turn, the degree-k summand being the
+    opposite tower's module of degree k. So degrees below r are fully
+    expanded tower pairs, degree r is the bare tower module, degrees above
+    carry the untouched resolution terms (the top keeps its stabilizer
+    summand last). Stage 0 is the stabilized complex; stage n is the fully
+    expanded one."""
     n = ladder.n
     if not 0 <= r <= n:
         raise ShapeError(f"stage {r} out of range 0..{n}")
-    ring = res.ring
-    own = ladder.own_ranks(side)
-    added = ladder.added_ranks(side)
-    res_ranks = res.complex.ranks
-
-    ranks = []
-    for i in range(n + 1):
-        if i < r or r == n:
-            ranks.append(own[i] + added[i])
-        elif i == r:
-            ranks.append(own[r])
-        elif i < n:
-            ranks.append(res_ranks[i])
-        else:
-            ranks.append(res_ranks[n] + added[n])
-
-    diffs = []
-    for i in range(1, n + 1):
-        if i <= r - 1 or r == n:
-            step = ladder.step(side, i)
-            diffs.append(hstack(step, Matrix.zeros(ring, step.rows, added[i])))
-        elif i == r:
-            diffs.append(ladder.step(side, r))
-        elif i == r + 1:
-            spliced = ladder.incl(side, r) * res.complex.d(r + 1)
-            if i == n:
-                spliced = hstack(spliced, Matrix.zeros(ring, spliced.rows, added[n]))
-            diffs.append(spliced)
-        elif i < n:
-            diffs.append(res.complex.d(i))
-        else:
-            top = res.complex.d(n)
-            diffs.append(hstack(top, Matrix.zeros(ring, top.rows, added[n])))
-    return ChainComplex(ring, ranks, diffs)
+    c = stabilized_complex(res, ladder, side)
+    for k in range(r):
+        c = _expand(c, k, ladder.added_ranks(side)[k], res.complex.ranks[k + 1])[0]
+    return c
 
 
 def expansion_equivalence(
     ladder: StabilizerLadder, res: TruncatedResolution, side: str, r: int
 ) -> HomotopyEquivalence:
-    """The elementary expansion from stage r to stage r+1.
-
-    The forward map includes each changed degree as the first block; the
-    backward map projects onto it; the projection-then-inclusion round trip
-    is contracted by the homotopy (w, x) -> (0, -x) placed from degree r to
-    degree r+1, and the other round trip is the identity on the nose.
-    """
+    """The elementary expansion from stage r to stage r+1, as ``_expand``
+    builds it: the forward map includes the old basis, the backward map
+    projects onto it, and the projection-then-inclusion round trip is
+    contracted by the homotopy that negates the new summand, placed from
+    degree r to degree r+1; the other round trip is the identity on the
+    nose."""
     n = ladder.n
     if not 0 <= r <= n - 1:
         raise ShapeError(f"expansion stage {r} out of range 0..{n - 1}")
-    ring = res.ring
-    own = ladder.own_ranks(side)
-    added = ladder.added_ranks(side)
-    a = added[r]
     lower = intermediate_complex(ladder, res, side, r)
-    upper = intermediate_complex(ladder, res, side, r + 1)
-
-    fwd_parts = []
-    bwd_parts = []
-    for i in range(n + 1):
-        if i == r:
-            width = own[r]
-            fwd_parts.append(
-                vstack(Matrix.identity(ring, width), Matrix.zeros(ring, a, width))
-            )
-            bwd_parts.append(
-                hstack(Matrix.identity(ring, width), Matrix.zeros(ring, width, a))
-            )
-        elif i == r + 1 and i < n:
-            width = res.complex.ranks[i]
-            fwd_parts.append(
-                vstack(Matrix.identity(ring, width), Matrix.zeros(ring, a, width))
-            )
-            bwd_parts.append(
-                hstack(Matrix.identity(ring, width), Matrix.zeros(ring, width, a))
-            )
-        elif i == r + 1:
-            # top degree: the new stabilizer slips in between the top
-            # resolution term and the trailing stabilizer summand
-            pn = res.complex.ranks[n]
-            top_added = added[n]
-            fwd_parts.append(
-                block(
-                    [
-                        [Matrix.identity(ring, pn), Matrix.zeros(ring, pn, top_added)],
-                        [Matrix.zeros(ring, a, pn), Matrix.zeros(ring, a, top_added)],
-                        [Matrix.zeros(ring, top_added, pn), Matrix.identity(ring, top_added)],
-                    ]
-                )
-            )
-            bwd_parts.append(
-                block(
-                    [
-                        [
-                            Matrix.identity(ring, pn),
-                            Matrix.zeros(ring, pn, a),
-                            Matrix.zeros(ring, pn, top_added),
-                        ],
-                        [
-                            Matrix.zeros(ring, top_added, pn),
-                            Matrix.zeros(ring, top_added, a),
-                            Matrix.identity(ring, top_added),
-                        ],
-                    ]
-                )
-            )
-        else:
-            ident = Matrix.identity(ring, lower.ranks[i])
-            fwd_parts.append(ident)
-            bwd_parts.append(ident)
-
-    fwd = ChainMap(lower, upper, fwd_parts)
-    bwd = ChainMap(upper, lower, bwd_parts)
-
-    s_parts = [
-        Matrix.zeros(ring, lower.ranks[i + 1], lower.ranks[i]) for i in range(n)
-    ]
-    t_parts = []
-    for i in range(n):
-        if i != r:
-            t_parts.append(Matrix.zeros(ring, upper.ranks[i + 1], upper.ranks[i]))
-            continue
-        neg_ident = -Matrix.identity(ring, a)
-        if r + 1 < n:
-            width_next = res.complex.ranks[r + 1]
-            t_parts.append(
-                block(
-                    [
-                        [Matrix.zeros(ring, width_next, own[r]), Matrix.zeros(ring, width_next, a)],
-                        [Matrix.zeros(ring, a, own[r]), neg_ident],
-                    ]
-                )
-            )
-        else:
-            pn = res.complex.ranks[n]
-            top_added = added[n]
-            t_parts.append(
-                block(
-                    [
-                        [Matrix.zeros(ring, pn, own[r]), Matrix.zeros(ring, pn, a)],
-                        [Matrix.zeros(ring, a, own[r]), neg_ident],
-                        [Matrix.zeros(ring, top_added, own[r]), Matrix.zeros(ring, top_added, a)],
-                    ]
-                )
-            )
-    return make_equivalence(fwd, bwd, s_parts, t_parts)
+    upper, incl, t_r = _expand(lower, r, ladder.added_ranks(side)[r], res.complex.ranks[r + 1])
+    fwd = ChainMap(lower, upper, incl)
+    bwd = ChainMap(upper, lower, [j.transpose() for j in incl])
+    t_parts = zero_homotopy(upper)
+    t_parts[r] = t_r
+    return make_equivalence(fwd, bwd, zero_homotopy(lower), t_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +424,7 @@ def chain_isomorphism(
     expanded complexes; both round trips are identities on the nose."""
     fwd = ChainMap(expanded_left, expanded_right, maps.iso_fwd)
     bwd = ChainMap(expanded_right, expanded_left, maps.iso_bwd)
-    ring = expanded_left.ring
-    s_parts = [
-        Matrix.zeros(ring, expanded_left.ranks[i + 1], expanded_left.ranks[i])
-        for i in range(expanded_left.length)
-    ]
-    t_parts = [
-        Matrix.zeros(ring, expanded_right.ranks[i + 1], expanded_right.ranks[i])
-        for i in range(expanded_right.length)
-    ]
-    return make_equivalence(fwd, bwd, s_parts, t_parts)
+    return make_equivalence(fwd, bwd, zero_homotopy(expanded_left), zero_homotopy(expanded_right))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,21 @@ def test_cli_undecodable_file(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["[" * 1000 + "]" * 1000, '{"a":' * 1000 + "0" + "}" * 1000],
+    ids=["array", "object"],
+)
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_cli_deeply_nested_file_is_malformed(tmp_path, capsys, content, command):
+    path = tmp_path / "nested.json"
+    path.write_text(content)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_stabilize_check_flow(tmp_path, capsys):
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
     p = _write(tmp_path, "p.json", res)

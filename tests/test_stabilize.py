@@ -767,6 +767,21 @@ def test_block_lifts_match_the_full_size_solve(pairs):
             assert maps.iso_bwd[i].submatrix(range(t[i]), range(s[i])) == bwd
 
 
+@pytest.mark.parametrize("pairs", ORACLE_CASES + GOLDEN_PAIRS)
+def test_fully_expanded_stage_matches_the_tower_steps(pairs):
+    # the expansion chain and the tower steps are two independent layouts
+    # of the same fully expanded complex: T_i (+) S_i on the left
+    for res_p, res_q in pairs():
+        ladder = build_ladder(res_p, res_q)
+        n = ladder.n
+        for side, res in (("left", res_p), ("right", res_q)):
+            full = intermediate_complex(ladder, res, side, n)
+            added = ladder.added_ranks(side)
+            for i in range(1, n + 1):
+                step = ladder.step(side, i)
+                assert full.d(i) == hstack(step, Matrix.zeros(res.ring, step.rows, added[i]))
+
+
 def test_total_equivalence_builds_no_stage(monkeypatch):
     def unused(*args):
         raise AssertionError("construction built an expansion stage")

@@ -440,30 +440,21 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     if len(t_ranks) != n + 1 or len(s_ranks) != n + 1:
         raise MalformedFileError("tower ranks must cover every degree")
 
-    def _maps(data, rows_of, cols_of, count) -> list[Matrix]:
-        if not isinstance(data, list) or len(data) != count:
-            raise MalformedFileError(f"expected {count} matrices")
-        return [
-            matrix_from_json(ring, rows_of(i), cols_of(i), data[i])
-            for i in range(count)
-        ]
-
-    fwd_parts = _maps(fwd_doc, lambda i: target.ranks[i], lambda i: source.ranks[i], n + 1)
-    bwd_parts = _maps(bwd_doc, lambda i: source.ranks[i], lambda i: target.ranks[i], n + 1)
-    s_parts = _maps(s_doc, lambda i: source.ranks[i + 1], lambda i: source.ranks[i], n)
-    t_parts = _maps(t_doc, lambda i: target.ranks[i + 1], lambda i: target.ranks[i], n)
-    iso_fwd = _maps(
-        iso_fwd_doc,
-        lambda i: s_ranks[i] + t_ranks[i],
-        lambda i: t_ranks[i] + s_ranks[i],
-        n + 1,
-    )
-    iso_bwd = _maps(
-        iso_bwd_doc,
-        lambda i: t_ranks[i] + s_ranks[i],
-        lambda i: s_ranks[i] + t_ranks[i],
-        n + 1,
-    )
+    src, tgt = source.ranks, target.ranks
+    e = [t + s for t, s in zip(t_ranks, s_ranks)]
+    parts = []
+    for data, shapes in (
+        (fwd_doc, list(zip(tgt, src))),
+        (bwd_doc, list(zip(src, tgt))),
+        (s_doc, list(zip(src[1:], src))),
+        (t_doc, list(zip(tgt[1:], tgt))),
+        (iso_fwd_doc, list(zip(e, e))),
+        (iso_bwd_doc, list(zip(e, e))),
+    ):
+        if not isinstance(data, list) or len(data) != len(shapes):
+            raise MalformedFileError(f"expected {len(shapes)} matrices")
+        parts.append([matrix_from_json(ring, r, c, x) for (r, c), x in zip(shapes, data)])
+    fwd_parts, bwd_parts, s_parts, t_parts, iso_fwd, iso_bwd = parts
 
     # older writers stored a stage report; it is shape-checked and dropped
     if not isinstance(stage_doc, list):

@@ -416,22 +416,15 @@ def hnf(a: Matrix) -> HermiteNormalForm:
 
 
 def _column_echelon(a: Matrix) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Column echelon form over Z via the transposed Hermite form.
-
-    Returns (e, v, pivot_rows) with a*V = E as nested-row lists; column j of
-    E for j < len(pivot_rows) has its leading nonzero entry at row
-    pivot_rows[j] (strictly increasing); the remaining columns are zero.
-    """
+    """Column echelon form A*V = E over Z, read off the row Hermite form
+    U*A^T = H of the transpose: returns (h, u, pivot_rows), H and U as
+    nested-row lists, so row j of h is column j of E and row j of u is
+    column j of V. For j < len(pivot_rows), column j of E leads at row
+    pivot_rows[j] (strictly increasing); the remaining columns are zero."""
     res = hnf(a.transpose())
-    e = res.h.transpose()
-    v = res.u.transpose()
-    pivot_rows = []
-    for j in range(e.cols):
-        lead = next((i for i in range(e.rows) if e.entry(i, j) != 0), None)
-        if lead is None:
-            break
-        pivot_rows.append(lead)
-    return e.to_rows(), v.to_rows(), pivot_rows
+    h, u = res.h.to_rows(), res.u.to_rows()
+    pivot_rows = [next(i for i, x in enumerate(row) if x) for row in h if any(row)]
+    return h, u, pivot_rows
 
 
 def snf(a: Matrix) -> list[int]:
@@ -440,65 +433,44 @@ def snf(a: Matrix) -> list[int]:
     next, zeros trailing. The nonzero entries are the invariant factors of
     ``a``; their count is its rank.
 
-    Pivoting picks the smallest nonzero entry in the remaining block, which
-    keeps coefficient growth tame at desk scale.
+    Remainder elimination (Cohen, A Course in Computational Algebraic
+    Number Theory, section 2.4.4), always pivoting on the smallest nonzero
+    entry by absolute value. Step k moves that entry of d[k:, k:] to
+    (k, k), then clears column k: each row below subtracts row k times its
+    floor quotient by the pivot, and while a remainder is left the smallest
+    one becomes the pivot. With column k clear, row k is reduced modulo
+    the pivot. That is a column operation, and it changes only row k, as
+    column k has no other nonzero entry (rows above k are zero from column
+    k on). A remainder left in row k becomes the pivot and the step
+    repeats. Every re-pivot strictly lowers the absolute value of the
+    pivot, so each step ends. No extended-gcd combination is formed.
     """
     _require_int_ring(a, "snf")
     m, n = a.rows, a.cols
     d = a.to_rows()
-
-    def col_combine(j1, j2, i):
-        """Column ops putting gcd at (i, j1), zero at (i, j2)."""
-        p, q = d[i][j1], d[i][j2]
-        if q == 0:
-            return
-        if p == 0:
-            for row in d:
-                row[j1], row[j2] = row[j2], row[j1]
-            return
-        if q % p == 0:
-            f = q // p
-            for row in d:
-                row[j2] -= f * row[j1]
-            return
-        x, y, g = _xgcd(p, q)
-        pg, mqg = p // g, -(q // g)
-        for row in d:
-            r1, r2 = row[j1], row[j2]
-            row[j1] = x * r1 + y * r2
-            row[j2] = mqg * r1 + pg * r2
-
-    def swap_into(k):
-        """Move a smallest-magnitude nonzero of d[k:, k:] to (k, k)."""
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            return False
-        _, i, j = best
-        if i != k:
-            d[k], d[i] = d[i], d[k]
-        if j != k:
-            for row in d:
-                row[k], row[j] = row[j], row[k]
-        return True
-
     rank = 0
     for k in range(min(m, n)):
-        if not swap_into(k):
+        nonzero = [(abs(x), i, j) for i in range(k, m) for j, x in enumerate(d[i][k:], k) if x]
+        if not nonzero:
             break
-        while True:
-            for i in range(k + 1, m):
-                _combine_rows((d,), k, i, k)
-            if all(d[k][j] == 0 for j in range(k + 1, n)):
+        _, i, j = min(nonzero)
+        while True:  # pivot (i, j) to (k, k), clear column k, then row k
+            d[k], d[i] = d[i], d[k]
+            for row in d[k:]:
+                row[k], row[j] = row[j], row[k]
+            top = d[k][k:]
+            for row in d[k + 1 :]:
+                q = row[k] // top[0]
+                if q:
+                    row[k:] = [x - q * y for x, y in zip(row[k:], top)]
+            rest = [(abs(d[i][k]), i, k) for i in range(k + 1, m) if d[i][k]]
+            if not rest:
+                row = d[k]
+                row[k + 1 :] = [x % row[k] for x in row[k + 1 :]]
+                rest = [(abs(x), k, j) for j, x in enumerate(row[k + 1 :], k + 1) if x]
+            if not rest:
                 break
-            for j in range(k + 1, n):
-                col_combine(k, j, k)
-            if all(d[i][k] == 0 for i in range(k + 1, m)):
-                break
+            _, i, j = min(rest)
         rank = k + 1
 
     # diag(a, b) is equivalent to diag(gcd, lcm), so gcd/lcm swaps put the
@@ -526,22 +498,22 @@ def _solve_int(a: Matrix, b: Matrix) -> Matrix | None:
     below), so a column not divisible at some pivot keeps a nonzero
     residual. B is in the column lattice of A exactly when the residual
     ends at zero, and then X = V[:, :rank] Y is one product."""
-    e, v, pivot_rows = _column_echelon(a)
+    h, u, pivot_rows = _column_echelon(a)
     rank = len(pivot_rows)
     resid = b.to_rows()
     y = []
     for j, r in enumerate(pivot_rows):
-        lead = e[r][j]
-        q = [x // lead for x in resid[r]]
+        column = h[j]
+        q = [x // column[r] for x in resid[r]]
         y += q
         if any(q):
             for i in range(r, b.rows):
-                c = e[i][j]
+                c = column[i]
                 if c:
                     resid[i] = [x - c * t for x, t in zip(resid[i], q)]
     if any([any(row) for row in resid]):
         return None
-    basis = Matrix(a.ring, a.cols, rank, [x for row in v for x in row[:rank]])
+    basis = Matrix(a.ring, rank, a.cols, [x for row in u[:rank] for x in row]).transpose()
     return basis * Matrix(a.ring, rank, b.cols, y)
 
 
@@ -596,9 +568,8 @@ def kernel_basis(a: Matrix) -> Matrix:
     basis (the kernel of an integer matrix is free)."""
     ring = a.ring
     if isinstance(ring, IntegerRing):
-        e, v, pivot_rows = _column_echelon(a)
-        rank = len(pivot_rows)
-        cols = [[v[i][j] for i in range(a.cols)] for j in range(rank, a.cols)]
+        _, u, pivot_rows = _column_echelon(a)
+        cols = u[len(pivot_rows) :]
     elif isinstance(ring, PrimeField):
         p = ring.p
         flat, pivots = _kernels.rref_mod(a._e, a.rows, a.cols, p)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import sys
 import tracemalloc
 from time import perf_counter
@@ -684,6 +685,39 @@ def test_wide_augmentation_validates_at_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] augmentation surjective onto the module: cokernel Z^100\n" in out
     assert max(map(len, out.splitlines())) < 80
+
+
+def _dense_presentation_document(k: int) -> dict:
+    """The n = 1 Z resolution Z^k <- Z^k of coker d_1, with relations d_1
+    and the identity augmentation. d_1 is k x k, about 80% nonzero, with
+    entries of up to 12 digits drawn from random.Random(1). The CI
+    quickstart writes the same file."""
+    rng = random.Random(1)
+    d1 = [
+        [str(rng.randint(-10**12 + 1, 10**12 - 1)) if rng.random() < 0.8 else "0" for _ in range(k)]
+        for _ in range(k)
+    ]
+    payload = {
+        "presentation": {"ambient_rank": str(k), "relation_count": str(k), "relations": d1},
+        "ranks": [str(k), str(k)],
+        "boundaries": [d1],
+        "augmentation": [["1" if i == j else "0" for j in range(k)] for i in range(k)],
+        "cochain": False,
+    }
+    return {"format_version": "1", "kind": "resolution", "ring": "Z", "payload": payload}
+
+
+def test_dense_twelve_digit_presentation_validates_in_bounded_time(tmp_path, capsys):
+    """Four Smith diagonals of 40 x 40 and 40 x 80 matrices with 12-digit
+    entries: extended-gcd column combinations grew their entries without
+    bound here and did not finish in 60 s."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_presentation_document(40)))
+    assert 40_000 < path.stat().st_size < 64_000
+    start = perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert perf_counter() - start < 10.0
+    assert "all 4 checks passed" in capsys.readouterr().out
 
 
 def test_verify_certificate_skips_identities_when_ranks_do_not_fit():

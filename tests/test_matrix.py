@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,10 @@ from chaincert.matrix import (
     Matrix,
     ShapeError,
     _column_echelon,
+    _combine_rows,
     _expand_columns,
     _fold_columns,
+    _xgcd,
     block,
     cokernel_invariants,
     hnf,
@@ -30,6 +33,9 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 ZS3 = GroupRing(ZZ, GroupTable.symmetric(3))
+
+
+_BIG = 2**64 + 3
 
 
 def rand_int_matrix(rng, rows, cols, bound=9):
@@ -299,6 +305,105 @@ def test_snf_transform_identity_property(rows, cols, data):
     assert_valid_snf(Matrix(ZZ, rows, cols, entries))
 
 
+def snf_by_column_combinations(a: Matrix) -> list[int]:
+    """Oracle: the Smith diagonal by extended-gcd row and column
+    combinations, the library's ``snf`` before remainder elimination."""
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+
+    def col_combine(j1, j2, i):
+        """Column ops putting gcd at (i, j1), zero at (i, j2)."""
+        p, q = d[i][j1], d[i][j2]
+        if q == 0:
+            return
+        if p == 0:
+            for row in d:
+                row[j1], row[j2] = row[j2], row[j1]
+            return
+        if q % p == 0:
+            f = q // p
+            for row in d:
+                row[j2] -= f * row[j1]
+            return
+        x, y, g = _xgcd(p, q)
+        pg, mqg = p // g, -(q // g)
+        for row in d:
+            r1, r2 = row[j1], row[j2]
+            row[j1] = x * r1 + y * r2
+            row[j2] = mqg * r1 + pg * r2
+
+    def swap_into(k):
+        """Move a smallest-magnitude nonzero of d[k:, k:] to (k, k)."""
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                x = d[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            return False
+        _, i, j = best
+        if i != k:
+            d[k], d[i] = d[i], d[k]
+        if j != k:
+            for row in d:
+                row[k], row[j] = row[j], row[k]
+        return True
+
+    rank = 0
+    for k in range(min(m, n)):
+        if not swap_into(k):
+            break
+        while True:
+            for i in range(k + 1, m):
+                _combine_rows((d,), k, i, k)
+            if all(d[k][j] == 0 for j in range(k + 1, n)):
+                break
+            for j in range(k + 1, n):
+                col_combine(k, j, k)
+            if all(d[i][k] == 0 for i in range(k + 1, m)):
+                break
+        rank = k + 1
+
+    # diag(a, b) is equivalent to diag(gcd, lcm), so gcd/lcm swaps put the
+    # nonzero diagonal into a divisibility chain
+    diag = [abs(d[k][k]) for k in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag + [0] * (min(m, n) - rank)
+
+
+@st.composite
+def _int_matrices(draw):
+    """A matrix over Z up to 7 x 7, any dimension possibly 0: full or
+    rank-deficient (a product through a narrower middle), with small
+    entries or entries up to 2^70, of either sign."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    element = st.integers(-(2**70), 2**70) if draw(st.booleans()) else st.integers(-9, 9)
+
+    def mat(rows, cols):
+        return Matrix(ZZ, rows, cols, draw(st.lists(element, min_size=rows * cols, max_size=rows * cols)))
+
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, min(m, n)))
+        return mat(m, middle) * mat(middle, n)
+    return mat(m, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_int_matrices())
+@example(a=Matrix.zeros(ZZ, 0, 4))
+@example(a=Matrix.zeros(ZZ, 4, 0))
+@example(a=Matrix.zeros(ZZ, 0, 0))
+@example(a=Matrix.from_rows(ZZ, [[-6, -10], [-15, -25]]))  # negative, rank 1
+@example(a=Matrix.from_rows(ZZ, [[_BIG, 2 * _BIG, 1], [3, 6, _BIG], [-_BIG, 0, 0]]))
+@example(a=Matrix.from_rows(ZZ, [[4, 6], [6, 9]]))  # pivot 2 after a re-pivot; row 0 leaves 1
+def test_snf_matches_the_column_combination_oracle(a):
+    assert snf(a) == snf_by_column_combinations(a)
+
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -398,7 +503,7 @@ def test_solve_field_consistency():
 def _solve_int_by_columns(a, b):
     """Oracle: the integer solve one right-hand column at a time, with one
     residual update per column and one sum per row of V."""
-    e, v, pivot_rows = _column_echelon(a)
+    h, u, pivot_rows = _column_echelon(a)  # E = h^T, V = u^T
     rank = len(pivot_rows)
     cols_out = []
     for col in range(b.cols):
@@ -406,17 +511,17 @@ def _solve_int_by_columns(a, b):
         y = []
         for j in range(rank):
             r = pivot_rows[j]
-            lead = e[r][j]
+            lead = h[j][r]
             if resid[r] % lead:
                 return None
             q = resid[r] // lead
             if q:
                 y.append((j, q))
                 for i in range(r, len(resid)):
-                    resid[i] -= q * e[i][j]
+                    resid[i] -= q * h[j][i]
         if any(resid):
             return None
-        cols_out.append([sum([row[j] * q for j, q in y]) for row in v])
+        cols_out.append([sum([u[j][i] * q for j, q in y]) for i in range(a.cols)])
     entries = [cols_out[j][i] for i in range(a.cols) for j in range(b.cols)]
     return Matrix(a.ring, a.cols, b.cols, entries)
 
@@ -443,8 +548,6 @@ def _int_systems(draw):
     entries = [0 if j in zeroed else x for x, j in zip(b.entries, itertools.cycle(range(k)))]
     return a, Matrix(ZZ, m, k, entries)
 
-
-_BIG = 2**64 + 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,8 @@
 """The hot numeric kernels, in exact pure Python.
 
-All functions take flat row-major entry sequences (lists or tuples; the
-kernels only index and slice them) and return new flat lists:
+All functions take flat row-major entry sequences (lists, tuples or
+bytes; the kernels only index and slice them) and return new flat lists,
+except ``matmul_mod`` for p <= 13, which returns ``bytes``:
 
     matmul_int(a, b, m, n, k)       exact integer matrix product
     matmul_mod(a, b, m, n, k, p)    matrix product over F_p
@@ -15,8 +16,23 @@ The pipeline's tower-size matrices are mostly zeros, so every kernel does
 work only where entries are nonzero: the products skip zero factors and
 write only the outputs some pair reaches, and elimination updates a row
 only on the pivot row's nonzero columns.
+
+Byte lanes. Over F_p with (p-1)^2 <= 255 (p <= 13) a residue fits in a
+byte and so does the product of two, so a row of k residues packs into
+one Python int, ``int.from_bytes(row, "little")``, one byte lane per
+column. ``matmul_mod`` adds x * packed_row into a row accumulator for
+each nonzero x = a[i,t]; every lane then grows by at most (p-1)^2 and
+never carries into the next one while it stays at most 255. The lane
+budget keeps it there: at most 255 // (p-1)^2 terms into an empty
+accumulator, then the accumulator is reduced (``to_bytes`` and one
+``bytes.translate`` through ``residue_table(p)``) and, since its lanes
+now hold up to p-1, at most (255 - (p-1)) // (p-1)^2 more terms before
+the next reduction. That is 255 then 254 terms at p = 2, 15 and 15 at
+p = 5, and 1 and 1 at p = 13. Sums and negation of ``Matrix`` use the
+same lanes and tables (``matrix``).
 """
 
+from functools import lru_cache
 from itertools import compress
 
 # Recorded by the benchmark harness (perfbench/run.py) with every result.
@@ -61,12 +77,31 @@ def matmul_int(a, b, m, n, k):
     return out
 
 
+@lru_cache(maxsize=None)
+def residue_table(p):
+    """The ``bytes.translate`` table of byte v -> v mod p."""
+    return bytes(v % p for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def negation_table(p):
+    """The ``bytes.translate`` table of residue v -> -v mod p."""
+    return bytes(-v % p for v in range(256))
+
+
 def matmul_mod(a, b, m, n, k, p):
     """(m x n) @ (n x k) with entries reduced into [0, p).
 
-    Each output row accumulates in Python ints; only its nonzero
-    accumulators are reduced and written, the other outputs stay 0.
+    For p <= 13 the entries must be canonical residues, and the product is
+    formed in byte lanes (module docstring) and returned as ``bytes``: b's
+    rows are packed once, and each output row is one accumulator, reduced
+    whenever the lane budget runs out and once at the end. Otherwise each
+    output row accumulates in Python ints; only its nonzero accumulators
+    are reduced and written, the other outputs stay 0.
     """
+    square = (p - 1) ** 2
+    if square <= 255:  # a product fits in a byte lane: PrimeField.byte_lanes
+        return _matmul_lanes(a, b, m, n, k, p, 255 // square, (255 - (p - 1)) // square)
     out = [0] * (m * k)
     cols = range(k)
     for i, row in _product_rows(a, b, m, n, k):
@@ -74,6 +109,31 @@ def matmul_mod(a, b, m, n, k, p):
         for j in compress(cols, row):
             out[base + j] = row[j] % p
     return out
+
+
+def _matmul_lanes(a, b, m, n, k, p, first, more):
+    """The byte-lane product: at most ``first`` terms into an empty row
+    accumulator and ``more`` after each reduction."""
+    if not k:
+        return b""
+    table = residue_table(p)
+    packed = [int.from_bytes(b[r : r + k], "little") for r in range(0, n * k, k)]
+    zero_row = bytes(k)
+    inner = range(n)
+    rows = []
+    for i in range(m):
+        arow = a[i * n : (i + 1) * n]
+        acc, budget = 0, first
+        for t in compress(inner, arow):
+            brow = packed[t]
+            if brow:
+                if not budget:
+                    acc = int.from_bytes(acc.to_bytes(k, "little").translate(table), "little")
+                    budget = more
+                acc += arow[t] * brow
+                budget -= 1
+        rows.append(acc.to_bytes(k, "little").translate(table) if acc else zero_row)
+    return b"".join(rows)
 
 
 def matmul_group(a, b, m, n, k, mult, zero, p):

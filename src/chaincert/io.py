@@ -29,17 +29,20 @@ F_p with p <= 10 every canonical entry is a residue 0-9, whose text is
 that one digit, so ``_matrix_text`` writes the entries' bytes, mapped to
 ASCII digits, into a template of the whole text (brackets, quotes and
 commas) and decodes it once; that is the text the table path writes, and
-a hand-built entry outside 0-9 sends the matrix back to the table path.
+a hand-built entry in 10-255 sends the matrix back to the table path
+(such a matrix stores its entries as bytes, so none lies outside 0-255).
 Reading still parses each distinct literal once; when every one is a
 single ASCII character (so one of "0"-"9") and the ring is not a group
 ring, the cells are joined and mapped to their values by one
-``bytes.translate``, giving the values the table lookup gives.
+``bytes.translate``, giving the values the table lookup gives; a matrix
+over F_p with p <= 13 keeps those bytes as its entries, uncopied.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 
 from .chain import ChainComplex, ChainMap, make_equivalence
@@ -177,13 +180,11 @@ _DIGIT_OF = bytes(range(48, 58)) + b"?" * 246
 
 
 def _digit_text(m: Matrix) -> str | None:
-    """The canonical JSON text of ``m`` when every entry is an int in 0-9,
-    else None. The digits are written by one strided slice per row into a
-    template of the whole text, brackets, quotes and commas included."""
-    try:
-        digits = bytes(m.entries).translate(_DIGIT_OF)
-    except (TypeError, ValueError):  # an entry that is not an int in 0-255
-        return None
+    """The canonical JSON text of ``m``, a matrix over F_p with p <= 10
+    (entries stored as bytes), when every entry is in 0-9, else None. The
+    digits are written by one strided slice per row into a template of the
+    whole text, brackets, quotes and commas included."""
+    digits = m.entries.translate(_DIGIT_OF)
     if b"?" in digits:
         return None
     rows, cols = m.rows, m.cols
@@ -510,12 +511,33 @@ def dump_canonical(doc) -> str:
 
 
 def save(path: str, doc: dict) -> None:
-    """Write ``doc``'s file text to ``path``. The text is rendered before
-    the file is opened, so a render that raises leaves any earlier file
-    at ``path`` as it was."""
+    """Write ``doc``'s file text to ``path``, atomically: the text is
+    rendered first, written to a new temporary file in the directory of
+    the file ``path`` names (symbolic links followed) and moved over that
+    file by ``os.replace``. A render or a write that raises leaves any
+    earlier file as it was and no temporary file behind. The file gets
+    the mode a new file from ``open(path, "w")`` gets, 0o666 less the
+    umask. A ``path`` that names something other than a regular file,
+    such as ``/dev/null`` or a pipe, is written in place."""
     text = dump_canonical(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the caller's path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def load(path: str):

@@ -14,14 +14,26 @@ Invariant: every entry is in its ring's canonical form (``rings``): an
 ``int`` over Z, a residue in ``[0, p)`` over F_p, a tuple of canonical
 base coefficients over a group ring. Products, sums and the parsers all
 produce canonical entries, so equality of matrices is equality of entry
-tuples, and zero and identity matrices are recognized by counting entries
-equal to ``ring.zero`` and ``ring.one``; the arithmetic below relies on it.
+sequences, and zero and identity matrices are recognized by counting
+entries equal to ``ring.zero`` and ``ring.one``; the arithmetic below
+relies on it.
+
+Storage: over F_p with p <= 13 (``PrimeField.byte_lanes``) the entries
+are one ``bytes`` object, one byte per residue, and the constructor
+keeps a ``bytes`` argument as it is (an entry outside 0-255 is a
+``ValueError``). Over every other ring they are a tuple. Indexing,
+slicing, counting, equality and hashing read both alike. A sum over
+such a field adds the two entry sequences as byte lanes of one Python
+int, ``int.from_bytes(..., "little")``: the lanes hold at most
+2(p-1) <= 24 and never carry, and one ``bytes.translate`` reduces them
+mod p. Negation is one ``translate`` too.
 
 Products are formed in the entries' own ring: by ``_kernels.matmul_int``
-over Z, ``matmul_mod`` over F_p and ``matmul_group`` over a group ring,
-which convolves coefficient tuples over the Cayley table. Restriction of
-scalars to the base ring (``restrict_scalars``) serves only solving and
-the homology and module invariants.
+over Z, ``matmul_mod`` over F_p (in byte lanes for p <= 13, returning
+``bytes``) and ``matmul_group`` over a group ring, which convolves
+coefficient tuples over the Cayley table. Restriction of scalars to the
+base ring (``restrict_scalars``) serves only solving and the homology and
+module invariants.
 """
 
 from __future__ import annotations
@@ -43,7 +55,17 @@ class Matrix:
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        entries = tuple(entries)
+        if isinstance(ring, PrimeField) and ring.byte_lanes:
+            if isinstance(entries, int):  # bytes(n) would be n zero bytes
+                raise TypeError("entries must be a sequence, not an int")
+            try:
+                entries = bytes(entries)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"entries over {ring} must be residues in [0, {ring.p}): {exc}"
+                ) from exc
+        else:
+            entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
@@ -70,17 +92,18 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        entries = [ring.zero] * (n * n)
+        entries = _buffer(ring, n * n)
         entries[:: n + 1] = [ring.one] * n
         return cls(ring, n, n, entries)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols, [ring.zero] * (rows * cols))
+        return cls(ring, rows, cols, _buffer(ring, rows * cols))
 
     @property
-    def entries(self) -> tuple:
-        """All entries in row-major order."""
+    def entries(self) -> bytes | tuple:
+        """All entries in row-major order: ``bytes`` over F_p with p <= 13,
+        else a tuple."""
         return self._e
 
     def entry(self, i: int, j: int):
@@ -131,7 +154,11 @@ class Matrix:
             entries = [x + y for x, y in zip(a, b)]
         elif isinstance(ring, PrimeField):
             p = ring.p
-            entries = [(x + y) % p for x, y in zip(a, b)]
+            if ring.byte_lanes:
+                total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
+                entries = total.to_bytes(len(a), "little").translate(_kernels.residue_table(p))
+            else:
+                entries = [(x + y) % p for x, y in zip(a, b)]
         else:
             add = ring.add
             entries = [add(x, y) for x, y in zip(a, b)]
@@ -143,7 +170,10 @@ class Matrix:
             entries = [-x for x in a]
         elif isinstance(ring, PrimeField):
             p = ring.p
-            entries = [-x % p for x in a]
+            if ring.byte_lanes:
+                entries = a.translate(_kernels.negation_table(p))
+            else:
+                entries = [-x % p for x in a]
         else:
             neg = ring.neg
             entries = [neg(x) for x in a]
@@ -186,7 +216,7 @@ class Matrix:
             if t == len(cols) or cols[t] != cols[t - 1] + 1:
                 runs.append((cols[start], cols[t - 1] + 1))
                 start = t
-        entries = []
+        entries = _buffer(self.ring)
         for i in rows:
             base = i * width
             for lo, hi in runs:
@@ -195,7 +225,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         e, cols = self._e, self.cols
-        entries = []
+        entries = _buffer(self.ring)
         for j in range(cols):
             entries.extend(e[j::cols])
         return Matrix(self.ring, cols, self.rows, entries)
@@ -206,6 +236,15 @@ class Matrix:
             for i in range(self.rows)
         )
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, [{body}])"
+
+
+def _buffer(ring: Ring, count: int = 0):
+    """A mutable buffer of ``count`` zero entries that the constructor
+    takes without converting entry by entry: a ``bytearray`` over a field
+    with byte lanes, else a list."""
+    if isinstance(ring, PrimeField) and ring.byte_lanes:
+        return bytearray(count)
+    return [ring.zero] * count
 
 
 def _all_zero(a: Matrix) -> bool:
@@ -261,7 +300,7 @@ def block(grid) -> Matrix:
         raise ShapeError("block needs a nonempty grid")
     ring = grid[0][0].ring
     width = sum(mat.cols for mat in grid[0])
-    entries: list = []
+    entries = _buffer(ring)
     rows = 0
     for row in grid:
         if not row:

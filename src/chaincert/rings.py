@@ -185,6 +185,14 @@ class PrimeField(Ring):
             raise RingError(f"{self.p} is not prime")
 
     @property
+    def byte_lanes(self) -> bool:
+        """Whether a product of two residues fits in a byte, (p-1)^2 <= 255:
+        true for p <= 13. Matrices over such a field store their entries
+        as one ``bytes`` object and add and multiply them in byte lanes of
+        one Python int (``matrix``, ``_kernels.matmul_mod``)."""
+        return (self.p - 1) ** 2 <= 255
+
+    @property
     def zero(self):
         return 0
 

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import random
+import stat
 import sys
+import threading
 import tracemalloc
 from time import perf_counter
 
@@ -918,6 +921,92 @@ def test_save_that_cannot_render_keeps_the_earlier_file(tmp_path, default_digit_
     with pytest.raises(ValueError):
         io.save(str(path), io.resolution_document(_z_mod(DIGIT_LIMIT + 1)))
     assert path.read_bytes() == before
+
+
+# ---------------------------------------------------------------------------
+# io.save replaces the file in one step
+
+
+def test_save_that_fails_part_way_keeps_the_earlier_file(tmp_path, monkeypatch):
+    """A write that raises after half the text leaves the earlier file
+    whole and no temporary file in the directory."""
+    path = tmp_path / "g.json"
+    io.save(str(path), io.resolution_document(_z_mod(3)))
+    before = path.read_bytes()
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(io, "open", lambda *a, **k: HalfWritten(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        io.save(str(path), io.resolution_document(_z_mod(5)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_save_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        io.save(str(tmp_path / "g.json"), io.resolution_document(_z_mod(3)))
+        io.save(str(tmp_path / "g.json"), io.resolution_document(_z_mod(5)))  # over it
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("{}")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "g.json").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode) == 0o666 & ~umask
+    assert io.load(str(tmp_path / "g.json"))[1].presentation.relations.entries == (10**4 + 7,)
+    assert sorted(os.listdir(tmp_path)) == ["g.json", "plain.json"]
+
+
+def test_save_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "real" / "g.json")
+    io.save(str(link), io.resolution_document(_z_mod(3)))
+    io.save(str(link), io.resolution_document(_z_mod(5)))
+    assert link.is_symlink()
+    assert io.load(str(link))[1].presentation.relations.entries == (10**4 + 7,)
+    assert os.listdir(tmp_path / "real") == ["g.json"]
+
+
+def test_save_into_a_missing_directory_names_the_target(tmp_path):
+    path = str(tmp_path / "missing" / "g.json")
+    with pytest.raises(FileNotFoundError) as info:
+        io.save(path, io.resolution_document(_z_mod(3)))
+    assert info.value.filename == path
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_to_a_pipe_writes_into_it(tmp_path):
+    """A target that is not a regular file, such as a pipe or /dev/null,
+    is written in place, not replaced."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    doc = io.resolution_document(_z_mod(3))
+    io.save(str(fifo), doc)
+    reader.join(timeout=10)
+    assert got == [io.dump_canonical(doc)]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincert import _kernels
 
@@ -43,7 +44,7 @@ def test_matmul_kernels_match_naive_product(density):
         expected = _naive_product(a, b, m, n, k)
         assert _kernels.matmul_int(a, b, m, n, k) == expected
         a5, b5 = [x % 5 for x in a], [x % 5 for x in b]
-        assert _kernels.matmul_mod(a5, b5, m, n, k, 5) == [x % 5 for x in expected]
+        assert list(_kernels.matmul_mod(a5, b5, m, n, k, 5)) == [x % 5 for x in expected]
 
 
 @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
@@ -51,7 +52,7 @@ def test_matmul_mod_reduces_only_what_it_must(p):
     # a row whose accumulator is nonzero but divisible by p, then a zero row
     a = (1, p - 1, 0, 0)
     b = (1, 1, 1, 0)
-    assert _kernels.matmul_mod(a, b, 2, 2, 2, p) == [0, 1, 0, 0]
+    assert list(_kernels.matmul_mod(a, b, 2, 2, 2, p)) == [0, 1, 0, 0]
     rng = random.Random(p)
     for _ in range(40):
         m, n, k = (rng.randint(0, 7) for _ in range(3))
@@ -62,8 +63,66 @@ def test_matmul_mod_reduces_only_what_it_must(p):
             z = rng.randrange(m) * n
             a[z : z + n] = [0] * n  # at least one all-zero row
         expected = [x % p for x in _naive_product(a, b, m, n, k)]
-        assert _kernels.matmul_mod(a, b, m, n, k, p) == expected
-        assert _kernels.matmul_mod(tuple(a), tuple(b), m, n, k, p) == expected
+        assert list(_kernels.matmul_mod(a, b, m, n, k, p)) == expected
+        assert list(_kernels.matmul_mod(tuple(a), tuple(b), m, n, k, p)) == expected
+
+
+LANE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def _mod_products(draw, p):
+    """(a, b, m, n, k): operands over F_p, canonical residues. The inner
+    dimension runs up to 520, past every lane budget at p = 2 (255 terms,
+    then 254); a dense operand holds only p - 1, the largest term."""
+    m, k = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 520)))
+    fill = draw(st.sampled_from(["dense", "random", "zero"]))
+    if fill == "dense":
+        a, b = [p - 1] * (m * n), [p - 1] * (n * k)
+    elif fill == "zero":
+        a = [0] * (m * n)
+        b = draw(st.lists(st.integers(0, p - 1), min_size=n * k, max_size=n * k))
+    else:
+        a = draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n))
+        b = draw(st.lists(st.integers(0, p - 1), min_size=n * k, max_size=n * k))
+    if m and draw(st.booleans()):
+        z = draw(st.integers(0, m - 1)) * n
+        a[z : z + n] = [0] * n  # a zero row among the others
+    return a, b, m, n, k
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES + [17, 2**31 - 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matmul_mod_matches_naive_product_past_the_lane_budget(p, data):
+    a, b, m, n, k = data.draw(_mod_products(p))
+    got = _kernels.matmul_mod(bytes(a) if p <= 13 else a, b, m, n, k, p)
+    assert list(got) == [x % p for x in _naive_product(a, b, m, n, k)]
+    assert isinstance(got, bytes) == (p <= 13)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_matmul_mod_dense_rows_at_every_budget_edge(p):
+    """Rows of p - 1 against columns of p - 1, with exactly as many terms
+    as fit before the first and the second reduction, and one more: every
+    lane of every row reaches its largest value."""
+    square = (p - 1) ** 2
+    first, more = 255 // square, (255 - (p - 1)) // square  # the lane budgets
+    assert first >= 1 and more >= 1
+    for n in {1, first, first + 1, first + more, first + more + 1, first + 2 * more + 1}:
+        m, k = 2, 3
+        a, b = [p - 1] * (m * n), [p - 1] * (n * k)
+        want = [x % p for x in _naive_product(a, b, m, n, k)]
+        assert list(_kernels.matmul_mod(bytes(a), bytes(b), m, n, k, p)) == want
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 4)])
+def test_matmul_mod_empty_shapes(p, shape):
+    m, n, k = shape
+    out = _kernels.matmul_mod(bytes(m * n), bytes(n * k), m, n, k, p)
+    assert out == bytes(m * k)
 
 
 def _rref_full_rows(a, m, n, p):

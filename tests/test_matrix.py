@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaincert import _kernels
+from chaincert import _kernels, io
 from chaincert.matrix import (
     Invariants,
     Matrix,
@@ -131,7 +131,7 @@ def test_submatrix_matches_entrywise_copy(ring, data):
     sub = Matrix(ring, rows, cols, e).submatrix(row_idx, col_idx)
     assert sub.ring == ring
     assert sub.shape == (len(row_idx), len(col_idx))
-    assert sub.entries == tuple(e[i * cols + j] for i in row_idx for j in col_idx)
+    assert tuple(sub.entries) == tuple(e[i * cols + j] for i in row_idx for j in col_idx)
 
 
 def test_submatrix_empty_index_sets():
@@ -188,7 +188,7 @@ def test_hstack_matches_entrywise_copy(ring, data):
     out = hstack(*mats)
     assert out.ring == ring
     assert out.shape == (rows, sum(widths))
-    assert out.entries == tuple(
+    assert tuple(out.entries) == tuple(
         m.entry(i, j) for i in range(rows) for m in mats for j in range(m.cols)
     )
 
@@ -203,7 +203,7 @@ def test_vstack_matches_entrywise_copy(ring, data):
     out = vstack(*mats)
     assert out.ring == ring
     assert out.shape == (sum(heights), cols)
-    assert out.entries == tuple(
+    assert tuple(out.entries) == tuple(
         m.entry(i, j) for m in mats for i in range(m.rows) for j in range(cols)
     )
 
@@ -721,3 +721,82 @@ def test_restrict_scalars_multiplicative(zc2):
         a = Matrix(zc2, m, n, [rand_el() for _ in range(m * n)])
         b = Matrix(zc2, n, k, [rand_el() for _ in range(n * k)])
         assert restrict_scalars(a * b) == restrict_scalars(a) * restrict_scalars(b)
+
+
+# ---------------------------------------------------------------------------
+# storage: bytes over F_p with p <= 13, tuples otherwise
+
+STORAGE_FIELDS = [PrimeField(p) for p in (2, 3, 5, 7, 11, 13, 17)]
+
+
+def _assert_stored(m: Matrix, want):
+    """``m`` holds bytes exactly when its field has byte lanes, and its
+    entries, compared as a tuple, are ``want``."""
+    assert isinstance(m.entries, bytes if m.ring.p <= 13 else tuple)
+    assert tuple(m.entries) == tuple(want)
+
+
+def _product_entries(a: Matrix, b: Matrix) -> list:
+    p = a.ring.p
+    return [
+        sum(a.entry(i, t) * b.entry(t, j) for t in range(a.cols)) % p
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ]
+
+
+@pytest.mark.parametrize("ring", STORAGE_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_operation_keeps_the_storage_and_the_entries(ring, data):
+    p = ring.p
+    rows, inner, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    residues = st.integers(0, p - 1)
+    ea = data.draw(st.lists(residues, min_size=rows * inner, max_size=rows * inner))
+    eb = data.draw(st.lists(residues, min_size=rows * inner, max_size=rows * inner))
+    ec = data.draw(st.lists(residues, min_size=inner * cols, max_size=inner * cols))
+    a, b = Matrix(ring, rows, inner, ea), Matrix(ring, rows, inner, eb)
+    c = Matrix(ring, inner, cols, ec)
+    _assert_stored(a, ea)
+    identity = [int(i == j) for i in range(rows) for j in range(rows)]
+    _assert_stored(Matrix.identity(ring, rows), identity)
+    _assert_stored(Matrix.zeros(ring, rows, cols), [0] * (rows * cols))
+    _assert_stored(Matrix.from_rows(ring, a.to_rows(), cols=inner), ea)
+    _assert_stored(a + b, [(x + y) % p for x, y in zip(ea, eb)])
+    _assert_stored(a - b, [(x - y) % p for x, y in zip(ea, eb)])
+    _assert_stored(-a, [-x % p for x in ea])
+    _assert_stored(a * c, _product_entries(a, c))
+    row_idx, col_idx = data.draw(_indices(rows)), data.draw(_indices(inner))
+    sub = [a.entry(i, j) for i in row_idx for j in col_idx]
+    _assert_stored(a.submatrix(row_idx, col_idx), sub)
+    top = data.draw(st.integers(0, rows))
+    _assert_stored(a.top_rows(top), ea[: top * inner])
+    _assert_stored(a.transpose(), [a.entry(i, j) for j in range(inner) for i in range(rows)])
+    if rows and inner:
+        grid = [[a, b], [b, a]]
+        _assert_stored(block(grid), [x for row in _entrywise_block(grid) for x in row])
+    x = solve(a, a * c)  # solvable: c is one solution
+    assert x is not None
+    _assert_stored(x, x.entries)
+    _assert_stored(a * x, (a * c).entries)
+    kernel = kernel_basis(a)
+    _assert_stored(kernel, kernel.entries)
+    _assert_stored(a * kernel, [0] * (rows * kernel.cols))
+
+
+@pytest.mark.parametrize("ring", STORAGE_FIELDS, ids=str)
+def test_parsed_matrices_keep_the_storage(ring):
+    digits = [["0", "1", "2"], ["7", "9", "3"]]  # one character each: the byte path
+    wide = [["10", "11", "12"], ["0", "1", "2"]]  # two characters: the table path
+    for data in (digits, wide):
+        want = [int(x) % ring.p for row in data for x in row]
+        _assert_stored(io.matrix_from_json(ring, 2, 3, data), want)
+
+
+def test_bytes_entries_are_kept_without_a_copy():
+    entries = bytes([1, 0, 4, 2])
+    assert Matrix(F5, 2, 2, entries).entries is entries
+    with pytest.raises(TypeError):
+        Matrix(F5, 2, 2, 4)  # not four zeros, as bytes(4) would give
+    with pytest.raises(ValueError, match="F5"):
+        Matrix(F5, 1, 1, [(1, 0)])

@@ -29,13 +29,18 @@ F_p with p <= 10 every canonical entry is a residue 0-9, whose text is
 that one digit, so ``_matrix_text`` writes the entries' bytes, mapped to
 ASCII digits, into a template of the whole text (brackets, quotes and
 commas) and decodes it once; that is the text the table path writes, and
-a hand-built entry in 10-255 sends the matrix back to the table path
-(such a matrix stores its entries as bytes, so none lies outside 0-255).
-Reading still parses each distinct literal once; when every one is a
-single ASCII character (so one of "0"-"9") and the ring is not a group
-ring, the cells are joined and mapped to their values by one
-``bytes.translate``, giving the values the table lookup gives; a matrix
-over F_p with p <= 13 keeps those bytes as its entries, uncopied.
+an entry in 10-255, which only an unchecked ``bytes`` argument to
+``Matrix`` can hold, sends the matrix back to the table path. ``load``
+reads such a file the same way back: each span of the text that fills
+that template is lifted out whole, and the JSON parser reads only what
+is left (``_lift_digit_matrices``); a lifted matrix's digits are mapped
+to their values by one ``bytes.translate``. What is accepted, and every
+error, stays the plain reading's. Elsewhere, reading parses each distinct
+literal once; when every one is a single ASCII character (so one of
+"0"-"9") and the ring is not a group ring, the cells are joined and
+mapped to their values by one ``bytes.translate``, giving the values the
+table lookup gives; a matrix over F_p with p <= 13 keeps those bytes as
+its entries, uncopied.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 
 from .chain import ChainComplex, ChainMap, make_equivalence
 from .matrix import Matrix
@@ -178,20 +184,33 @@ def _entry_texts(ring: Ring, values) -> dict:
 # digit text holds, so one search finds an entry that is not a single digit
 _DIGIT_OF = bytes(range(48, 58)) + b"?" * 246
 
+_DIGITS = b"0123456789"
+# ASCII digit -> "0", every other byte kept: a span whose image is the
+# template of its shape is a digit matrix
+_ZEROED = bytes.maketrans(_DIGITS, b"0" * 10)
+
+
+def _template(rows: int, cols: int) -> bytearray:
+    """The canonical JSON text of a ``rows`` x ``cols`` matrix (both at
+    least 1) of single-digit entries, every digit written as "0": "[" then
+    one '["0",...,"0"],' per row, the last row's "," becoming the outer
+    array's "]". Row i's digits sit at 3 + i * (4 * cols + 2), every 4th
+    byte. ``_digit_text`` fills it in; ``_lift_digit_matrices`` recognizes
+    a matrix by it."""
+    text = bytearray(b"[") + (b"[" + b'"0",' * (cols - 1) + b'"0"],') * rows
+    text[-1] = ord("]")
+    return text
+
 
 def _digit_text(m: Matrix) -> str | None:
     """The canonical JSON text of ``m``, a matrix over F_p with p <= 10
     (entries stored as bytes), when every entry is in 0-9, else None. The
-    digits are written by one strided slice per row into a template of the
-    whole text, brackets, quotes and commas included."""
+    digits are written by one strided slice per row into ``_template``."""
     digits = m.entries.translate(_DIGIT_OF)
     if b"?" in digits:
         return None
     rows, cols = m.rows, m.cols
-    # "[" then one '["d",...,"d"],' per row; the last row's "," becomes the
-    # outer array's "]"
-    text = bytearray(b"[") + (b"[" + b'"0",' * (cols - 1) + b'"0"],') * rows
-    text[-1] = ord("]")
+    text = _template(rows, cols)
     stride = 4 * cols + 2
     for i in range(rows):
         first = 3 + i * stride
@@ -218,7 +237,21 @@ def _matrix_text(m: Matrix) -> str:
     return "[[" + "],[".join(rows) + "]]"
 
 
+def _digit_matrix(ring: Ring, rows: int, cols: int, lifted: tuple) -> Matrix:
+    """The matrix of a digit matrix lifted out of the text: ``lifted`` is
+    its (rows, cols, ASCII digits in row-major order). The digits are
+    mapped by one ``bytes.translate`` through the values ``ring.parse``
+    gives them, the values the literal table gives them."""
+    if lifted[:2] != (rows, cols) or isinstance(ring, GroupRing):
+        raise MalformedFileError(f"not a {rows}x{cols} matrix over {ring} of digits")
+    values = bytes(map(ring.parse, _DIGITS.decode()))
+    return Matrix(ring, rows, cols, lifted[2].translate(bytes.maketrans(_DIGITS, values)))
+
+
 def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
+    if isinstance(data, list) and data and isinstance(data[0], list) and data[0]:
+        if isinstance(data[0][0], tuple):  # JSON has no tuples: a lifted matrix
+            return _digit_matrix(ring, rows, cols, data[0][0])
     if not isinstance(data, list) or len(data) != rows:
         raise MalformedFileError(f"matrix must have {rows} rows")
     for row in data:
@@ -540,15 +573,94 @@ def save(path: str, doc: dict) -> None:
         raise
 
 
-def load(path: str):
-    """Parse a file into ("resolution", TruncatedResolution) or
-    ("certificate", EquivalenceCertificate)."""
+def _lift_digit_matrices(text: str):
+    """``text`` parsed as JSON with each digit matrix the writer filled
+    into ``_template`` lifted out whole, or None where nothing is lifted.
+
+    Only ASCII text that ends, but for whitespace, as an F_p file with
+    p < 10 does ('"ring":"Fp:p"}', p one character) and holds no NaN or
+    Infinity is lifted. A span runs from the last '[["' before a ']]'
+    through that ']]'; it is a digit matrix when zeroing its digits gives
+    the template of the shape its first row and length imply. The parser
+    reads the text with each such span replaced by "[[NaN]]", the same
+    array depth, so its nesting limit acts as on the text, and the
+    ``parse_constant`` hook hands back (rows, cols, digits) for each in
+    text order; the document holds the tuple where the matrix was, inside
+    two lists, and only ``matrix_from_json`` accepts that. A span the
+    parser reads inside a string (the text is then not valid JSON) leaves
+    its tuple unclaimed; that, or a skeleton that does not parse, gives
+    None."""
+    tail = text[-64:].rstrip()[-14:]
+    if not (text.isascii() and tail[:11] == '"ring":"Fp:' and tail[12:] == '"}'):
+        return None
+    data = text.encode("ascii")
+    pieces, lifted = [], []
+    copied = start = 0
+    while (close := data.find(b"]]", start)) >= 0:
+        end = close + 2
+        # a digit matrix holds no other '[["' and no earlier ']]', so only
+        # the last '[["' before this ']]' can start one
+        first = data.rfind(b'[["', start, end)
+        start = end
+        if first < 0:
+            continue
+        span = data[first:end]
+        cols, extra = divmod(span.find(b"]") - 1, 4)
+        if cols < 1 or extra:
+            continue
+        rows, extra = divmod(len(span) - 1, 4 * cols + 2)
+        if extra or span.translate(_ZEROED) != _template(rows, cols):
+            continue
+        pieces += (data[copied:first], b"[[NaN]]")
+        lifted.append((rows, cols, span.translate(None, b'[]",')))
+        copied = end
+    pieces.append(data[copied:])
+    skeleton = b"".join(pieces)
+    # no span holds a letter, so the text holds NaN or Infinity exactly
+    # where the skeleton holds more than the spans' places
+    if not lifted or skeleton.count(b"NaN") != len(lifted) or b"Infinity" in skeleton:
+        return None
+    claims = iter(lifted)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # bad JSON, bad UTF-8, over-long JSON numbers, nesting past the parser's depth
+        doc = json.loads(skeleton.decode("ascii"), parse_constant=partial(next, claims))
+    except (ValueError, RecursionError):
+        return None
+    if next(claims, None) is not None:
+        return None
+    return doc
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    # bad JSON, over-long JSON numbers, nesting past the parser's depth
     except (ValueError, RecursionError) as exc:
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
+
+
+def load(path: str):
+    """Parse a file into ("resolution", TruncatedResolution) or
+    ("certificate", EquivalenceCertificate).
+
+    A text with digit matrices lifted out (``_lift_digit_matrices``) is
+    read from that document; if reading it raises anything, the plain
+    document is read instead, so what is accepted, and every error, is
+    the plain reading's."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as exc:  # bad UTF-8
+        raise MalformedFileError(f"not valid JSON: {exc}") from exc
+    lifted = _lift_digit_matrices(text)
+    if lifted is not None:
+        try:
+            return _from_document(lifted)
+        except Exception:  # reported as the plain document's failure, below
+            pass
+    return _from_document(_parse_json(text))
+
+
+def _from_document(doc):
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")
     if doc.get("format_version") != str(FORMAT_VERSION):

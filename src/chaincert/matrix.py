@@ -19,14 +19,17 @@ entries equal to ``ring.zero`` and ``ring.one``; the arithmetic below
 relies on it.
 
 Storage: over F_p with p <= 13 (``PrimeField.byte_lanes``) the entries
-are one ``bytes`` object, one byte per residue, and the constructor
-keeps a ``bytes`` argument as it is (an entry outside 0-255 is a
-``ValueError``). Over every other ring they are a tuple. Indexing,
-slicing, counting, equality and hashing read both alike. A sum over
-such a field adds the two entry sequences as byte lanes of one Python
-int, ``int.from_bytes(..., "little")``: the lanes hold at most
-2(p-1) <= 24 and never carry, and one ``bytes.translate`` reduces them
-mod p. Negation is one ``translate`` too.
+are one ``bytes`` object, one byte per residue. The constructor keeps a
+``bytes`` argument as it is and copies a ``bytearray``, unchecked: those
+come from the kernels and this module's own buffers. Any other sequence,
+a list or a tuple say, is converted, and an entry outside [0, p) is a
+``ValueError`` that names the ring, since a lane holding p or more would
+make sums carry into the next lane. Over every other ring they are a
+tuple. Indexing, slicing, counting, equality and hashing read both
+alike. A sum over such a field adds the two entry sequences as byte
+lanes of one Python int, ``int.from_bytes(..., "little")``: the lanes
+hold at most 2(p-1) <= 24 and never carry, and one ``bytes.translate``
+reduces them mod p. Negation is one ``translate`` too.
 
 Products are formed in the entries' own ring: by ``_kernels.matmul_int``
 over Z, ``matmul_mod`` over F_p (in byte lanes for p <= 13, returning
@@ -58,12 +61,15 @@ class Matrix:
         if isinstance(ring, PrimeField) and ring.byte_lanes:
             if isinstance(entries, int):  # bytes(n) would be n zero bytes
                 raise TypeError("entries must be a sequence, not an int")
+            converted = not isinstance(entries, (bytes, bytearray))
             try:
                 entries = bytes(entries)
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"entries over {ring} must be residues in [0, {ring.p}): {exc}"
                 ) from exc
+            if converted and entries.translate(_kernels.residue_table(ring.p)) != entries:
+                raise ValueError(f"entries over {ring} must be residues in [0, {ring.p})")
         else:
             entries = tuple(entries)
         if len(entries) != rows * cols:

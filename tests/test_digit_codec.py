@@ -108,10 +108,11 @@ def test_digit_text_of_zero_and_identity(ring, shape):
     assert_writes_like_the_table(Matrix.identity(ring, shape[0]))
 
 
-@pytest.mark.parametrize("entries,cell", [([7, 3], "7"), ([12, 3], "12"), ([255, 0], "255")])
-def test_hand_built_entries_render_as_the_table_path_does(entries, cell):
-    """A non-canonical entry over F_5: a digit past p is written as that
-    digit; anything else sends the matrix to the table path."""
+@pytest.mark.parametrize("entries,cell", [(b"\x07\x03", "7"), (b"\x0c\x03", "12"), (b"\xff\x00", "255")])
+def test_unchecked_byte_entries_render_as_the_table_path_does(entries, cell):
+    """A ``bytes`` argument is kept unchecked, so over F_5 it can hold a
+    non-canonical entry: a digit past p is written as that digit; anything
+    else sends the matrix to the table path."""
     m = Matrix(PrimeField(5), 1, 2, entries)
     text = io._matrix_text(m)
     assert text == table_matrix_text(m)
@@ -119,10 +120,11 @@ def test_hand_built_entries_render_as_the_table_path_does(entries, cell):
     assert "?" not in text
 
 
-@pytest.mark.parametrize("entries", [[-1, 3], [256, 0]])
+@pytest.mark.parametrize("entries", [[-1, 3], [256, 0], [7, 3], [12, 3], [255, 0]])
 def test_entries_outside_a_byte_are_refused_at_construction(entries):
-    """Over F_5 the entries are stored as bytes, so no hand-built matrix
-    holds an entry outside 0-255."""
+    """Over F_5 the entries are stored as bytes, and a converted sequence
+    must hold residues: an entry outside 0-255, or inside it but not in
+    [0, 5), is refused."""
     with pytest.raises(ValueError, match="F5"):
         Matrix(PrimeField(5), 1, 2, entries)
 

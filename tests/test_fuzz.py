@@ -3,13 +3,16 @@
 Mutations of a valid Z[S_3] certificate and a Z[C_6] resolution file are
 fed to ``check`` and ``validate``: whatever the damage, the command exits
 0, 1 or 2 and raises nothing. Bad ring strings and broken Cayley tables
-are malformed input: they exit 1, at once.
+are malformed input: they exit 1, at once. Byte edits inside the digit
+matrices of an F_5 certificate, which ``io.load`` lifts out of the text,
+give the exit code and output of the plain JSON reading.
 """
 
 import contextlib
 import copy
 import io as textio
 import json
+import re
 from time import perf_counter
 
 import pytest
@@ -17,7 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from chaincert import io
 from chaincert.cli import main
-from chaincert.resolution import canonical_resolution, pad_top
+from chaincert.matrix import Matrix
+from chaincert.resolution import (
+    ModulePresentation,
+    canonical_resolution,
+    generate_resolution,
+    pad_top,
+)
+from chaincert.rings import PrimeField
 from chaincert.stabilize import total_equivalence
 
 from conftest import s3_resolution
@@ -161,3 +171,49 @@ def test_broken_cayley_tables_exit_1_at_once(workdir, damage):
     assert (code, err.startswith("error:")) == (1, True)
     assert "bad group table" in err
     assert elapsed < 1.0
+
+
+def _f5_certificate_text():
+    ring = PrimeField(5)
+    pres = ModulePresentation(ring, 2, Matrix(ring, 2, 0, ()))
+    first = generate_resolution(pres, n=3, max_rank=6, seed=1)
+    second = generate_resolution(pres, n=3, max_rank=6, seed=2)
+    return io.dump_canonical(io.certificate_document(total_equivalence(first, second)))
+
+
+F5_TEXT = _f5_certificate_text()
+# every digit matrix of the text, '[["' through the first ']]': the spans
+# io.load lifts out whole
+F5_SPANS = [m.span() for m in re.finditer(r'\[\["[0-9",\[\]]*?\]\]', F5_TEXT)]
+EDIT_CHARS = '0123456789[]",: \nNaIe'
+
+
+def _check_outcome(path):
+    """Exit code, stdout and stderr of ``check`` on ``path``."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_f5_certificate_is_lifted():
+    assert len(F5_SPANS) > 10
+    assert io._lift_digit_matrices(F5_TEXT) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_byte_edits_inside_lifted_spans_exit_as_the_plain_reading(workdir, data):
+    start, end = data.draw(st.sampled_from(F5_SPANS))
+    at = data.draw(st.integers(start, end - 1))
+    kind = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    char = "" if kind == "delete" else data.draw(st.sampled_from(EDIT_CHARS))
+    path = workdir / "edited.json"
+    path.write_text(F5_TEXT[:at] + char + F5_TEXT[at + (kind != "insert") :])
+    lifted = _check_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_lift_digit_matrices", lambda text: None)
+        plain = _check_outcome(path)
+    assert lifted[0] in (0, 1, 2)
+    assert "Traceback" not in lifted[2]
+    assert lifted == plain

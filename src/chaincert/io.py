@@ -35,12 +35,7 @@ reads such a file the same way back: each span of the text that fills
 that template is lifted out whole, and the JSON parser reads only what
 is left (``_lift_digit_matrices``); a lifted matrix's digits are mapped
 to their values by one ``bytes.translate``. What is accepted, and every
-error, stays the plain reading's. Elsewhere, reading parses each distinct
-literal once; when every one is a single ASCII character (so one of
-"0"-"9") and the ring is not a group ring, the cells are joined and
-mapped to their values by one ``bytes.translate``, giving the values the
-table lookup gives; a matrix over F_p with p <= 13 keeps those bytes as
-its entries, uncopied.
+error, stays the plain reading's.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ class MalformedFileError(ValueError):
 
 def _int_in(value) -> int:
     if not isinstance(value, str):
-        raise MalformedFileError(f"expected a decimal string, got {value!r}")
+        raise MalformedFileError(f"expected a decimal string, got {_shown(value)}")
     try:
         return int(value)
     except ValueError as exc:
@@ -269,15 +264,7 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
         coeffs = map(_literal_table(ring.base, literals).__getitem__, literals)
         entries = zip(*[coeffs] * order)  # consecutive runs of `order`
     else:
-        table = _literal_table(ring, cells)
-        literals = "".join(table)  # no literal is empty: int("") fails
-        if len(literals) == len(table) and literals.isascii():
-            # every literal is one of "0"-"9" (the only one-character ASCII
-            # texts int() accepts), parsed to a value in 0-9: one byte each
-            codes = bytes.maketrans(literals.encode(), bytes(table.values()))
-            entries = "".join(cells).encode().translate(codes)
-        else:
-            entries = map(table.__getitem__, cells)
+        entries = map(_literal_table(ring, cells).__getitem__, cells)
     try:
         return Matrix(ring, rows, cols, entries)
     except (ValueError, RingError) as exc:

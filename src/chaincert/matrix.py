@@ -21,7 +21,8 @@ relies on it.
 Storage: over F_p with p <= 13 (``PrimeField.byte_lanes``) the entries
 are one ``bytes`` object, one byte per residue. The constructor keeps a
 ``bytes`` argument as it is and copies a ``bytearray``, unchecked: those
-come from the kernels and this module's own buffers. Any other sequence,
+come from the kernels and from ``_buffer``, which its users (here and in
+``stabilize``) fill with reduced residues only. Any other sequence,
 a list or a tuple say, is converted, and an entry outside [0, p) is a
 ``ValueError`` that names the ring, since a lane holding p or more would
 make sums carry into the next lane. Over every other ring they are a
@@ -338,43 +339,39 @@ def restrict_scalars(a: Matrix) -> Matrix:
     ring = a.ring
     if not isinstance(ring, GroupRing):
         raise RingError("restrict_scalars needs a group-ring matrix")
-    n = ring.group.order
-    base = ring.base
-    out = [[base.zero] * (a.cols * n) for _ in range(a.rows * n)]
+    n, e, cols = ring.group.order, a.entries, a.cols
+    entries = _buffer(ring.base)
     for i in range(a.rows):
-        for j in range(a.cols):
-            rep = ring.regular_representation(a.entry(i, j))
-            for bi in range(n):
-                orow = out[i * n + bi]
-                rrow = rep[bi]
-                for bj in range(n):
-                    orow[j * n + bj] = rrow[bj]
-    return Matrix.from_rows(base, out, cols=a.cols * n)
+        reps = [ring.regular_representation(x) for x in e[i * cols : (i + 1) * cols]]
+        for bi in range(n):
+            for rep in reps:
+                entries.extend(rep[bi])
+    return Matrix(ring.base, a.rows * n, cols * n, entries)
 
 
 def _expand_columns(b: Matrix) -> Matrix:
     """Unfold each group-ring coordinate into its coefficient vector,
     turning an m x k group-ring matrix into an (m|G|) x k base matrix."""
     ring = b.ring
-    n = ring.group.order
-    base = ring.base
-    out = [[base.zero] * b.cols for _ in range(b.rows * n)]
+    n, e, cols = ring.group.order, b.entries, b.cols
+    entries = _buffer(ring.base)
     for i in range(b.rows):
-        for j in range(b.cols):
-            for g, c in enumerate(b.entry(i, j)):
-                out[i * n + g][j] = c
-    return Matrix.from_rows(base, out, cols=b.cols)
+        row = e[i * cols : (i + 1) * cols]
+        for g in range(n):
+            entries.extend([c[g] for c in row])
+    return Matrix(ring.base, b.rows * n, cols, entries)
 
 
 def _fold_columns(y: Matrix, ring: GroupRing, rows: int) -> Matrix:
     n = ring.group.order
     if y.rows != rows * n:
         raise ShapeError("folded row count mismatch")
+    e, cols = y.entries, y.cols
     entries = []
     for i in range(rows):
-        for j in range(y.cols):
-            entries.append(tuple(y.entry(i * n + g, j) for g in range(n)))
-    return Matrix(ring, rows, y.cols, entries)
+        band = e[i * n * cols : (i + 1) * n * cols]
+        entries += zip(*[band[g * cols : (g + 1) * cols] for g in range(n)])
+    return Matrix(ring, rows, cols, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +566,11 @@ def _solve_field(a: Matrix, b: Matrix) -> Matrix | None:
     n = a.cols
     if any(c >= n for c in pivots):
         return None
-    x = [[0] * b.cols for _ in range(n)]
+    k, width = b.cols, aug.cols
+    x = _buffer(a.ring, n * k)
     for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            x[c][j] = flat[r * aug.cols + n + j]
-    return Matrix.from_rows(a.ring, x, cols=b.cols)
+        x[c * k : (c + 1) * k] = flat[r * width + n : (r + 1) * width]
+    return Matrix(a.ring, n, k, x)
 
 
 def _solve_group_ring(a: Matrix, b: Matrix) -> Matrix | None:

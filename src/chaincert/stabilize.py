@@ -46,7 +46,7 @@ from .chain import (
     validate_complex,
     zero_homotopy,
 )
-from .matrix import Matrix, ShapeError, block, hstack, solve
+from .matrix import Matrix, ShapeError, _buffer, block, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -304,7 +304,8 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
 
 def _one_plus(m: Matrix) -> Matrix:
     """1 + m for a square m: one added to each diagonal entry."""
-    entries = list(m.entries)
+    entries = _buffer(m.ring)
+    entries += m.entries
     add, one = m.ring.add, m.ring.one
     entries[:: m.rows + 1] = [add(x, one) for x in entries[:: m.rows + 1]]
     return Matrix(m.ring, m.rows, m.cols, entries)
@@ -346,7 +347,9 @@ def _lift(
     pe, he, pw, hw = prod.entries, h.entries, prod.cols, h.cols
     width = pw + hw - from_prev
 
-    def band(lo, hi, entries):
+    def band(lo, hi, head=()):
+        entries = _buffer(h.ring)
+        entries.extend(head)
         for r in range(lo, hi):
             entries += pe[r * pw : (r + 1) * pw]
             entries += he[r * hw + from_prev : (r + 1) * hw]
@@ -358,13 +361,13 @@ def _lift(
         for r in range(own, to_prev)
     ):
         raise LiftError(degree, direction)
-    top = Matrix(h.ring, own, width, band(0, own, []))
+    top = Matrix(h.ring, own, width, band(0, own))
     x = solve(d_to, top)
     if x is None:
         raise LiftError(degree, direction)
     if d_to * x != top:
         raise StabilizeError(f"{direction} lift square fails at degree {degree}")
-    entries = band(to_prev, h.rows, list(x.entries))  # f_i = [x; bottom band]
+    entries = band(to_prev, h.rows, x.entries)  # f_i = [x; bottom band]
     return Matrix(h.ring, x.rows + h.rows - to_prev, width, entries)
 
 

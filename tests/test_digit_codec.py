@@ -2,10 +2,10 @@
 
 Over F_p with p <= 10 every canonical entry is one digit, so
 ``io._matrix_text`` fills the digits into a byte template of the whole
-text; a matrix whose distinct literals are all one ASCII character is read
-by one ``bytes.translate``. The references are the table paths these
-replaced for such matrices, kept here as the oracles: one join per row
-over the table of entry texts, and one dict lookup per cell.
+text. The references are the table paths, kept here as the oracles: one
+join per row over the table of entry texts, and one dict lookup per cell,
+which ``io.matrix_from_json`` must match on one-digit literals, on every
+other literal and on non-string cells.
 """
 
 import itertools

@@ -95,8 +95,12 @@ def test_empty_shapes(ring, m, n, k):
     p = getattr(ring.base, "p", 0)
     flat = _kernels.matmul_group(a, b, m, n, k, ring.group.mult, ring.zero, p)
     assert flat == [ring.zero] * (m * k)
-    product = Matrix(ring, m, n, a) * Matrix(ring, n, k, b)
-    assert product == Matrix.zeros(ring, m, k)
+    a, b = Matrix(ring, m, n, a), Matrix(ring, n, k, b)
+    assert a * b == Matrix.zeros(ring, m, k)
+    # restriction, expansion and folding keep every row of an empty shape
+    assert regular_product(a, b) == a * b
+    x = matrix.solve(a, a * b)
+    assert x is not None and a * x == a * b
 
 
 @pytest.mark.parametrize("table", [S3, S3_MOVED], ids=["S3", "S3-moved"])

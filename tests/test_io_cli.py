@@ -26,6 +26,7 @@ from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 from chaincert.stabilize import total_equivalence, verify_certificate
 
 F2 = PrimeField(2)
+F5 = PrimeField(5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +233,32 @@ def test_cli_validate_malformed(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+def _digit_matrix_in_tower_ranks() -> bytes:
+    """An F_5 certificate whose ``tower_ranks.t`` holds its top forward
+    block, a digit matrix with rows of 58 entries."""
+    pres = ModulePresentation(F5, 2, Matrix.zeros(F5, 2, 0))
+    p, q = (generate_resolution(pres, n=4, max_rank=8, seed=seed) for seed in (1, 2))
+    doc = io.certificate_to_json(total_equivalence(p, q))
+    doc["payload"]["tower_ranks"]["t"] = doc["payload"]["block_isomorphisms"]["forward"][-1]
+    return io.dump_canonical(doc).encode()
+
+
 @pytest.mark.parametrize(
     "content",
-    [b'{"format_version": ' + b"9" * 5000 + b"}", b'{"ring": "\xff"}'],
-    ids=["over-long-number", "not-utf8"],
+    [
+        b'{"format_version": ' + b"9" * 5000 + b"}",
+        b'{"ring": "\xff"}',
+        _digit_matrix_in_tower_ranks(),
+    ],
+    ids=["over-long-number", "not-utf8", "digit-matrix-in-tower-ranks"],
 )
 def test_cli_undecodable_file(tmp_path, capsys, content):
     path = tmp_path / "undecodable.json"
     path.write_bytes(content)
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200  # a value in the message is shown cut short
     assert "Traceback" not in err
 
 

@@ -426,3 +426,54 @@ def test_golden_resolution_written_by_generate(args, digests, tmp_path, capsys):
         assert main(argv) == 0
         written.append(_sha256_of(path))
     assert tuple(written) == digests
+
+
+# `generate --ring Fp:p --module dim:2 --n 4 --max-rank 8` over every prime
+# whose matrices are byte lanes (p <= 13) and over F_17, which is not: sha256
+# of the files written with seeds 1 and 2, then of the certificate `stabilize`
+# writes for that pair. Generation takes a kernel basis at every degree and
+# construction solves the lifts, so both run Gaussian elimination over F_p.
+LANE_GENERATE_GOLDEN = {
+    2: (
+        "0a7b515a51af41fb156d6bffe984a94d0755d774943aefb60be8dce8048efec1",
+        "a61738f1fc00f6e61ff13e11b70722b5b5f0d0776223add12f1f947292d1328f",
+        "e8acd54c0318a8d5bc904e6f598192010d29f7eb729cf491948a74c40e5a7e16",
+    ),
+    3: (
+        "1340d0b1258ce35ac2937b49ca97ca2a13a26a6acbb072e0622baaa5b78e692e",
+        "8665dc8540dbe55ef61c32375e280bbb15bfdb293c115560056413d632f4e97b",
+        "01b41330f763aa5411e1442cd1e6b408e0eea856a00d99b2a0a5158c53d13f50",
+    ),
+    7: (
+        "092c39b75f16bffc5d17e1aead4bb0fa26ffb4fd157ee7e8b90cea99c22745fd",
+        "50b532f53e80ad7a09f69fad46c8e15e4592d3b876ad369071cbd3341b71af42",
+        "63c97c9aeeefbd7971385aece1a5d5039aadd5d53a0e7a6250d8f2d9230953d9",
+    ),
+    11: (
+        "2cbaf5f9eb8e13922b2ded6cc017e4ac1b1ef384adb1ea61c199df6445b428b0",
+        "718502649c9cc494590b3161499344ee11022c38c5080617f2f7f97f2e925998",
+        "cbde5aae247e57ce53f8b16e120581980363911786222a8ddbee29f15949e456",
+    ),
+    13: (
+        "07dbd45b772bc1127a541088be25f61a27fac9ec81c75985782728706849f2af",
+        "6872b59dc07ee12b17b6272c9ff55b4bbe8c9b00f48927f2ace65a1db55a8959",
+        "cd0ffbb45cfc69d5581bc67d4df2c1fb73d48923809552163ad638f4426822cc",
+    ),
+    17: (
+        "6d555112c3844e287598571d5cc0a29cfcb9051f2c33a4d37fcd1d7174f8134b",
+        "c28042eb8d7fe36cbde5e539983af31ff839137e24db9f2091f476fdbe72d32d",
+        "c28c587cc70debe206b52826a138e5d8f1852bfb8ede045e68d761db75f1ab27",
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(LANE_GENERATE_GOLDEN), ids=lambda p: f"F{p}-dim2-n4")
+def test_golden_generate_and_stabilize_over_small_primes(p, tmp_path, capsys):
+    paths = [str(tmp_path / f"{seed}.json") for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        argv = ["generate", "--ring", f"Fp:{p}", "--module", "dim:2", "--n", "4",
+                "--max-rank", "8", "--seed", str(seed), "--out", path]
+        assert main(argv) == 0
+    cert = str(tmp_path / "cert.json")
+    assert main(["stabilize", *paths, "--out", cert]) == 0
+    assert tuple(map(_sha256_of, [*paths, cert])) == LANE_GENERATE_GOLDEN[p]

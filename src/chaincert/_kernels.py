@@ -2,7 +2,8 @@
 
 All functions take flat row-major entry sequences (lists, tuples or
 bytes; the kernels only index and slice them) and return new flat lists,
-except ``matmul_mod`` for p <= 13, which returns ``bytes``:
+except ``matmul_mod`` and ``rref_mod`` for p <= 13, which return
+``bytes``:
 
     matmul_int(a, b, m, n, k)       exact integer matrix product
     matmul_mod(a, b, m, n, k, p)    matrix product over F_p
@@ -14,8 +15,8 @@ except ``matmul_mod`` for p <= 13, which returns ``bytes``:
 
 The pipeline's tower-size matrices are mostly zeros, so every kernel does
 work only where entries are nonzero: the products skip zero factors and
-write only the outputs some pair reaches, and elimination updates a row
-only on the pivot row's nonzero columns.
+write only the outputs some pair reaches, and elimination updates only
+the rows with a nonzero entry in the pivot column.
 
 Byte lanes. Over F_p with (p-1)^2 <= 255 (p <= 13) a residue fits in a
 byte and so does the product of two, so a row of k residues packs into
@@ -28,8 +29,12 @@ accumulator, then the accumulator is reduced (``to_bytes`` and one
 ``bytes.translate`` through ``residue_table(p)``) and, since its lanes
 now hold up to p-1, at most (255 - (p-1)) // (p-1)^2 more terms before
 the next reduction. That is 255 then 254 terms at p = 2, 15 and 15 at
-p = 5, and 1 and 1 at p = 13. Sums and negation of ``Matrix`` use the
-same lanes and tables (``matrix``).
+p = 5, and 1 and 1 at p = 13. ``rref_mod`` keeps each row as ``bytes``:
+the pivot row is scaled by one ``translate`` through a table of v / f,
+and a row with entry f in the pivot column becomes row + (p - f) * packed
+pivot row, reduced by one ``translate``; its lanes reach at most
+(p-1) + (p-1)^2 <= 156. Sums and negation of ``Matrix`` use the same
+lanes and tables (``matrix``).
 """
 
 from functools import lru_cache
@@ -87,6 +92,13 @@ def residue_table(p):
 def negation_table(p):
     """The ``bytes.translate`` table of residue v -> -v mod p."""
     return bytes(-v % p for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _scale_table(p, f):
+    """The ``bytes.translate`` table of residue v -> v / f mod p."""
+    inv = pow(f, p - 2, p)
+    return bytes(v * inv % p for v in range(256))
 
 
 def matmul_mod(a, b, m, n, k, p):
@@ -184,9 +196,12 @@ def rref_mod(a, m, n, p):
     The entries must be canonical residues in [0, p), as every F_p
     ``Matrix`` holds them: a pivot is any entry that is not 0. Returns
     (entries, pivots) where pivots lists the pivot column of each nonzero
-    row, in order. Clearing a pivot column touches each other row only on
-    the pivot row's nonzero columns.
+    row, in order; the entries are ``bytes`` for p <= 13, eliminated in
+    byte lanes (module docstring), and a list otherwise, where clearing a
+    pivot column updates a row only on the pivot row's nonzero columns.
     """
+    if (p - 1) ** 2 <= 255:  # PrimeField.byte_lanes
+        return _rref_lanes(a, m, n, p)
     rows = [list(a[i * n : (i + 1) * n]) for i in range(m)]
     cols = range(n)
     pivots = []
@@ -211,3 +226,33 @@ def rref_mod(a, m, n, p):
         r += 1
     flat = [x for row in rows for x in row]
     return flat, pivots
+
+
+def _rref_lanes(a, m, n, p):
+    """``rref_mod`` in byte lanes, one ``bytes`` per row; a row whose entry
+    in the pivot column is 0 is not touched."""
+    table = residue_table(p)
+    from_bytes = int.from_bytes
+    rows = [bytes(a[i * n : (i + 1) * n]) for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for pivot in range(r, m):
+            if rows[pivot][c]:
+                break
+        else:
+            continue
+        prow = rows[pivot].translate(_scale_table(p, rows[pivot][c]))
+        rows[pivot] = rows[r]
+        rows[r] = prow
+        packed = from_bytes(prow, "little")
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row = from_bytes(row, "little") + (p - f) * packed
+                rows[i] = row.to_bytes(n, "little").translate(table)
+        pivots.append(c)
+        r += 1
+    return b"".join(rows), pivots

@@ -190,28 +190,31 @@ def validate_resolution(res: TruncatedResolution) -> Report:
 # generation
 
 
-def _random_entry(ring: Ring, rng: random.Random):
-    if isinstance(ring, PrimeField):
-        return rng.randrange(ring.p)
-    return rng.randint(-2, 2)
-
-
 def _random_matrix(ring: Ring, rows: int, cols: int, rng: random.Random) -> Matrix:
-    return Matrix(ring, rows, cols, [_random_entry(ring, rng) for _ in range(rows * cols)])
+    """Uniform residues over F_p, entries in [-2, 2] over Z, row-major."""
+    count = range(rows * cols)
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        entries = [rng.randrange(p) for _ in count]
+    else:
+        entries = [rng.randint(-2, 2) for _ in count]
+    return Matrix(ring, rows, cols, entries)
 
 
 def _pad_with_redundant_columns(
     m: Matrix, max_rank: int, rng: random.Random
 ) -> Matrix:
     """Adjoin random combinations of the existing columns (image unchanged)
-    and shuffle the column order."""
+    and shuffle the column order. The columns are shuffled as rows of the
+    transpose, one slice each: a random order has no runs of consecutive
+    columns to copy together."""
     extra = rng.randint(0, max(0, max_rank - m.cols))
     if extra:
         coeffs = _random_matrix(m.ring, m.cols, extra, rng)
         m = hstack(m, m * coeffs)
     perm = list(range(m.cols))
     rng.shuffle(perm)
-    return m.submatrix(range(m.rows), perm)
+    return m.transpose().submatrix(perm, range(m.rows)).transpose()
 
 
 def generate_resolution(

@@ -23,7 +23,7 @@ def test_pure_matmul_big_integers():
 def test_rref_mod_pure_shape():
     flat, pivots = _kernels.rref_mod([1, 2, 2, 4], 2, 2, 5)
     assert pivots == [0]
-    assert flat == [1, 2, 0, 0]
+    assert list(flat) == [1, 2, 0, 0]
 
 
 def _naive_product(a, b, m, n, k):
@@ -149,13 +149,50 @@ def _rref_full_rows(a, m, n, p):
     return [x for row in rows for x in row], pivots
 
 
+def _as_inputs(a, p):
+    """The entry sequences ``rref_mod`` is given: a list, a tuple, and over
+    byte-lane fields also ``bytes`` and a ``bytearray``."""
+    yield a
+    yield tuple(a)
+    if p <= 13:
+        yield bytes(a)
+        yield bytearray(a)
+
+
 @pytest.mark.parametrize("density", [0.03, 0.3, 1.0])
-@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+@pytest.mark.parametrize("p", LANE_PRIMES + [17, 2**31 - 1])
 def test_rref_mod_matches_full_row_elimination(density, p):
     rng = random.Random(f"{density}-{p}")
     for _ in range(60):
         m, n = rng.randint(0, 12), rng.randint(0, 12)
         a = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(m * n)]
         expected = _rref_full_rows(a, m, n, p)
-        assert _kernels.rref_mod(a, m, n, p) == expected
-        assert _kernels.rref_mod(tuple(a), m, n, p) == expected
+        for entries in _as_inputs(a, p):
+            flat, pivots = _kernels.rref_mod(entries, m, n, p)
+            assert (list(flat), pivots) == expected
+            assert isinstance(flat, bytes) == (p <= 13)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES + [17, 2**31 - 1])
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 5), (4, 0)])
+def test_rref_mod_empty_shapes(p, m, n):
+    for entries in _as_inputs([], p):
+        flat, pivots = _kernels.rref_mod(entries, m, n, p)
+        assert (list(flat), pivots) == ([], [])
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_rref_mod_lanes_at_their_largest_value(p):
+    """Every row is 1 followed by p - 1s, so clearing column 0 adds
+    (p - 1) times the pivot row to each other row: every lane holds
+    (p - 1) + (p - 1)^2 before it is reduced, 156 at p = 13. A dense
+    random block below exercises full rank at the same lanes."""
+    m, n = 5, 9
+    a = ([1] + [p - 1] * (n - 1)) * m
+    assert (p - 1) + (p - 1) ** 2 <= 255
+    rng = random.Random(p)
+    b = [rng.randrange(p) or p - 1 for _ in range(n * n)]
+    for entries in (a, a[:n] + b):
+        rows = len(entries) // n
+        flat, pivots = _kernels.rref_mod(bytes(entries), rows, n, p)
+        assert (list(flat), pivots) == _rref_full_rows(entries, rows, n, p)

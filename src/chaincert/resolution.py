@@ -192,12 +192,12 @@ def validate_resolution(res: TruncatedResolution) -> Report:
 
 def _random_matrix(ring: Ring, rows: int, cols: int, rng: random.Random) -> Matrix:
     """Uniform residues over F_p, entries in [-2, 2] over Z, row-major."""
-    count = range(rows * cols)
+    size = rows * cols
     if isinstance(ring, PrimeField):
         p = ring.p
-        entries = [rng.randrange(p) for _ in count]
+        entries = [rng.randrange(p) for _ in range(size)]
     else:
-        entries = [rng.randint(-2, 2) for _ in count]
+        entries = [rng.randint(-2, 2) for _ in range(size)]
     return Matrix(ring, rows, cols, entries)
 
 

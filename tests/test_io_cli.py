@@ -420,26 +420,93 @@ def test_cli_generate_group_ring_rejected(tmp_path):
     ]) == 1
 
 
+COMMANDS = ["validate", "stabilize", "compare", "check", "generate", "dualize"]
+TOP_USAGE = f"usage: chaincert [-h] {{{','.join(COMMANDS)}}} ...\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,stderr",
     [
-        ["check"],
-        ["bogus"],
-        ["check", "x.json", "--bogus"],
-        ["generate", "--n", "abc", "--out", "no.json"],
+        (
+            ["validate"],
+            "usage: chaincert validate [-h] [--verbose] path\n"
+            "chaincert validate: error: the following arguments are required: path\n",
+        ),
+        (
+            ["stabilize", "p.json"],
+            "usage: chaincert stabilize [-h] [--out OUT] [--verbose] first second\n"
+            "chaincert stabilize: error: the following arguments are required: second\n",
+        ),
+        (
+            ["compare", "p.json"],
+            "usage: chaincert compare [-h] [--verbose] first second\n"
+            "chaincert compare: error: the following arguments are required: second\n",
+        ),
+        (
+            ["check"],
+            "usage: chaincert check [-h] [--verbose] path\n"
+            "chaincert check: error: the following arguments are required: path\n",
+        ),
+        (["bogus"], TOP_USAGE + "chaincert: error: argument command: invalid choice: 'bogus'"),
+        (
+            ["check", "x.json", "--bogus"],
+            TOP_USAGE + "chaincert: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["generate", "--n", "abc", "--out", "no.json"],
+            "usage: chaincert generate [-h] [--ring RING] [--module MODULE] [--n N]\n"
+            "                          [--max-rank MAX_RANK] [--seed SEED] --out OUT\n"
+            "                          [--verbose]\n"
+            "chaincert generate: error: argument --n: invalid int value: 'abc'\n",
+        ),
+        (
+            ["dualize", "x.json"],
+            "usage: chaincert dualize [-h] --out OUT [--verbose] path\n"
+            "chaincert dualize: error: the following arguments are required: --out\n",
+        ),
     ],
-    ids=["missing-path", "unknown-command", "unknown-option", "bad-int"],
+    ids=[
+        "validate-missing-path", "stabilize-missing-second", "compare-missing-second",
+        "check-missing-path", "unknown-command", "unknown-option", "generate-bad-int",
+        "dualize-missing-out",
+    ],
 )
-def test_cli_usage_errors_exit_1(argv, capsys):
+def test_cli_usage_errors_exit_1(argv, stderr, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     # 2 is kept for mathematically invalid data
     assert main(argv) == 1
-    assert "error: " in capsys.readouterr().err
+    # Python versions quote the list of choices differently: it is not pinned
+    assert capsys.readouterr().err.partition(" (choose from ")[0] == stderr
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
-def test_cli_help_exits_0(argv, capsys):
+@pytest.mark.parametrize(
+    "argv,usage",
+    [(["--help"], "usage: chaincert ")]
+    + [([command, "--help"], f"usage: chaincert {command} ") for command in COMMANDS],
+)
+def test_cli_help_exits_0(argv, usage, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("usage: chaincert")
+    assert capsys.readouterr().out.startswith(usage)
+
+
+def test_cli_commands_share_one_process(tmp_path, capsys):
+    """Successive commands in one process, a usage error among them, each
+    parse their own arguments; compare writes no certificate."""
+    p, q, cert = (str(tmp_path / name) for name in ("p.json", "q.json", "cert.json"))
+    gen = ["generate", "--ring", "Z", "--module", "Z/2", "--n", "2", "--max-rank", "4"]
+    codes = [
+        main([*gen, "--seed", "7", "--out", p]),
+        main([*gen, "--seed", "8", "--out", q]),
+        main(["stabilize", p, q, "--out", cert]),
+        main(["check", cert, "--bogus"]),
+    ]
+    files = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    codes.append(main(["compare", p, q]))
+    assert "homology comparison:" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == files
+    codes += [main(["check", cert]), main(["validate", p])]
+    assert codes == [0, 0, 0, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize(

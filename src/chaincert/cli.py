@@ -6,17 +6,21 @@ a usage error, an unusable input combination, an output file that cannot
 be written or an input too large for memory, 2 = mathematically invalid
 data.
 
-``main`` holds the map from exceptions to exit codes: an ``OSError``, a
-``MalformedFileError``, an ``InputMismatchError`` or a ``MemoryError``
-prints one ``error:`` line and exits 1; any other ``StabilizeError``
-prints ``stabilization failed:`` and exits 2. A command lets these
-through and catches only the library errors that mean malformed input to
-that command (a bad module preset, a ring that cannot be dualized).
+The argument parser is built once per process (``build_parser`` is
+cached), and ``main`` only parses and dispatches. It maps argparse's usage
+error status to exit 1 and holds the map from exceptions to exit codes: an
+``OSError``, a ``MalformedFileError``, an ``InputMismatchError`` or a
+``MemoryError`` prints one ``error:`` line and exits 1; any other
+``StabilizeError`` prints ``stabilization failed:`` and exits 2. A command
+lets these through and catches only the library errors that mean
+malformed input to that command (a bad module preset, a ring that cannot
+be dualized).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -52,7 +56,7 @@ def _print_report(report, verbose: bool):
         print(f"{bad} of {len(report.checks)} checks FAILED")
 
 
-def _load(path: str, want: str | None = None):
+def _load(path: str, want: str | None):
     kind, obj = io.load(path)
     if want is not None and kind != want:
         raise io.MalformedFileError(f"{path}: expected a {want} file, found {kind}")
@@ -70,13 +74,15 @@ def _save(path: str, doc: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    kind, obj = _load(args.path)
+    kind, obj = _load(args.path, args.want)
     report = validate_resolution(obj) if kind == "resolution" else verify_certificate(obj)
     _print_report(report, args.verbose)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def cmd_stabilize(args, emit_certificate: bool = True) -> int:
+def _construct(args):
+    """The verified certificate for the two input files, or None once the
+    reason it could not be built has been printed."""
     _, res_p = _load(args.first, "resolution")
     _, res_q = _load(args.second, "resolution")
     for label, res in (("first", res_p), ("second", res_q)):
@@ -84,39 +90,35 @@ def cmd_stabilize(args, emit_certificate: bool = True) -> int:
         if not report.ok:
             print(f"{label} input is not a valid resolution:")
             _print_report(report, args.verbose)
-            return EXIT_INVALID
+            return None
 
     cert = total_equivalence(res_p, res_q)
     print("tower ranks t:", " ".join(str(r) for r in cert.t_ranks))
     print("tower ranks s:", " ".join(str(r) for r in cert.s_ranks))
     report = verify_certificate(cert)
     _print_report(report, args.verbose)
-    if not report.ok:
-        return EXIT_INVALID
+    return cert if report.ok else None
 
-    if emit_certificate and args.out:
+
+def cmd_stabilize(args) -> int:
+    cert = _construct(args)
+    if cert is None:
+        return EXIT_INVALID
+    if args.out:
         _save(args.out, io.certificate_document(cert))
         print(f"certificate written to {args.out}")
-
-    if not emit_certificate:
-        comparison = schanuel_check(cert)
-        print("homology comparison:")
-        for check in comparison.checks:
-            print(check)
-        if not comparison.ok:
-            return EXIT_INVALID
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    return cmd_stabilize(args, emit_certificate=False)
-
-
-def cmd_check(args) -> int:
-    _, cert = _load(args.path, "certificate")
-    report = verify_certificate(cert)
-    _print_report(report, args.verbose)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    cert = _construct(args)
+    if cert is None:
+        return EXIT_INVALID
+    comparison = schanuel_check(cert)
+    print("homology comparison:")
+    for check in comparison.checks:
+        print(check)
+    return EXIT_OK if comparison.ok else EXIT_INVALID
 
 
 def _parse_module(ring: Ring, text: str) -> ModulePresentation:
@@ -201,17 +203,9 @@ def cmd_dualize(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed input: exit 1, not argparse's 2, which the
-    contract keeps for mathematically invalid data. Subparsers inherit it."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="chaincert",
         description=(
             "Build and re-check explicit chain homotopy equivalences between "
@@ -222,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a resolution or certificate file")
     p.add_argument("path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, want=None)
 
     p = sub.add_parser(
         "stabilize",
@@ -232,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out", help="write the certificate here")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser(
@@ -241,13 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_compare, out=None)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check", help="re-verify a certificate from raw matrices")
     p.add_argument("path")
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_validate, want="certificate")
 
     p = sub.add_parser("generate", help="write a random valid resolution")
     p.add_argument("--ring", default="Z", help='"Z" or "Fp:<p>"')
@@ -256,23 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=4, dest="max_rank")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dualize", help="transpose and reverse a field resolution")
     p.add_argument("path")
     p.add_argument("--out", required=True)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_dualize)
 
+    for p in sub.choices.values():
+        p.add_argument("--verbose", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # usage errors and --help
-        return exc.code
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        # a usage error is malformed input; 2 is kept for invalid data
+        return EXIT_MALFORMED if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (OSError, io.MalformedFileError, InputMismatchError) as exc:

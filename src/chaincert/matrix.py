@@ -608,26 +608,24 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
 def kernel_basis(a: Matrix) -> Matrix:
     """Basis of {x : A*x = 0} as matrix columns; over Z this is a lattice
     basis (the kernel of an integer matrix is free)."""
-    ring = a.ring
+    ring, n = a.ring, a.cols
     if isinstance(ring, IntegerRing):
         _, u, pivot_rows = _column_echelon(a)
         cols = u[len(pivot_rows) :]
-    elif isinstance(ring, PrimeField):
-        p = ring.p
-        flat, pivots = _kernels.rref_mod(a._e, a.rows, a.cols, p)
-        pivot_set = set(pivots)
-        free = [j for j in range(a.cols) if j not in pivot_set]
-        cols = []
-        for j in free:
-            vec = [0] * a.cols
-            vec[j] = 1
-            for r, c in enumerate(pivots):
-                vec[c] = (-flat[r * a.cols + j]) % p
-            cols.append(vec)
-    else:
+        return Matrix(ring, n, len(cols), [col[i] for i in range(n) for col in cols])
+    if not isinstance(ring, PrimeField):
         raise RingError("kernel_basis is defined over Z and prime fields only")
-    entries = [col[i] for i in range(a.cols) for col in cols]
-    return Matrix(ring, a.cols, len(cols), entries)
+    p = ring.p
+    flat, pivots = _kernels.rref_mod(a._e, a.rows, n, p)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    k = len(free)
+    entries = _buffer(ring, n * k)
+    for t, j in enumerate(free):
+        entries[j * k + t] = 1
+        for r, c in enumerate(pivots):
+            entries[c * k + t] = -flat[r * n + j] % p
+    return Matrix(ring, n, k, entries)
 
 
 @dataclass(frozen=True)

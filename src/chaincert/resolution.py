@@ -258,24 +258,30 @@ def generate_resolution(
     return TruncatedResolution(presentation, complex_, augmentation)
 
 
+def _pad_top_complex(c: ChainComplex, extra: int) -> ChainComplex:
+    """``c`` with ``extra`` zero columns adjoined to its top boundary: a
+    free summand of that rank added to the top term, mapped by zero. At
+    length 0 only the rank rises."""
+    n = c.length
+    ranks = list(c.ranks)
+    ranks[n] += extra
+    diffs = list(c.diffs)
+    if n >= 1:
+        top = c.d(n)
+        diffs[n - 1] = hstack(top, Matrix.zeros(c.ring, top.rows, extra))
+    return ChainComplex(c.ring, ranks, diffs)
+
+
 def pad_top(res: TruncatedResolution, extra: int) -> TruncatedResolution:
     """Adjoin ``extra`` zero columns to the top boundary: a redundant top
     summand mapped by zero. Exactness is untouched since nothing is
     demanded at the top degree."""
     if res.cochain:
         raise ShapeError("pad_top applies to chain-oriented resolutions")
-    n = res.length
-    if n < 1:
+    if res.length < 1:
         raise ShapeError("nothing to pad in a length-0 resolution")
-    ring = res.ring
-    top = res.complex.d(n)
-    new_top = hstack(top, Matrix.zeros(ring, top.rows, extra))
-    ranks = list(res.complex.ranks)
-    ranks[n] += extra
-    diffs = list(res.complex.diffs)
-    diffs[n - 1] = new_top
     return TruncatedResolution(
-        res.presentation, ChainComplex(ring, ranks, diffs), res.augmentation
+        res.presentation, _pad_top_complex(res.complex, extra), res.augmentation
     )
 
 

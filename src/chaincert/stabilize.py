@@ -50,6 +50,7 @@ from .matrix import Matrix, ShapeError, _buffer, block, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
+    _pad_top_complex,
     presentation_invariants,
 )
 from .rings import RingError
@@ -178,16 +179,7 @@ def stabilized_complex(
 ) -> ChainComplex:
     """The input complex with the opposite tower's top module adjoined to
     the top term, mapped by zero."""
-    n = ladder.n
-    ring = res.ring
-    added = ladder.added_ranks(side)[n]
-    ranks = list(res.complex.ranks)
-    ranks[n] += added
-    diffs = list(res.complex.diffs)
-    if n >= 1:
-        top = res.complex.d(n)
-        diffs[n - 1] = hstack(top, Matrix.zeros(ring, top.rows, added))
-    return ChainComplex(ring, ranks, diffs)
+    return _pad_top_complex(res.complex, ladder.added_ranks(side)[ladder.n])
 
 
 def _select(ring, size: int, positions) -> Matrix:

@@ -18,24 +18,28 @@ most Python converts; longer ones are bad literals on reading, and a
 write that meets one raises ``ValueError`` before the file is opened.
 Writing never builds the nested lists: the document builders
 (``resolution_document``, ``certificate_document``) leave every matrix as
-a ``Matrix`` leaf, and ``dump_canonical`` renders the JSON text of each
-distinct entry once and joins each row from that table straight into the
-file's text. ``resolution_to_json`` and ``certificate_to_json`` return
-the plain documents, rows of strings as parsing the file gives them back,
-by reading that same text.
+a ``Matrix`` leaf. The writer (``_emit``) appends the text of each node
+to one list of pieces: a matrix's text is one piece, in which each
+distinct entry's JSON text is rendered once and each row is one join over
+that table, and a list of strings is one piece from the JSON encoder.
+``dump_canonical`` joins the pieces once; ``save`` renders them all and
+then writes them one by one, never joining the whole text.
+``resolution_to_json`` and ``certificate_to_json`` return the plain
+documents, rows of strings as parsing the file gives them back, by
+reading that same text.
 
 Matrices whose entries are single decimal digits take a byte path. Over
 F_p with p <= 10 every canonical entry is a residue 0-9, whose text is
-that one digit, so ``_matrix_text`` writes the entries' bytes, mapped to
-ASCII digits, into a template of the whole text (brackets, quotes and
-commas) and decodes it once; that is the text the table path writes, and
-an entry in 10-255, which only an unchecked ``bytes`` argument to
+that one digit, so ``_digit_text`` maps the entries' bytes to ASCII
+digits, writes them with one strided slice into the quoted cells of the
+whole matrix and joins the rows; that is the text the table path writes,
+and an entry in 10-255, which only an unchecked ``bytes`` argument to
 ``Matrix`` can hold, sends the matrix back to the table path. ``load``
-reads such a file the same way back: each span of the text that fills
-that template is lifted out whole, and the JSON parser reads only what
-is left (``_lift_digit_matrices``); a lifted matrix's digits are mapped
-to their values by one ``bytes.translate``. What is accepted, and every
-error, stays the plain reading's.
+reads such a file back through the matrix's template (``_template``):
+each span of the text that fills it is lifted out whole, and the JSON
+parser reads only what is left (``_lift_digit_matrices``); a lifted
+matrix's digits are mapped to their values by one ``bytes.translate``.
+What is accepted, and every error, stays the plain reading's.
 """
 
 from __future__ import annotations
@@ -189,9 +193,7 @@ def _template(rows: int, cols: int) -> bytearray:
     """The canonical JSON text of a ``rows`` x ``cols`` matrix (both at
     least 1) of single-digit entries, every digit written as "0": "[" then
     one '["0",...,"0"],' per row, the last row's "," becoming the outer
-    array's "]". Row i's digits sit at 3 + i * (4 * cols + 2), every 4th
-    byte. ``_digit_text`` fills it in; ``_lift_digit_matrices`` recognizes
-    a matrix by it."""
+    array's "]". ``_lift_digit_matrices`` recognizes a matrix by it."""
     text = bytearray(b"[") + (b"[" + b'"0",' * (cols - 1) + b'"0"],') * rows
     text[-1] = ord("]")
     return text
@@ -200,23 +202,22 @@ def _template(rows: int, cols: int) -> bytearray:
 def _digit_text(m: Matrix) -> str | None:
     """The canonical JSON text of ``m``, a matrix over F_p with p <= 10
     (entries stored as bytes), when every entry is in 0-9, else None. The
-    digits are written by one strided slice per row into ``_template``."""
+    digits are written by one strided slice into '"0",' repeated once per
+    entry, whose rows, each without its last comma, are joined by "],["."""
     digits = m.entries.translate(_DIGIT_OF)
     if b"?" in digits:
         return None
-    rows, cols = m.rows, m.cols
-    text = _template(rows, cols)
-    stride = 4 * cols + 2
-    for i in range(rows):
-        first = 3 + i * stride
-        text[first : first + 4 * cols : 4] = digits[i * cols : (i + 1) * cols]
-    return text.decode("ascii")
+    cells = bytearray(b'"0",') * len(digits)
+    cells[1::4] = digits
+    view, stride = memoryview(cells), 4 * m.cols
+    rows = b"],[".join([view[i : i + stride - 1] for i in range(0, len(cells), stride)])
+    return f"[[{rows.decode('ascii')}]]"
 
 
 def _matrix_text(m: Matrix) -> str:
     """The canonical JSON text of ``m``: an array of rows, each an array of
     entries. Over F_p with p <= 10 every canonical entry is one digit, and
-    the text is filled in from the entries' bytes (``_digit_text``);
+    the text is written from the entries' bytes (``_digit_text``);
     otherwise each row is one join over the table of entry texts."""
     if not m.rows:
         return "[]"
@@ -506,44 +507,65 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _canonical(node) -> str:
-    """``json.dumps(node, sort_keys=True, separators=(",", ":"))``, with
-    each ``Matrix`` leaf written by ``_matrix_text``. Dicts (whose keys
-    must be strings), lists and tuples are taken apart here; every other
-    node is one encoder call."""
+def _emit(node, out: list) -> None:
+    """Append the pieces of ``json.dumps(node, sort_keys=True,
+    separators=(",", ":"))`` to ``out``, with each ``Matrix`` leaf written
+    by ``_matrix_text``. Dicts (whose keys must be strings), and lists and
+    tuples that hold anything but strings, are taken apart here; every
+    other node is one encoder call."""
     if isinstance(node, Matrix):
-        return _matrix_text(node)
-    if isinstance(node, dict):
+        out.append(_matrix_text(node))
+    elif isinstance(node, dict):
         if not all(isinstance(key, str) for key in node):
             raise TypeError("a document's dict keys must be strings")
-        items = (_ENCODER.encode(key) + ":" + _canonical(node[key]) for key in sorted(node))
-        return "{" + ",".join(items) + "}"
-    if isinstance(node, (list, tuple)):
-        return "[" + ",".join(map(_canonical, node)) + "]"
-    return _ENCODER.encode(node)
+        opening = "{"
+        for key in sorted(node):
+            out.append(opening + _ENCODER.encode(key) + ":")
+            _emit(node[key], out)
+            opening = ","
+        out.append("{}" if opening == "{" else "}")
+    elif isinstance(node, (list, tuple)) and not all(isinstance(x, str) for x in node):
+        opening = "["
+        for item in node:
+            out.append(opening)
+            _emit(item, out)
+            opening = ","
+        out.append("]")
+    else:
+        out.append(_ENCODER.encode(node))
+
+
+def _pieces(doc) -> list[str]:
+    """The file text of ``doc`` as a list of pieces, in order."""
+    out: list[str] = []
+    _emit(doc, out)
+    out.append("\n")
+    return out
 
 
 def dump_canonical(doc) -> str:
     """The file text of ``doc``: canonical JSON (sorted keys, fixed
     separators) and a newline. ``Matrix`` leaves are rendered straight from
     their entries; every other node is written as ``json.dumps`` writes it."""
-    return _canonical(doc) + "\n"
+    return "".join(_pieces(doc))
 
 
 def save(path: str, doc: dict) -> None:
     """Write ``doc``'s file text to ``path``, atomically: the text is
-    rendered first, written to a new temporary file in the directory of
-    the file ``path`` names (symbolic links followed) and moved over that
-    file by ``os.replace``. A render or a write that raises leaves any
-    earlier file as it was and no temporary file behind. The file gets
-    the mode a new file from ``open(path, "w")`` gets, 0o666 less the
-    umask. A ``path`` that names something other than a regular file,
-    such as ``/dev/null`` or a pipe, is written in place."""
-    text = dump_canonical(doc)
+    rendered first, piece by piece (``_pieces``), then written one piece
+    at a time to a new temporary file in the directory of the file
+    ``path`` names (symbolic links followed) and moved over that file by
+    ``os.replace``. A render or a write that raises leaves any earlier
+    file as it was and no temporary file behind. The file gets the mode a
+    new file from ``open(path, "w")`` gets, 0o666 less the umask. A
+    ``path`` that names something other than a regular file, such as
+    ``/dev/null`` or a pipe, is written in place."""
+    pieces = _pieces(doc)
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         return
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -553,7 +575,8 @@ def save(path: str, doc: dict) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -561,8 +584,9 @@ def save(path: str, doc: dict) -> None:
 
 
 def _lift_digit_matrices(text: str):
-    """``text`` parsed as JSON with each digit matrix the writer filled
-    into ``_template`` lifted out whole, or None where nothing is lifted.
+    """``text`` parsed as JSON with each digit matrix the writer wrote, the
+    text of its ``_template`` with digits in place of the zeros, lifted out
+    whole, or None where nothing is lifted.
 
     Only ASCII text that ends, but for whitespace, as an F_p file with
     p < 10 does ('"ring":"Fp:p"}', p one character) and holds no NaN or

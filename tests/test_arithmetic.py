@@ -19,9 +19,11 @@ from conftest import is_canonical, ring_int
 
 F5 = PrimeField(5)
 F2C4 = GroupRing(PrimeField(2), GroupTable.cyclic(4))
+F5C3 = GroupRing(F5, GroupTable.cyclic(3))
 ZS3 = GroupRing(ZZ, GroupTable.symmetric(3))
-RINGS = [ZZ, F5, F2C4, ZS3]
-RING_IDS = ["Z", "F5", "F2C4", "ZS3"]
+ZC6 = GroupRing(ZZ, GroupTable.cyclic(6))
+RINGS = [ZZ, F5, F2C4, F5C3, ZS3, ZC6]
+RING_IDS = ["Z", "F5", "F2C4", "F5C3", "ZS3", "ZC6"]
 
 
 def elements(ring):
@@ -29,7 +31,8 @@ def elements(ring):
         return st.integers(-20, 20)
     if ring is F5:
         return st.integers(0, 4)
-    base = st.integers(0, 1) if ring is F2C4 else st.integers(-3, 3)
+    p = getattr(ring.base, "p", None)
+    base = st.integers(-3, 3) if p is None else st.integers(0, p - 1)
     return st.tuples(*[base] * ring.group.order)
 
 
@@ -102,6 +105,7 @@ def test_short_circuits_agree_with_generic_path(data, ring_index, kind_a, kind_b
     assert a - c == generic_sum(a, c, negate=True)
     assert c - a == generic_sum(c, a, negate=True)
     assert -a == generic_sum(Matrix.zeros(ring, m, n), a, negate=True)
+    assert a - a == Matrix.zeros(ring, m, n)
     for result in (a + c, a - c, c - a, -a):
         assert_canonical(result)
 
@@ -113,6 +117,7 @@ def test_empty_products(ring, m, n, k):
     b = Matrix(ring, n, k, [ring.one] * (n * k))
     assert a * b == generic_product(a, b) == Matrix.zeros(ring, m, k)
     assert Matrix.identity(ring, m) * Matrix.zeros(ring, m, k) == Matrix.zeros(ring, m, k)
+    assert a + a == a - a == -a == generic_sum(a, a, negate=True) == a
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)

@@ -1,11 +1,12 @@
 """The byte path of the matrix codec agrees with the table path.
 
 Over F_p with p <= 10 every canonical entry is one digit, so
-``io._matrix_text`` fills the digits into a byte template of the whole
-text. The references are the table paths, kept here as the oracles: one
-join per row over the table of entry texts, and one dict lookup per cell,
-which ``io.matrix_from_json`` must match on one-digit literals, on every
-other literal and on non-string cells.
+``io._matrix_text`` writes the digits with one strided slice into the
+quoted cells of the whole matrix. The references are the table paths,
+kept here as the oracles: one join per row over the table of entry
+texts, and one dict lookup per cell, which ``io.matrix_from_json`` must
+match on one-digit literals, on every other literal and on non-string
+cells.
 """
 
 import itertools

@@ -1006,6 +1006,27 @@ def test_save_that_cannot_render_keeps_the_earlier_file(tmp_path, default_digit_
     assert path.read_bytes() == before
 
 
+def test_save_that_cannot_render_writes_nothing_into_a_pipe(tmp_path, default_digit_limit):
+    """A pipe is written in place, so the whole text is rendered before it
+    is opened: the fields sorted before the over-long integer never reach
+    the reader."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a writer's open won't block
+    try:
+        with pytest.raises(ValueError):
+            io.save(str(fifo), io.resolution_document(_z_mod(DIGIT_LIMIT + 1)))
+        try:
+            got = os.read(reader, 1 << 16)
+        except BlockingIOError:  # a writer holds the pipe open with nothing in it
+            got = b""
+    finally:
+        os.close(reader)
+    assert got == b""
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
 # ---------------------------------------------------------------------------
 # io.save replaces the file in one step
 

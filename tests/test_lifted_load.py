@@ -1,12 +1,13 @@
 """``io.load`` with digit matrices lifted out of the text reads every
 file as the plain JSON reading does.
 
-Over F_p with p <= 10 the writer fills each matrix into a digit template,
-and ``io.load`` lifts such spans out whole before the JSON parser runs
-(``io._lift_digit_matrices``). The oracle is the same ``io.load`` with the
-lifting patched off, called from the same frame, so it runs at the same
-stack depth and meets the parser's nesting limit at the same depth. Each
-case must give equal objects, or the same exception with the same text.
+Over F_p with p <= 10 the writer writes each matrix as its digit
+template with the digits in place, and ``io.load`` lifts such spans out
+whole before the JSON parser runs (``io._lift_digit_matrices``). The
+oracle is the same ``io.load`` with the lifting patched off, called from
+the same frame, so it runs at the same stack depth and meets the
+parser's nesting limit at the same depth. Each case must give equal
+objects, or the same exception with the same text.
 """
 
 import json

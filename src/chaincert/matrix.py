@@ -378,20 +378,6 @@ def _fold_columns(y: Matrix, ring: GroupRing, rows: int) -> Matrix:
 # integer normal forms
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 @dataclass(frozen=True)
 class HermiteNormalForm:
     h: Matrix
@@ -403,45 +389,46 @@ def _require_int_ring(a: Matrix, what: str):
         raise RingError(f"{what} is defined over Z only")
 
 
-def _combine_rows(mats, i1, i2, c):
-    """Row operations on every matrix in mats so that the first matrix gets
-    gcd at (i1, c) and zero at (i2, c)."""
-    d = mats[0]
-    a, b = d[i1][c], d[i2][c]
-    if b == 0:
-        return
-    if a == 0:
-        for m in mats:
-            m[i1], m[i2] = m[i2], m[i1]
-        return
-    if b % a == 0:
-        q = b // a
-        for m in mats:
-            m[i2] = [x - q * y for x, y in zip(m[i2], m[i1])]
-        return
-    x, y, g = _xgcd(a, b)
-    ag, mbg = a // g, -(b // g)
-    for m in mats:
-        r1, r2 = m[i1], m[i2]
-        m[i1] = [x * p + y * q for p, q in zip(r1, r2)]
-        m[i2] = [mbg * p + ag * q for p, q in zip(r1, r2)]
+def _clear_column(rows: list[list[int]], k: int, c: int, u: list[list[int]] | None = None):
+    """Remainder elimination on column c from row k down (Cohen, A Course
+    in Computational Algebraic Number Theory, section 2.4.4): the smallest
+    nonzero entry by absolute value is swapped into row k as the pivot, and
+    each row below subtracts the pivot row times its floor quotient by the
+    pivot; while a remainder is left, the smallest one becomes the pivot.
+    Every re-pivot lowers the pivot's absolute value, so this ends with
+    column c nonzero at most at row k. The rows from k down must be zero
+    left of c. ``u``, when given, gets the same row operations."""
+    pivots = [(abs(row[c]), i) for i, row in enumerate(rows[k:], k) if row[c]]
+    while pivots:
+        _, i = min(pivots)
+        rows[k], rows[i] = rows[i], rows[k]
+        if u is not None:
+            u[k], u[i] = u[i], u[k]
+        top = rows[k][c:]
+        for i in range(k + 1, len(rows)):
+            row = rows[i]
+            q = row[c] // top[0]
+            if q:
+                row[c:] = [x - q * y for x, y in zip(row[c:], top)]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        pivots = [(abs(row[c]), i) for i, row in enumerate(rows[k + 1 :], k + 1) if row[c]]
 
 
-def hnf(a: Matrix) -> HermiteNormalForm:
-    """Row Hermite normal form over Z: u*a = h with u unimodular, pivots
-    positive, entries above each pivot reduced into [0, pivot)."""
-    _require_int_ring(a, "hnf")
-    m, n = a.rows, a.cols
-    h = a.to_rows()
+def _hermite(h: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Row Hermite form of the rows h, each of length n, formed in place:
+    returns (h, u, pivots) with u * (h as given) = h, u unimodular, and
+    pivots the pivot column of each nonzero row of h."""
+    m = len(h)
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
+    pivots = []
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        if all(h[i][c] == 0 for i in range(r, m)):
+        _clear_column(h, r, c, u)
+        if not h[r][c]:
             continue
-        for i in range(r + 1, m):
-            _combine_rows((h, u), r, i, c)
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
             u[r] = [-x for x in u[r]]
@@ -450,10 +437,19 @@ def hnf(a: Matrix) -> HermiteNormalForm:
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
+        pivots.append(c)
+    return h, u, pivots
+
+
+def hnf(a: Matrix) -> HermiteNormalForm:
+    """Row Hermite normal form over Z: u*a = h with u unimodular, pivots
+    positive, entries above each pivot reduced into [0, pivot). Columns
+    are cleared by remainder elimination, as in ``snf``."""
+    _require_int_ring(a, "hnf")
+    h, u, _ = _hermite(a.to_rows(), a.cols)
     return HermiteNormalForm(
-        h=Matrix.from_rows(a.ring, h, cols=n),
-        u=Matrix.from_rows(a.ring, u, cols=m),
+        h=Matrix.from_rows(a.ring, h, cols=a.cols),
+        u=Matrix.from_rows(a.ring, u, cols=a.rows),
     )
 
 
@@ -463,10 +459,8 @@ def _column_echelon(a: Matrix) -> tuple[list[list[int]], list[list[int]], list[i
     nested-row lists, so row j of h is column j of E and row j of u is
     column j of V. For j < len(pivot_rows), column j of E leads at row
     pivot_rows[j] (strictly increasing); the remaining columns are zero."""
-    res = hnf(a.transpose())
-    h, u = res.h.to_rows(), res.u.to_rows()
-    pivot_rows = [next(i for i, x in enumerate(row) if x) for row in h if any(row)]
-    return h, u, pivot_rows
+    e, cols = a.entries, a.cols
+    return _hermite([list(e[j::cols]) for j in range(cols)], a.rows)
 
 
 def snf(a: Matrix) -> list[int]:
@@ -475,44 +469,32 @@ def snf(a: Matrix) -> list[int]:
     next, zeros trailing. The nonzero entries are the invariant factors of
     ``a``; their count is its rank.
 
-    Remainder elimination (Cohen, A Course in Computational Algebraic
-    Number Theory, section 2.4.4), always pivoting on the smallest nonzero
-    entry by absolute value. Step k moves that entry of d[k:, k:] to
-    (k, k), then clears column k: each row below subtracts row k times its
-    floor quotient by the pivot, and while a remainder is left the smallest
-    one becomes the pivot. With column k clear, row k is reduced modulo
-    the pivot. That is a column operation, and it changes only row k, as
-    column k has no other nonzero entry (rows above k are zero from column
-    k on). A remainder left in row k becomes the pivot and the step
-    repeats. Every re-pivot strictly lowers the absolute value of the
-    pivot, so each step ends. No extended-gcd combination is formed.
+    Step k swaps the column of the smallest nonzero entry of d[k:, k:]
+    into column k and clears it (``_clear_column``). Then row k is reduced
+    modulo the pivot: a column operation that changes only row k, as
+    column k is now zero elsewhere (rows above k are zero from column k
+    on). A remainder left in row k, smaller than the pivot, is swapped
+    into column k and the step repeats, so each step ends.
     """
     _require_int_ring(a, "snf")
     m, n = a.rows, a.cols
     d = a.to_rows()
     rank = 0
     for k in range(min(m, n)):
-        nonzero = [(abs(x), i, j) for i in range(k, m) for j, x in enumerate(d[i][k:], k) if x]
+        nonzero = [(abs(x), j) for row in d[k:] for j, x in enumerate(row[k:], k) if x]
         if not nonzero:
             break
-        _, i, j = min(nonzero)
-        while True:  # pivot (i, j) to (k, k), clear column k, then row k
-            d[k], d[i] = d[i], d[k]
+        _, j = min(nonzero)
+        while True:  # column j to column k, clear column k, then row k
             for row in d[k:]:
                 row[k], row[j] = row[j], row[k]
-            top = d[k][k:]
-            for row in d[k + 1 :]:
-                q = row[k] // top[0]
-                if q:
-                    row[k:] = [x - q * y for x, y in zip(row[k:], top)]
-            rest = [(abs(d[i][k]), i, k) for i in range(k + 1, m) if d[i][k]]
-            if not rest:
-                row = d[k]
-                row[k + 1 :] = [x % row[k] for x in row[k + 1 :]]
-                rest = [(abs(x), k, j) for j, x in enumerate(row[k + 1 :], k + 1) if x]
+            _clear_column(d, k, k)
+            row = d[k]
+            row[k + 1 :] = [x % row[k] for x in row[k + 1 :]]
+            rest = [(abs(x), j) for j, x in enumerate(row[k + 1 :], k + 1) if x]
             if not rest:
                 break
-            _, i, j = min(rest)
+            _, j = min(rest)
         rank = k + 1
 
     # diag(a, b) is equivalent to diag(gcd, lcm), so gcd/lcm swaps put the

@@ -124,7 +124,7 @@ GOLDEN = [
     ),
     pytest.param(
         _z_deep_pair,
-        "1fb892daba284840b19a828f44821711bb35364ae07b0bb62e704af39679810b",
+        "0c3dfd877546a51381d8f1a3ab7243bdc00bf434d2e83db933b351e11e2e23e2",
         id="Z-torsion6-n5",
     ),
     pytest.param(
@@ -241,14 +241,14 @@ SUBDOCUMENT_GOLDEN = {
     },
     "Z-torsion6-n5": {
         "presentation": "ce507ba5619c71ef42d55042b239d089c39728fda6c70050e1894ab4243b005f",
-        "source": "7944abdc2f83f90d330fcf8a7ecf251aaa5b6c0d4cefaea4ba9901f08db36d70",
+        "source": "dcc56dd1dfc425f5aaa5f01c8d3cc771e7df3072d508290eb19935de099434e6",
         "target": "7de4c93cc1453c4445858682e6ae55a64bd482fc85ebe187df9906282bc22271",
-        "forward": "c408c78df6d42662b943dcc242b8757018548ce182f8389ec07071def4ac2832",
-        "backward": "9b3fc8e9b6b522fc59b957448903f630a0f837fa1c97bfaa0caa28e78feeffe8",
-        "source_homotopy": "216a0e95addf5c79bb072c23168098417882f15d0afed4eae29d823a2a3eb0ed",
+        "forward": "7ed8c6d144fba20212d91dbef16e44a6838d345e6040a90eb625f5fd471b98d3",
+        "backward": "d4977e68e9076cefd5b938e4abf420e73fb822706f2d53b5fe02a767a409a9a9",
+        "source_homotopy": "e8c6f1a93206f0afa6336ae714052102e27ee58c1035bbaad0c4b599f16364c8",
         "target_homotopy": "68fc0158d9e7ad91639e828bccb4c4380cbcf79091fd57ffad82bc10f25e7213",
         "tower_ranks": "1ec01c6f245b7505e529d314026c470cae75b300f8e878070f2a7741938e1c5b",
-        "block_isomorphisms": "db6b0781531899df42825a7ea99a46a5fb1137d1c71d4b875f8537784f76dbf5",
+        "block_isomorphisms": "058d12c52e9b4f2617a74a812d6e63e141edc40dfd4755bf891c167d247073e6",
         "ring": "7837b2ce4ee04c30121ed84c95ae36f707753617abbba69f04fcba5ea51b849f",
     },
     "ZC6-n4-pad3": {

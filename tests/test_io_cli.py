@@ -806,6 +806,20 @@ def test_dense_twelve_digit_presentation_validates_in_bounded_time(tmp_path, cap
     assert "all 4 checks passed" in capsys.readouterr().out
 
 
+def test_dense_presentation_stabilizes_against_itself_in_bounded_time(tmp_path, capsys):
+    """Every lift between two copies of the 30 x 30 dense resolution is a
+    solve through a Hermite form with 12-digit entries: with extended-gcd
+    row combinations the transforms grew without bound, and k = 25 took
+    8 s while k = 30 did not finish in 60 s."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_presentation_document(30)))
+    out = str(tmp_path / "cert.json")
+    start = perf_counter()
+    assert main(["stabilize", str(path), str(path), "--out", out]) == 0
+    assert perf_counter() - start < 10.0
+    assert capsys.readouterr().out.endswith(f"certificate written to {out}\n")
+
+
 def test_verify_certificate_skips_identities_when_ranks_do_not_fit():
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
     cert = total_equivalence(res, pad_top(res, 1))

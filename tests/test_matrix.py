@@ -1,20 +1,19 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaincert import _kernels, io
 from chaincert.matrix import (
+    HermiteNormalForm,
     Invariants,
     Matrix,
     ShapeError,
     _column_echelon,
-    _combine_rows,
     _expand_columns,
     _fold_columns,
-    _xgcd,
     block,
     cokernel_invariants,
     hnf,
@@ -251,6 +250,79 @@ def test_block_errors():
 
 
 # ---------------------------------------------------------------------------
+# Oracles: the extended-gcd row combinations that the library's normal forms
+# used before remainder elimination
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def _combine_rows(mats, i1, i2, c):
+    """Row operations on every matrix in mats so that the first matrix gets
+    gcd at (i1, c) and zero at (i2, c)."""
+    d = mats[0]
+    a, b = d[i1][c], d[i2][c]
+    if b == 0:
+        return
+    if a == 0:
+        for m in mats:
+            m[i1], m[i2] = m[i2], m[i1]
+        return
+    if b % a == 0:
+        q = b // a
+        for m in mats:
+            m[i2] = [x - q * y for x, y in zip(m[i2], m[i1])]
+        return
+    x, y, g = _xgcd(a, b)
+    ag, mbg = a // g, -(b // g)
+    for m in mats:
+        r1, r2 = m[i1], m[i2]
+        m[i1] = [x * p + y * q for p, q in zip(r1, r2)]
+        m[i2] = [mbg * p + ag * q for p, q in zip(r1, r2)]
+
+
+def hnf_by_row_combinations(a: Matrix) -> HermiteNormalForm:
+    """Oracle: the row Hermite form by extended-gcd row combinations, the
+    library's ``hnf`` before remainder elimination. The Hermite form is
+    unique, so its h must equal the library's; its u may differ."""
+    m, n = a.rows, a.cols
+    h = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        if all(h[i][c] == 0 for i in range(r, m)):
+            continue
+        for i in range(r + 1, m):
+            _combine_rows((h, u), r, i, c)
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return HermiteNormalForm(
+        h=Matrix.from_rows(a.ring, h, cols=n),
+        u=Matrix.from_rows(a.ring, u, cols=m),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form, with the minor-gcd oracle
 
 
@@ -436,6 +508,21 @@ def test_hnf_random():
         assert_valid_hnf(a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=_int_matrices())
+@example(a=Matrix.zeros(ZZ, 0, 4))
+@example(a=Matrix.zeros(ZZ, 4, 0))
+@example(a=Matrix.from_rows(ZZ, [[-6, -10], [-15, -25]]))  # negative, rank 1
+@example(a=Matrix.from_rows(ZZ, [[_BIG, 2 * _BIG, 1], [3, 6, _BIG], [-_BIG, 0, 0]]))
+def test_hnf_matches_the_row_combination_oracle(a):
+    """The Hermite form is unique: h is the oracle's; u is any unimodular
+    transform with u * a = h."""
+    res = hnf(a)
+    assert res.h == hnf_by_row_combinations(a).h
+    assert res.u * a == res.h
+    assert _is_unimodular(res.u)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -565,6 +652,31 @@ def test_solve_int_matches_the_column_by_column_oracle(system):
     got = solve(a, b)
     assert got == _solve_int_by_columns(a, b)
     assert got is None or a * got == b
+
+
+def _lattice_index(a: Matrix) -> tuple[int, int]:
+    """Rank of the column lattice of ``a`` and the product of its invariant
+    factors, its index in its saturation."""
+    nonzero = [d for d in snf(a) if d]
+    return len(nonzero), prod(nonzero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_int_systems())
+def test_solve_and_kernel_basis_satisfy_their_equations(system):
+    """``solve`` answers A X = B exactly when B lies in the column lattice
+    of A, which holds when appending B keeps the rank and the index in the
+    saturation (Smith diagonals); ``kernel_basis`` K has A K = 0, rank
+    cols - rank(A), and trivial invariant factors, so its columns span the
+    whole (saturated) kernel lattice."""
+    a, b = system
+    x = solve(a, b)
+    assert (x is not None) == (_lattice_index(hstack(a, b)) == _lattice_index(a))
+    assert x is None or a * x == b
+    k = kernel_basis(a)
+    assert (a * k).is_zero()
+    rank, _ = _lattice_index(a)
+    assert _lattice_index(k) == (a.cols - rank, 1)
 
 
 @pytest.mark.parametrize(

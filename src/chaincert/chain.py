@@ -45,6 +45,22 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append(Check(name, ok, detail))
 
+    def holds(self, name: str, lhs: Matrix, rhs: Matrix):
+        """Record the check lhs = rhs. A failure's detail names the first
+        differing entry, found by comparing row slices and then scanning
+        only the first row that differs."""
+        ok = lhs == rhs
+        detail = ""
+        if not ok and lhs.shape != rhs.shape:
+            detail = f"shape {lhs.shape}, not {rhs.shape}"
+        elif not ok:
+            a, b, w = lhs.entries, rhs.entries, lhs.cols
+            r = next(r for r in range(lhs.rows) if a[r * w : r * w + w] != b[r * w : r * w + w])
+            k = next(k for k in range(r * w, r * w + w) if a[k] != b[k])
+            render = lhs.ring.render
+            detail = f"entry ({r}, {k - r * w}) is {render(a[k])}, not {render(b[k])}"
+        self.add(name, ok, detail)
+
     def extend(self, other: "Report", prefix: str = ""):
         for c in other.checks:
             self.checks.append(Check(prefix + c.name, c.ok, c.detail))
@@ -118,13 +134,8 @@ class ChainComplex:
 def validate_complex(c: ChainComplex) -> Report:
     report = Report()
     for i in range(1, c.length):
-        prod = c.d(i) * c.d(i + 1)
-        ok = prod.is_zero()
-        report.add(
-            f"d{i}.d{i+1} = 0",
-            ok,
-            "" if ok else f"residual {prod!r}",
-        )
+        zero = Matrix.zeros(c.ring, c.ranks[i - 1], c.ranks[i + 1])
+        report.holds(f"d{i}.d{i+1} = 0", c.d(i) * c.d(i + 1), zero)
     if c.length <= 1:
         report.add("d.d = 0", True, "no adjacent boundary pairs")
     return report
@@ -182,14 +193,7 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
 def validate_chain_map(f: ChainMap) -> Report:
     report = Report()
     for i in range(1, f.source.length + 1):
-        lhs = f.target.d(i) * f[i]
-        rhs = f[i - 1] * f.source.d(i)
-        ok = lhs == rhs
-        report.add(
-            f"square at degree {i}",
-            ok,
-            "" if ok else f"residual {lhs - rhs!r}",
-        )
+        report.holds(f"square at degree {i}", f.target.d(i) * f[i], f[i - 1] * f.source.d(i))
     if f.source.length == 0:
         report.add("squares", True, "single degree, nothing to commute")
     return report
@@ -208,12 +212,7 @@ def validate_homotopy(f: ChainMap, g: ChainMap, parts) -> Report:
             rhs = rhs + tgt.d(i + 1) * parts[i]
         if i > 0:
             rhs = rhs + parts[i - 1] * src.d(i)
-        ok = f[i] == rhs
-        report.add(
-            f"homotopy identity at degree {i}",
-            ok,
-            "" if ok else f"residual {f[i] - rhs!r}",
-        )
+        report.holds(f"homotopy identity at degree {i}", f[i], rhs)
     return report
 
 

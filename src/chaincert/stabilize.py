@@ -547,10 +547,11 @@ def verify_certificate(cert: EquivalenceCertificate) -> Report:
     ring = cert.source.ring
     for i in range(cert.source.length + 1):
         h, k = cert.iso_fwd[i], cert.iso_bwd[i]
-        expected = cert.t_ranks[i] + cert.s_ranks[i]
-        shaped = h.shape == (expected, expected) and k.shape == (expected, expected)
-        inverse = shaped and h * k == Matrix.identity(ring, expected)
-        report.add(f"block pair mutually inverse at degree {i}", inverse)
+        one = Matrix.identity(ring, cert.t_ranks[i] + cert.s_ranks[i])
+        # a misshapen block is compared as stored, so the detail names its shape
+        misshapen = [m for m in (h, k) if m.shape != one.shape]
+        name = f"block pair mutually inverse at degree {i}"
+        report.holds(name, misshapen[0] if misshapen else h * k, one)
     return report
 
 

@@ -57,7 +57,7 @@ def test_validators_report_residuals_on_failure():
     )
     check = validate_complex(bad).first_failure
     assert check.name == "d1.d2 = 0"
-    assert check.detail == f"residual {Matrix.from_rows(ZZ, [[6]])!r}"
+    assert check.detail == "entry (0, 0) is 6, not 0"
 
     c = two_step(ZZ, [[3]])
     off_square = ChainMap(c, c, [Matrix.identity(ZZ, 1), Matrix.from_rows(ZZ, [[2]])])
@@ -65,19 +65,71 @@ def test_validators_report_residuals_on_failure():
     assert not report.ok
     check = report.first_failure
     assert check.name == "square at degree 1"
-    # d.f1 - f0.d = 3*2 - 1*3
-    assert check.detail == f"residual {Matrix.from_rows(ZZ, [[3]])!r}"
+    # d.f1 = 3*2 against f0.d = 1*3
+    assert check.detail == "entry (0, 0) is 6, not 3"
 
     f = identity_chain_map(c)
     g = ChainMap(c, c, [Matrix.from_rows(ZZ, [[-2]]), Matrix.from_rows(ZZ, [[-2]])])
     report = validate_homotopy(f, g, [Matrix.from_rows(ZZ, [[2]])])
     assert not report.ok
-    # degree 0: f - g - d s = 1 + 2 - 3*2; degree 1: 1 + 2 - 2*3
+    # degree 0: f = 1 against g + d s = -2 + 3*2; degree 1: 1 against -2 + 2*3
     assert [ch.detail for ch in report.checks] == [
-        f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
-        f"residual {Matrix.from_rows(ZZ, [[-3]])!r}",
+        "entry (0, 0) is 1, not 4",
+        "entry (0, 0) is 1, not 4",
     ]
     assert validate_homotopy(f, g, [Matrix.from_rows(ZZ, [[1]])]).ok
+
+
+ZC3 = GroupRing(ZZ, GroupTable.cyclic(3))
+
+
+@pytest.mark.parametrize(
+    "ring,rows,changes,detail",
+    [
+        (ZZ, [[1, 0, 2], [0, -3, 4]], {(1, 1): 5, (1, 2): 0}, "entry (1, 1) is 5, not -3"),
+        (PrimeField(5), [[1, 0, 2], [0, 3, 4]], {(0, 2): 4}, "entry (0, 2) is 4, not 2"),
+        (
+            ZC3,
+            [[(1, 0, 0), (0, 0, 0)], [(0, 2, 0), (0, 0, 1)]],
+            {(1, 0): (0, 2, -1), (1, 1): (0, 0, 0)},
+            "entry (1, 0) is 2*g1-g2, not 2*g1",
+        ),
+    ],
+    ids=["Z", "F5", "ZC3"],
+)
+def test_holds_names_the_first_differing_entry(ring, rows, changes, detail):
+    rhs = Matrix.from_rows(ring, rows)
+    for (r, c), x in changes.items():
+        rows[r][c] = x
+    lhs = Matrix.from_rows(ring, rows)
+    report = Report()
+    report.holds("same", rhs, rhs)
+    report.holds("bumped", lhs, rhs)
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("same", True, ""),
+        ("bumped", False, detail),
+    ]
+
+
+@pytest.mark.parametrize("ring", [ZZ, PrimeField(5)], ids=["Z", "F5"])
+def test_holds_on_a_large_block_pair_differing_in_its_last_row(ring):
+    # the side of the benchmark's largest block pairs; the rows are
+    # compared as slices and only the last one is scanned entry by entry
+    one = Matrix.identity(ring, 224)
+    entries = list(one.entries)
+    entries[-1], entries[-2] = 0, 2
+    report = Report()
+    report.holds("block pair mutually inverse at degree 7", Matrix(ring, 224, 224, entries), one)
+    assert str(report) == (
+        "[FAIL] block pair mutually inverse at degree 7: entry (223, 222) is 2, not 0"
+    )
+
+
+def test_holds_names_a_shape_mismatch():
+    # the same entry sequence as the identity, in the wrong shape
+    report = Report()
+    report.holds("block pair", Matrix(ZZ, 1, 4, [1, 0, 0, 1]), Matrix.identity(ZZ, 2))
+    assert str(report) == "[FAIL] block pair: shape (1, 4), not (2, 2)"
 
 
 def test_make_equivalence_round_trips_are_composites():
@@ -88,7 +140,7 @@ def test_make_equivalence_round_trips_are_composites():
     e = make_equivalence(fwd, bwd, zeros, list(zeros))
     assert e.src_homotopy == e.tgt_homotopy == tuple(zeros)
     # validate checks s against bwd.fwd and t against fwd.bwd (which differ
-    # here, so a swap would change the residuals), each against the identity
+    # here, so a swap would change the details), each against the identity
     ident = identity_chain_map(c)
     expected = Report()
     expected.extend(validate_homotopy(bwd.after(fwd), ident, zeros), "source homotopy: ")

@@ -5,7 +5,8 @@ binding that holds it (as perfbench's tracer finds them), by a function
 that records the call and raises. ``check`` must still accept valid
 certificates over Z, F_5, F_2[C_4] and Z[S_3], and still refuse each of
 them with one block entry bumped. So what it trusts is products,
-comparisons and shape checks, never a solve, a normal form, a lift or a
+comparisons and shape checks, never a solve, a Hermite or Smith form, a
+field rank or row reduction, a lift, a resolution's validation or a
 generator.
 """
 
@@ -26,7 +27,13 @@ from conftest import f2c4_resolution, s3_resolution
 CONSTRUCTION = [
     ("chaincert.matrix", "solve"),
     ("chaincert.matrix", "hnf"),
+    ("chaincert.matrix", "_hermite"),
+    ("chaincert.matrix", "snf"),
+    ("chaincert.matrix", "cokernel_invariants"),
+    ("chaincert.matrix", "rank_field"),
     ("chaincert.matrix", "kernel_basis"),
+    ("chaincert._kernels", "rref_mod"),
+    ("chaincert.resolution", "validate_resolution"),
     ("chaincert.stabilize", "_lift"),
     ("chaincert.stabilize", "build_ladder_maps"),
     ("chaincert.stabilize", "inverse_pair"),

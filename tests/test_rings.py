@@ -209,7 +209,7 @@ def test_parse_render_round_trip(ring):
 
 
 def test_group_ring_render():
-    # the text failure residuals print a group-ring entry in
+    # the text a failed identity's detail prints a group-ring entry in
     zc3 = GroupRing(ZZ, GroupTable.cyclic(3))
     assert zc3.render(zc3.zero) == "0"
     assert zc3.render((1, -2, 0)) == "1-2*g1"

@@ -8,14 +8,15 @@ arrays of base-ring strings in the table's element order. Serialization is
 canonical (sorted keys, fixed separators), so identical data produces
 byte-identical files.
 
-Matrices are coded through a table. Reading parses each distinct literal
-of a matrix once and maps the cells through that table. The accepted
-literal language is exactly that of ``ring.parse`` (the base ring's, for
-group-ring coefficients); a cell that is not a string, or a literal
-``ring.parse`` rejects, is a ``MalformedFileError``. An integer literal
-may have at most ``sys.int_max_str_digits`` digits (4300 by default), the
-most Python converts; longer ones are bad literals on reading, and a
-write that meets one raises ``ValueError`` before the file is opened.
+Matrices are coded through tables. Reading maps a matrix's cells, in
+file order, through a table that parses each literal when first looked
+up (``_Literals``), so the first bad literal is the one named. The
+accepted literal language is exactly that of ``ring.parse`` (the base
+ring's, for group-ring coefficients); a cell that is not a string, or a
+literal ``ring.parse`` rejects, is a ``MalformedFileError``. An integer
+literal may have at most ``sys.int_max_str_digits`` digits (4300 by
+default), the most Python converts; longer ones are bad literals on
+reading, and a write that meets one raises ``ValueError`` first.
 Writing never builds the nested lists: the document builders
 (``resolution_document``, ``certificate_document``) leave every matrix as
 a ``Matrix`` leaf. The writer (``_emit``) appends the text of each node
@@ -35,11 +36,12 @@ digits, writes them with one strided slice into the quoted cells of the
 whole matrix and joins the rows; that is the text the table path writes,
 and an entry in 10-255, which only an unchecked ``bytes`` argument to
 ``Matrix`` can hold, sends the matrix back to the table path. ``load``
-reads such a file back through the matrix's template (``_template``):
-each span of the text that fills it is lifted out whole, and the JSON
-parser reads only what is left (``_lift_digit_matrices``); a lifted
-matrix's digits are mapped to their values by one ``bytes.translate``.
-What is accepted, and every error, stays the plain reading's.
+reads a file once, as bytes, and such a matrix through its template
+(``_template``): each span that fills one is lifted out whole, the JSON
+parser reads only what is left (``_lift_digit_matrices``), and the
+digits are mapped to their values by one ``bytes.translate``. Only the
+plain reading decodes the bytes, as text mode does. What is accepted,
+and every error, stays the plain reading's.
 """
 
 from __future__ import annotations
@@ -151,21 +153,21 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _literal_table(base: Ring, literals) -> dict:
-    """Parse each distinct literal once: {literal: canonical base element}."""
-    try:
-        distinct = set(literals)
-    except TypeError as exc:
-        raise MalformedFileError("matrix entries must be string literals") from exc
-    table = {}
-    for text in distinct:
+class _Literals(dict):
+    """{literal: ``parse(literal)``}, each literal parsed when first looked
+    up; one that is not a string, or that ``parse`` rejects, is malformed."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, text):
         if not isinstance(text, str):
             raise MalformedFileError(f"expected a string literal, got {_shown(text)}")
         try:
-            table[text] = base.parse(text)
+            value = self[text] = self.parse(text)
         except ValueError as exc:
             raise MalformedFileError(f"bad literal {_shown(text)}{_over_limit(text)}") from exc
-    return table
+        return value
 
 
 def _entry_texts(ring: Ring, values) -> dict:
@@ -253,22 +255,21 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise MalformedFileError(f"matrix row must have {cols} entries")
-    cells = list(itertools.chain.from_iterable(data))
+    cells = itertools.chain.from_iterable(data)
     if isinstance(ring, GroupRing):
         order = ring.group.order
-        for cell in cells:
-            if not isinstance(cell, list) or len(cell) != order:
-                raise MalformedFileError(
-                    "group-ring entry must list one coefficient per element"
-                )
-        literals = list(itertools.chain.from_iterable(cells))
-        coeffs = map(_literal_table(ring.base, literals).__getitem__, literals)
-        entries = zip(*[coeffs] * order)  # consecutive runs of `order`
+        if not all(isinstance(cell, list) and len(cell) == order for cell in cells):
+            raise MalformedFileError("group-ring entry must list one coefficient per element")
+        literals = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
+        coeffs = map(_Literals(ring.base.parse).__getitem__, literals)
+        values = zip(*[coeffs] * order)  # consecutive runs of `order`
     else:
-        entries = map(_literal_table(ring, cells).__getitem__, cells)
+        values = map(_Literals(ring.parse).__getitem__, cells)
     try:
-        return Matrix(ring, rows, cols, entries)
-    except (ValueError, RingError) as exc:
+        return Matrix(ring, rows, cols, tuple(values))
+    except TypeError as exc:  # an unhashable cell
+        raise MalformedFileError("matrix entries must be string literals") from exc
+    except (ValueError, RingError) as exc:  # a bad literal's error too, same text
         raise MalformedFileError(str(exc)) from exc
 
 
@@ -583,10 +584,10 @@ def save(path: str, doc: dict) -> None:
         raise
 
 
-def _lift_digit_matrices(text: str):
-    """``text`` parsed as JSON with each digit matrix the writer wrote, the
-    text of its ``_template`` with digits in place of the zeros, lifted out
-    whole, or None where nothing is lifted.
+def _lift_digit_matrices(data: bytes):
+    """The file's bytes ``data`` parsed as JSON with each digit matrix the
+    writer wrote, the text of its ``_template`` with digits in place of the
+    zeros, lifted out whole, or None where nothing is lifted.
 
     Only ASCII text that ends, but for whitespace, as an F_p file with
     p < 10 does ('"ring":"Fp:p"}', p one character) and holds no NaN or
@@ -600,11 +601,10 @@ def _lift_digit_matrices(text: str):
     two lists, and only ``matrix_from_json`` accepts that. A span the
     parser reads inside a string (the text is then not valid JSON) leaves
     its tuple unclaimed; that, or a skeleton that does not parse, gives
-    None."""
-    tail = text[-64:].rstrip()[-14:]
-    if not (text.isascii() and tail[:11] == '"ring":"Fp:' and tail[12:] == '"}'):
+    None. No newline is translated: outside strings "\\r" is whitespace, as "\\n" is."""
+    tail = data[-64:].rstrip()[-14:]
+    if not (tail[:11] == b'"ring":"Fp:' and tail[12:] == b'"}' and data.isascii()):
         return None
-    data = text.encode("ascii")
     pieces, lifted = [], []
     copied = start = 0
     while (close := data.find(b"]]", start)) >= 0:
@@ -641,10 +641,13 @@ def _lift_digit_matrices(text: str):
     return doc
 
 
-def _parse_json(text: str):
+def _parse_json(data: bytes):
+    """The document in ``data``, decoded as text mode decodes a file: strict
+    UTF-8, then universal newlines; the parser is given the ``str``."""
     try:
-        return json.loads(text)
-    # bad JSON, over-long JSON numbers, nesting past the parser's depth
+        text = data.decode("utf-8")
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    # bad UTF-8, bad JSON, over-long JSON numbers, nesting past the parser's depth
     except (ValueError, RecursionError) as exc:
         raise MalformedFileError(f"not valid JSON: {exc}") from exc
 
@@ -653,22 +656,19 @@ def load(path: str):
     """Parse a file into ("resolution", TruncatedResolution) or
     ("certificate", EquivalenceCertificate).
 
-    A text with digit matrices lifted out (``_lift_digit_matrices``) is
-    read from that document; if reading it raises anything, the plain
-    document is read instead, so what is accepted, and every error, is
-    the plain reading's."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except ValueError as exc:  # bad UTF-8
-        raise MalformedFileError(f"not valid JSON: {exc}") from exc
-    lifted = _lift_digit_matrices(text)
+    The file is read once, as bytes. The document with digit matrices
+    lifted out (``_lift_digit_matrices``) is read if there is one and
+    reading it raises nothing; else the plain document (``_parse_json``)
+    is, so what is accepted, and every error, is the plain reading's."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lifted = _lift_digit_matrices(data)
     if lifted is not None:
         try:
             return _from_document(lifted)
         except Exception:  # reported as the plain document's failure, below
             pass
-    return _from_document(_parse_json(text))
+    return _from_document(_parse_json(data))
 
 
 def _from_document(doc):

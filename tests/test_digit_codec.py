@@ -40,12 +40,14 @@ def table_matrix_text(m: Matrix) -> str:
 
 
 def _table_literals(base, literals) -> dict:
-    try:
-        distinct = set(literals)
-    except TypeError as exc:
-        raise io.MalformedFileError("matrix entries must be string literals") from exc
+    """The literals parsed in file order, so the first bad one is named."""
     table = {}
-    for text in distinct:
+    for text in literals:
+        try:
+            if text in table:
+                continue
+        except TypeError as exc:
+            raise io.MalformedFileError("matrix entries must be string literals") from exc
         if not isinstance(text, str):
             raise io.MalformedFileError(f"expected a string literal, got {io._shown(text)}")
         try:

@@ -198,7 +198,7 @@ def _check_outcome(path):
 
 def test_the_f5_certificate_is_lifted():
     assert len(F5_SPANS) > 10
-    assert io._lift_digit_matrices(F5_TEXT) is not None
+    assert io._lift_digit_matrices(F5_TEXT.encode()) is not None
 
 
 @settings(max_examples=100, deadline=None)

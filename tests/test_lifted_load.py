@@ -57,7 +57,7 @@ def assert_reads_as_the_plain_path(tmp_path, text, lifts=None):
         want = outcome(path)
     assert got == want
     if lifts is not None:
-        assert (io._lift_digit_matrices(text) is not None) == lifts
+        assert (io._lift_digit_matrices(path.read_bytes()) is not None) == lifts
     return got
 
 

@@ -20,9 +20,9 @@ reading, and a write that meets one raises ``ValueError`` first.
 Writing never builds the nested lists: the document builders
 (``resolution_document``, ``certificate_document``) leave every matrix as
 a ``Matrix`` leaf. The writer (``_emit``) appends the text of each node
-to one list of pieces: a matrix's text is one piece, in which each
-distinct entry's JSON text is rendered once and each row is one join over
-that table, and a list of strings is one piece from the JSON encoder.
+to one list of pieces: a matrix's text is one piece, each row one join
+over a table of entry texts (``_Texts``), one table per file, which
+renders each distinct value once; a list of strings is one encoder piece.
 ``dump_canonical`` joins the pieces once; ``save`` renders them all and
 then writes them one by one, never joining the whole text.
 ``resolution_to_json`` and ``certificate_to_json`` return the plain
@@ -170,15 +170,21 @@ class _Literals(dict):
         return value
 
 
-def _entry_texts(ring: Ring, values) -> dict:
-    """{value: its JSON text} for each distinct value: a quoted decimal, or
-    over a group ring an array of them, each coefficient rendered once."""
-    distinct = set(values)
-    if isinstance(ring, GroupRing):
-        coeff = _entry_texts(ring.base, itertools.chain.from_iterable(distinct))
-        return {v: "[" + ",".join(map(coeff.__getitem__, v)) + "]" for v in distinct}
-    render = ring.render
-    return {v: '"' + render(v) + '"' for v in distinct}
+class _Texts(dict):
+    """{value: its JSON text}, each value rendered when first looked up: a
+    quoted decimal, or over a group ring an array of them through a nested
+    table for the base ring. ``_pieces`` makes new tables for each file."""
+
+    def __init__(self, ring: Ring):
+        self.render = ring.render
+        self.coeffs = _Texts(ring.base) if isinstance(ring, GroupRing) else None
+
+    def __missing__(self, value):
+        if self.coeffs is None:
+            text = self[value] = '"' + self.render(value) + '"'
+        else:
+            text = self[value] = "[" + ",".join(map(self.coeffs.__getitem__, value)) + "]"
+        return text
 
 
 # byte value -> ASCII digit for 0-9; every other byte maps to "?", which no
@@ -216,11 +222,11 @@ def _digit_text(m: Matrix) -> str | None:
     return f"[[{rows.decode('ascii')}]]"
 
 
-def _matrix_text(m: Matrix) -> str:
+def _matrix_text(m: Matrix, texts: _Texts) -> str:
     """The canonical JSON text of ``m``: an array of rows, each an array of
     entries. Over F_p with p <= 10 every canonical entry is one digit, and
     the text is written from the entries' bytes (``_digit_text``);
-    otherwise each row is one join over the table of entry texts."""
+    otherwise each row is one join over ``texts``, the file's table."""
     if not m.rows:
         return "[]"
     if not m.cols:
@@ -229,8 +235,7 @@ def _matrix_text(m: Matrix) -> str:
         text = _digit_text(m)
         if text is not None:
             return text
-    e = m.entries
-    cells = map(_entry_texts(m.ring, e).__getitem__, e)
+    cells = map(texts.__getitem__, m.entries)
     rows = map(",".join, zip(*[cells] * m.cols))  # consecutive runs of `cols`
     return "[[" + "],[".join(rows) + "]]"
 
@@ -508,28 +513,30 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _emit(node, out: list) -> None:
+def _emit(node, out: list, tables: dict) -> None:
     """Append the pieces of ``json.dumps(node, sort_keys=True,
     separators=(",", ":"))`` to ``out``, with each ``Matrix`` leaf written
-    by ``_matrix_text``. Dicts (whose keys must be strings), and lists and
-    tuples that hold anything but strings, are taken apart here; every
-    other node is one encoder call."""
-    if isinstance(node, Matrix):
-        out.append(_matrix_text(node))
+    by ``_matrix_text`` through ``tables[ring]``, the file's ``_Texts`` for
+    its ring. Dicts (whose keys must be strings), and lists and tuples that
+    hold anything but strings, are taken apart here; every other node is
+    one encoder call."""
+    if isinstance(node, Matrix):  # an empty table is as good as a new one
+        texts = tables[node.ring] = tables.get(node.ring) or _Texts(node.ring)
+        out.append(_matrix_text(node, texts))
     elif isinstance(node, dict):
         if not all(isinstance(key, str) for key in node):
             raise TypeError("a document's dict keys must be strings")
         opening = "{"
         for key in sorted(node):
             out.append(opening + _ENCODER.encode(key) + ":")
-            _emit(node[key], out)
+            _emit(node[key], out, tables)
             opening = ","
         out.append("{}" if opening == "{" else "}")
     elif isinstance(node, (list, tuple)) and not all(isinstance(x, str) for x in node):
         opening = "["
         for item in node:
             out.append(opening)
-            _emit(item, out)
+            _emit(item, out, tables)
             opening = ","
         out.append("]")
     else:
@@ -539,7 +546,7 @@ def _emit(node, out: list) -> None:
 def _pieces(doc) -> list[str]:
     """The file text of ``doc`` as a list of pieces, in order."""
     out: list[str] = []
-    _emit(doc, out)
+    _emit(doc, out, {})
     out.append("\n")
     return out
 

@@ -14,9 +14,9 @@ Invariant: every entry is in its ring's canonical form (``rings``): an
 ``int`` over Z, a residue in ``[0, p)`` over F_p, a tuple of canonical
 base coefficients over a group ring. Products, sums and the parsers all
 produce canonical entries, so equality of matrices is equality of entry
-sequences, and zero and identity matrices are recognized by counting
-entries equal to ``ring.zero`` and ``ring.one``; the arithmetic below
-relies on it.
+sequences, a zero matrix is one whose entries all equal ``ring.zero``
+(``_all_zero``) and an identity is recognized by counting; the
+arithmetic below relies on it.
 
 Storage: over F_p with p <= 13 (``PrimeField.byte_lanes``) the entries
 are one ``bytes`` object, one byte per residue. The constructor keeps a
@@ -42,7 +42,9 @@ module invariants.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 from . import _kernels
@@ -157,33 +159,19 @@ class Matrix:
         if _all_zero(self):
             return other
         ring, a, b = self.ring, self._e, other._e
-        if isinstance(ring, IntegerRing):
-            entries = [x + y for x, y in zip(a, b)]
-        elif isinstance(ring, PrimeField):
-            p = ring.p
-            if ring.byte_lanes:
-                total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
-                entries = total.to_bytes(len(a), "little").translate(_kernels.residue_table(p))
-            else:
-                entries = [(x + y) % p for x, y in zip(a, b)]
+        if isinstance(ring, PrimeField) and ring.byte_lanes:
+            total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
+            entries = total.to_bytes(len(a), "little").translate(_kernels.residue_table(ring.p))
         else:
-            add = ring.add
-            entries = [add(x, y) for x, y in zip(a, b)]
+            entries = _coefficientwise(ring, operator.add, a, b)
         return Matrix(ring, self.rows, self.cols, entries)
 
     def __neg__(self) -> "Matrix":
         ring, a = self.ring, self._e
-        if isinstance(ring, IntegerRing):
-            entries = [-x for x in a]
-        elif isinstance(ring, PrimeField):
-            p = ring.p
-            if ring.byte_lanes:
-                entries = a.translate(_kernels.negation_table(p))
-            else:
-                entries = [-x % p for x in a]
+        if isinstance(ring, PrimeField) and ring.byte_lanes:
+            entries = a.translate(_kernels.negation_table(ring.p))
         else:
-            neg = ring.neg
-            entries = [neg(x) for x in a]
+            entries = _coefficientwise(ring, operator.neg, a)
         return Matrix(ring, self.rows, self.cols, entries)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -254,9 +242,27 @@ def _buffer(ring: Ring, count: int = 0):
     return [ring.zero] * count
 
 
+def _coefficientwise(ring: Ring, op, *operands):
+    """``op`` mapped over the operands' entries in step, reduced mod p over
+    F_p; over a group ring, over their flattened base coefficients, regrouped."""
+    if isinstance(ring, GroupRing):
+        flat = _coefficientwise(ring.base, op, *map(chain.from_iterable, operands))
+        return zip(*[flat] * ring.group.order)  # consecutive runs of |G|
+    flat = map(op, *operands)
+    return map(ring.p.__rmod__, flat) if isinstance(ring, PrimeField) else flat
+
+
 def _all_zero(a: Matrix) -> bool:
     """Every entry is zero (canonical entries); true for empty matrices."""
-    return a._e.count(a.ring.zero) == len(a._e)
+    return _zero_entries(a.ring, a._e)
+
+
+def _zero_entries(ring: Ring, e) -> bool:
+    """Every entry of ``e``, canonical entries over ``ring``, is zero: bytes
+    by one compare, ints by ``any``, group-ring tuples by counting."""
+    if isinstance(ring, GroupRing):
+        return e.count(ring.zero) == len(e)
+    return e == bytes(len(e)) if isinstance(e, bytes) else not any(e)
 
 
 def _is_identity(a: Matrix) -> bool:

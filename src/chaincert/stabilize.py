@@ -46,7 +46,7 @@ from .chain import (
     validate_complex,
     zero_homotopy,
 )
-from .matrix import Matrix, ShapeError, _buffer, block, hstack, solve
+from .matrix import Matrix, ShapeError, _buffer, _zero_entries, block, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -332,9 +332,9 @@ def _lift(
     B itself is never assembled. Only the product h[:, P_{i-1}] d^P_i is
     formed, and each row of B is that product's row followed by the
     slice of h's row from column t_{i-1} on. The top band is built as a
-    matrix to solve against, the T_{i-2} band is checked by counting
-    zeros on those slices, and the bottom band is copied straight into
-    the lift."""
+    matrix to solve against, the T_{i-2} band is checked zero on those
+    slices (``_zero_entries``, which stops at the first nonzero), and the
+    bottom band is copied straight into the lift."""
     prod = h.submatrix(range(h.rows), range(d_from.rows)) * d_from
     pe, he, pw, hw = prod.entries, h.entries, prod.cols, h.cols
     width = pw + hw - from_prev
@@ -347,10 +347,9 @@ def _lift(
             entries += he[r * hw + from_prev : (r + 1) * hw]
         return entries
 
-    own, zero = d_to.rows, h.ring.zero
-    if pe[own * pw : to_prev * pw].count(zero) != (to_prev - own) * pw or any(
-        he[r * hw + from_prev : (r + 1) * hw].count(zero) != hw - from_prev
-        for r in range(own, to_prev)
+    own = d_to.rows
+    if not _zero_entries(h.ring, pe[own * pw : to_prev * pw]) or not all(
+        _zero_entries(h.ring, he[r * hw + from_prev : (r + 1) * hw]) for r in range(own, to_prev)
     ):
         raise LiftError(degree, direction)
     top = Matrix(h.ring, own, width, band(0, own))

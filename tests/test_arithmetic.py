@@ -1,5 +1,5 @@
 """The structural short-circuits of Matrix arithmetic agree with the
-generic path.
+generic path, and the zero test agrees with counting zero entries.
 
 Products with a zero or identity operand, sums with a zero operand and all
 empty shapes skip the kernels; these tests compare them with the kernel
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincert import _kernels
-from chaincert.matrix import Matrix
+from chaincert.matrix import Matrix, _all_zero
 from chaincert.rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField
 
 from conftest import is_canonical, ring_int
@@ -132,3 +132,71 @@ def test_identity_is_recognized_only_when_exact(ring):
     assert scaled * b == generic_product(scaled, b)
     assert ident * b is b
     assert b * Matrix.identity(ring, 2) is b
+
+
+# ---------------------------------------------------------------------------
+# the zero test stops at the first nonzero entry and agrees with counting
+
+F17 = PrimeField(17)  # past the byte lanes: a tuple of ints
+ZC3 = GroupRing(ZZ, GroupTable.cyclic(3))
+ZERO_RINGS = [ZZ, F5, F17, ZC3, F2C4]
+ZERO_IDS = ["Z", "F5", "F17", "ZC3", "F2C4"]
+
+
+def counted_zero(m: Matrix) -> bool:
+    return m.entries.count(m.ring.zero) == len(m.entries)
+
+
+def sparse_matrix(data, ring, rows, cols):
+    """Zero entries about as often as all others together."""
+    element = st.integers(0, ring.p - 1) if isinstance(ring, PrimeField) else elements(ring)
+    entry = st.one_of(st.just(ring.zero), element)
+    size = rows * cols
+    return Matrix(ring, rows, cols, data.draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+def kernel_product(a, b):
+    """``a * b`` by the ring's product kernel, called directly."""
+    ring, m, n, k = a.ring, a.rows, a.cols, b.cols
+    if isinstance(ring, IntegerRing):
+        flat = _kernels.matmul_int(a.entries, b.entries, m, n, k)
+    elif isinstance(ring, PrimeField):
+        flat = _kernels.matmul_mod(a.entries, b.entries, m, n, k, ring.p)
+    else:
+        p = getattr(ring.base, "p", 0)
+        flat = _kernels.matmul_group(a.entries, b.entries, m, n, k, ring.group.mult, ring.zero, p)
+    return Matrix(ring, m, k, flat)
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=ZERO_IDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_test_agrees_with_counting(ring, data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    m = sparse_matrix(data, ring, rows, cols)
+    assert _all_zero(m) == m.is_zero() == counted_zero(m)
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=ZERO_IDS)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (224, 224)])
+def test_zero_test_on_zeros_and_on_a_last_nonzero(ring, rows, cols):
+    zero = Matrix.zeros(ring, rows, cols)
+    assert isinstance(zero.entries, bytes) == (ring is F5)
+    assert _all_zero(zero) and counted_zero(zero)
+    if rows * cols:
+        last = Matrix(ring, rows, cols, [ring.zero] * (rows * cols - 1) + [ring.one])
+        assert not _all_zero(last) and not counted_zero(last)
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=ZERO_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_and_sums_agree_with_the_kernels(ring, data):
+    m, n, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a, b, c = (sparse_matrix(data, ring, r, s) for r, s in ((m, n), (n, k), (m, n)))
+    assert a * b == kernel_product(a, b)
+    assert a + c == generic_sum(a, c, negate=False)
+    assert a - c == generic_sum(a, c, negate=True)
+    assert -a == generic_sum(Matrix.zeros(ring, m, n), a, negate=True)
+    for result in (a * b, a + c, -a):
+        assert_canonical(result)

@@ -2,9 +2,9 @@
 
 Over F_p with p <= 10 every canonical entry is one digit, so
 ``io._matrix_text`` writes the digits with one strided slice into the
-quoted cells of the whole matrix. The references are the table paths,
-kept here as the oracles: one join per row over the table of entry
-texts, and one dict lookup per cell, which ``io.matrix_from_json`` must
+quoted cells of the whole matrix. The references are kept here as the
+oracles: each cell rendered on its own by ``ring.render`` and one join
+per row, and one dict lookup per cell, which ``io.matrix_from_json`` must
 match on one-digit literals, on every other literal and on non-string
 cells.
 """
@@ -25,7 +25,7 @@ SMALL_IDS = ["F2", "F3", "F5", "F7"]
 
 
 # ---------------------------------------------------------------------------
-# oracles: the table paths
+# oracles: per-cell rendering, and the table reader
 
 
 def table_matrix_text(m: Matrix) -> str:
@@ -33,9 +33,8 @@ def table_matrix_text(m: Matrix) -> str:
         return "[]"
     if not m.cols:
         return "[" + ",".join(["[]"] * m.rows) + "]"
-    e = m.entries
-    cells = map(io._entry_texts(m.ring, e).__getitem__, e)
-    rows = map(",".join, zip(*[cells] * m.cols))
+    cells = ['"' + m.ring.render(x) + '"' for x in m.entries]
+    rows = [",".join(cells[i : i + m.cols]) for i in range(0, len(cells), m.cols)]
     return "[[" + "],[".join(rows) + "]]"
 
 
@@ -92,7 +91,7 @@ def digit_matrices(draw, ring):
 
 
 def assert_writes_like_the_table(m: Matrix):
-    text = io._matrix_text(m)
+    text = io._matrix_text(m, io._Texts(m.ring))
     assert text == table_matrix_text(m)
     assert io.matrix_from_json(m.ring, m.rows, m.cols, json.loads(text)) == m
 
@@ -117,7 +116,7 @@ def test_unchecked_byte_entries_render_as_the_table_path_does(entries, cell):
     non-canonical entry: a digit past p is written as that digit; anything
     else sends the matrix to the table path."""
     m = Matrix(PrimeField(5), 1, 2, entries)
-    text = io._matrix_text(m)
+    text = io._matrix_text(m, io._Texts(m.ring))
     assert text == table_matrix_text(m)
     assert json.loads(text)[0][0] == cell
     assert "?" not in text

@@ -1009,6 +1009,20 @@ def test_save_that_cannot_render_leaves_no_file(tmp_path, default_digit_limit):
     assert not path.exists()
 
 
+def test_no_entry_text_outlives_its_file(tmp_path, default_digit_limit):
+    """Entry texts are rendered afresh for each file: the text of an entry
+    saved under a raised digit limit is not reused when the same entry is
+    saved again under the default limit."""
+    res = _z_mod(5000)
+    sys.set_int_max_str_digits(6000)
+    io.save(str(tmp_path / "raised.json"), io.resolution_document(res))
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError):
+        io.save(str(path), io.resolution_document(res))
+    assert not path.exists()
+
+
 def test_save_that_cannot_render_keeps_the_earlier_file(tmp_path, default_digit_limit):
     path = tmp_path / "g.json"
     io.save(str(path), io.resolution_document(_z_mod(3)))

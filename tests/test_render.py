@@ -153,3 +153,20 @@ def test_documents_dump_like_their_plain_forms(first, second):
         plain = _with_plain_leaves(io.resolution_document(res))
         assert io.dump_canonical(io.resolution_document(res)) == canonical(plain)
         assert io.resolution_to_json(res) == plain
+
+
+def test_certificates_saved_twice_in_one_process_are_identical(tmp_path):
+    """Each file renders its entry texts afresh, so saving a Z and a
+    Z[C_3] certificate, and then both again, gives the same bytes each
+    time: ``json.dumps`` of the plain documents."""
+    _, zc3 = canonical_resolution("Z_over_Z[C_3]", 3)
+    pairs = {
+        "Z": _generated(ModulePresentation(ZZ, 2, Matrix(ZZ, 2, 1, [6, 0])), 4),
+        "ZC3": (zc3, pad_top(zc3, 1)),
+    }
+    docs = {name: io.certificate_document(total_equivalence(*p)) for name, p in pairs.items()}
+    for copy in range(2):
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}-{copy}.json"
+            io.save(str(path), doc)
+            assert path.read_bytes() == canonical(_with_plain_leaves(doc)).encode()

@@ -12,7 +12,7 @@ with s_{-1} = 0 and s_n = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .matrix import (
     Invariants,
@@ -23,58 +23,15 @@ from .matrix import (
 )
 from .rings import GroupRing, PrimeField, Ring, RingError
 from .matrix import ShapeError
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def __str__(self):
-        mark = "ok  " if self.ok else "FAIL"
-        return f"[{mark}] {self.name}" + (f": {self.detail}" if self.detail else "")
-
-
-@dataclass
-class Report:
-    """Outcome of a validation run: one named check per verified identity."""
-
-    checks: list[Check] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append(Check(name, ok, detail))
-
-    def holds(self, name: str, lhs: Matrix, rhs: Matrix):
-        """Record the check lhs = rhs. A failure's detail names the first
-        differing entry, found by comparing row slices and then scanning
-        only the first row that differs."""
-        ok = lhs == rhs
-        detail = ""
-        if not ok and lhs.shape != rhs.shape:
-            detail = f"shape {lhs.shape}, not {rhs.shape}"
-        elif not ok:
-            a, b, w = lhs.entries, rhs.entries, lhs.cols
-            r = next(r for r in range(lhs.rows) if a[r * w : r * w + w] != b[r * w : r * w + w])
-            k = next(k for k in range(r * w, r * w + w) if a[k] != b[k])
-            render = lhs.ring.render
-            detail = f"entry ({r}, {k - r * w}) is {render(a[k])}, not {render(b[k])}"
-        self.add(name, ok, detail)
-
-    def extend(self, other: "Report", prefix: str = ""):
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.ok, c.detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def first_failure(self) -> Check | None:
-        return next((c for c in self.checks if not c.ok), None)
-
-    def __str__(self):
-        return "\n".join(str(c) for c in self.checks)
+from .verify import (  # noqa: F401  Check and the validators are re-exported
+    Check,
+    Report,
+    equivalence_identities,
+    evaluate,
+    validate_chain_map,
+    validate_complex,
+    validate_homotopy,
+)
 
 
 class ChainComplex:
@@ -131,16 +88,6 @@ class ChainComplex:
         return f"ChainComplex({self.ring}, ranks={list(self.ranks)})"
 
 
-def validate_complex(c: ChainComplex) -> Report:
-    report = Report()
-    for i in range(1, c.length):
-        zero = Matrix.zeros(c.ring, c.ranks[i - 1], c.ranks[i + 1])
-        report.holds(f"d{i}.d{i+1} = 0", c.d(i) * c.d(i + 1), zero)
-    if c.length <= 1:
-        report.add("d.d = 0", True, "no adjacent boundary pairs")
-    return report
-
-
 class ChainMap:
     __slots__ = ("source", "target", "parts")
 
@@ -190,32 +137,6 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
     return ChainMap(c, c, [Matrix.identity(c.ring, r) for r in c.ranks])
 
 
-def validate_chain_map(f: ChainMap) -> Report:
-    report = Report()
-    for i in range(1, f.source.length + 1):
-        report.holds(f"square at degree {i}", f.target.d(i) * f[i], f[i - 1] * f.source.d(i))
-    if f.source.length == 0:
-        report.add("squares", True, "single degree, nothing to commute")
-    return report
-
-
-def validate_homotopy(f: ChainMap, g: ChainMap, parts) -> Report:
-    """Check f - g = d s + s d degreewise, where ``parts`` holds the
-    components s_i from degree i to i+1 for i = 0..n-1 (the top component
-    is zero and not stored)."""
-    report = Report()
-    src, tgt = f.source, f.target
-    n = src.length
-    for i in range(n + 1):
-        rhs = g[i]
-        if i < n:
-            rhs = rhs + tgt.d(i + 1) * parts[i]
-        if i > 0:
-            rhs = rhs + parts[i - 1] * src.d(i)
-        report.holds(f"homotopy identity at degree {i}", f[i], rhs)
-    return report
-
-
 @dataclass(frozen=True)
 class HomotopyEquivalence:
     """A chain homotopy equivalence with all witnesses explicit: forward
@@ -236,21 +157,8 @@ class HomotopyEquivalence:
         return self.fwd.target
 
     def validate(self) -> Report:
-        """Both chain maps and both homotopies; the round-trip composites
-        and the identity maps are formed here and nowhere else."""
-        fwd, bwd = self.fwd, self.bwd
-        report = Report()
-        report.extend(validate_chain_map(fwd), "forward map: ")
-        report.extend(validate_chain_map(bwd), "backward map: ")
-        report.extend(
-            validate_homotopy(bwd.after(fwd), identity_chain_map(self.source), self.src_homotopy),
-            "source homotopy: ",
-        )
-        report.extend(
-            validate_homotopy(fwd.after(bwd), identity_chain_map(self.target), self.tgt_homotopy),
-            "target homotopy: ",
-        )
-        return report
+        """Both chain maps and both homotopies (``verify.equivalence_identities``)."""
+        return evaluate(equivalence_identities(self))
 
 
 def _homotopy_parts(c: ChainComplex, parts) -> tuple[Matrix, ...]:

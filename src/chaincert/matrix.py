@@ -274,6 +274,15 @@ def _is_identity(a: Matrix) -> bool:
     return e[:: n + 1].count(a.ring.one) == n and e.count(a.ring.zero) == n * n - n
 
 
+def _one_plus(m: Matrix) -> Matrix:
+    """1 + m for a square m: one added to each diagonal entry."""
+    entries = _buffer(m.ring)
+    entries += m.entries
+    add, one = m.ring.add, m.ring.one
+    entries[:: m.rows + 1] = [add(x, one) for x in entries[:: m.rows + 1]]
+    return Matrix(m.ring, m.rows, m.cols, entries)
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ring = a.ring
     m, n, k = a.rows, a.cols, b.cols

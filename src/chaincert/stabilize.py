@@ -46,7 +46,7 @@ from .chain import (
     validate_complex,
     zero_homotopy,
 )
-from .matrix import Matrix, ShapeError, _buffer, _zero_entries, block, hstack, solve
+from .matrix import Matrix, ShapeError, _buffer, _one_plus, _zero_entries, block, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -54,6 +54,7 @@ from .resolution import (
     presentation_invariants,
 )
 from .rings import RingError
+from .verify import ladder_ranks, verify_certificate  # noqa: F401  re-exported
 
 
 class StabilizeError(ValueError):
@@ -79,18 +80,6 @@ class LiftError(StabilizeError):
             f"no {direction} lift at degree {degree}: "
             "input resolutions are not exact resolutions of the same module"
         )
-
-
-def ladder_ranks(p_ranks, q_ranks) -> tuple[list[int], list[int]]:
-    """Tower ranks from the defining recursion."""
-    if len(p_ranks) != len(q_ranks):
-        raise StabilizeError("rank vectors must have equal length")
-    t = [p_ranks[0]]
-    s = [q_ranks[0]]
-    for i in range(1, len(p_ranks)):
-        t.append(p_ranks[i] + s[i - 1])
-        s.append(q_ranks[i] + t[i - 1])
-    return t, s
 
 
 @dataclass(frozen=True)
@@ -265,23 +254,8 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
     h k = k h = 1 identically, for every f and g of compatible shapes.
     The corner 1 - f g is formed as (-f) g with one added to each
     diagonal entry, and 1 - g f as (-g) f; -f and -g are blocks of k and
-    h anyway.
-
-    A checker that receives such a pair needs only one of the two
-    products. h and k are square of equal size over a ring R whose matrix
-    rings M_n(R) are Dedekind-finite, so h k = 1 forces k h = 1:
-
-    - Z and F_p: commutative, and det(h) det(k) = 1 makes det(h) a unit;
-      the adjugate is then a two-sided inverse, and it equals k.
-    - F_p[G], G finite: M_n(F_p[G]) is a finite-dimensional F_p-algebra.
-    - Z[G], G finite: M_n(Z[G]) is a subring of the finite-dimensional
-      Q-algebra M_n(Q[G]).
-
-    In a finite-dimensional algebra, a b = 1 makes left multiplication by
-    b injective, hence bijective; so b c = 1 for some c, and
-    a = a (b c) = (a b) c = c. The group-ring cases rely on the Cayley
-    table being a group, which ``GroupTable.validate`` checks (Light's
-    associativity test) for every table read from a file.
+    h anyway. ``verify_certificate`` checks only h k = 1 (it says why that
+    suffices).
     """
     if f.ring != g.ring:
         raise RingError("inverse_pair: ring mismatch")
@@ -292,15 +266,6 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
     h = block([[f, _one_plus(neg_f * g)], [Matrix.identity(ring, f.cols), neg_g]])
     k = block([[g, _one_plus(neg_g * f)], [Matrix.identity(ring, f.rows), neg_f]])
     return h, k
-
-
-def _one_plus(m: Matrix) -> Matrix:
-    """1 + m for a square m: one added to each diagonal entry."""
-    entries = _buffer(m.ring)
-    entries += m.entries
-    add, one = m.ring.add, m.ring.one
-    entries[:: m.rows + 1] = [add(x, one) for x in entries[:: m.rows + 1]]
-    return Matrix(m.ring, m.rows, m.cols, entries)
 
 
 @dataclass(frozen=True)
@@ -496,62 +461,6 @@ def total_equivalence(
         iso_fwd=h,
         iso_bwd=k,
     )
-
-
-def _tower_ranks_fit(cert: EquivalenceCertificate) -> bool:
-    """The stored tower ranks follow the recursion from the complexes'
-    ranks, the top terms taken without their stabilizers."""
-    n = cert.source.length
-    t, s = cert.t_ranks, cert.s_ranks
-    if len(t) != n + 1 or len(s) != n + 1:
-        return False
-    p_top = cert.source.ranks[n] - s[n]
-    q_top = cert.target.ranks[n] - t[n]
-    if p_top < 0 or q_top < 0:
-        return False
-    t_expect, s_expect = ladder_ranks(
-        [*cert.source.ranks[:n], p_top], [*cert.target.ranks[:n], q_top]
-    )
-    return tuple(t_expect) == t and tuple(s_expect) == s
-
-
-def verify_certificate(cert: EquivalenceCertificate) -> Report:
-    """Re-run every identity from the raw matrices: d.d = 0 on both
-    complexes, both chain maps and both homotopies, the tower rank
-    recursion and the mutual inverseness of every block pair. This is what
-    the file checker executes, and what ``stabilize`` runs before it writes
-    a certificate.
-
-    Each block pair is checked with the one product h k = 1, after its
-    shape check. That proves k h = 1 too, since every supported ring has
-    Dedekind-finite matrix rings: over Z and F_p by determinants, over
-    F_p[G] because M_n(F_p[G]) is a finite-dimensional algebra, and over
-    Z[G] because M_n(Z[G]) lies in the finite-dimensional Q-algebra
-    M_n(Q[G]) (the argument is in ``inverse_pair``).
-
-    The rank recursion is checked first. When it holds, every rank of
-    either complex is at most t_i + s_i, the side of a block pair the
-    certificate stores in full, so no identity forms a matrix larger than
-    the stored ones. When it fails, the identities are skipped."""
-    report = Report()
-    if not _tower_ranks_fit(cert):
-        report.add("tower rank recursion", False)
-        report.add("matrix identities", False, "skipped: tower ranks do not fit the complexes")
-        return report
-    report.extend(validate_complex(cert.source), "first complex: ")
-    report.extend(validate_complex(cert.target), "second complex: ")
-    report.extend(cert.equivalence.validate())
-    report.add("tower rank recursion", True)
-
-    ring = cert.source.ring
-    for i in range(cert.source.length + 1):
-        h, k = cert.iso_fwd[i], cert.iso_bwd[i]
-        one = Matrix.identity(ring, cert.t_ranks[i] + cert.s_ranks[i])
-        # a misshapen block is compared as stored, so the detail names its shape
-        misshapen = [m for m in (h, k) if m.shape != one.shape]
-        name = f"block pair mutually inverse at degree {i}"
-        report.holds(name, misshapen[0] if misshapen else h * k, one)
-    return report
 
 
 def schanuel_check(cert: EquivalenceCertificate) -> Report:

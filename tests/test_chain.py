@@ -25,6 +25,7 @@ from chaincert.chain import (
 )
 from chaincert.matrix import Invariants, Matrix, ShapeError
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField, RingError
+from chaincert.verify import ONE, Identity, evaluate
 
 F3 = PrimeField(3)
 
@@ -102,9 +103,10 @@ def test_holds_names_the_first_differing_entry(ring, rows, changes, detail):
     for (r, c), x in changes.items():
         rows[r][c] = x
     lhs = Matrix.from_rows(ring, rows)
-    report = Report()
-    report.holds("same", rhs, rhs)
-    report.holds("bumped", lhs, rhs)
+    report = evaluate(
+        Identity(name, [(2, a, len(rows[0]))], [(2, rhs, len(rows[0]))])
+        for name, a in [("same", rhs), ("bumped", lhs)]
+    )
     assert [(c.name, c.ok, c.detail) for c in report.checks] == [
         ("same", True, ""),
         ("bumped", False, detail),
@@ -113,13 +115,13 @@ def test_holds_names_the_first_differing_entry(ring, rows, changes, detail):
 
 @pytest.mark.parametrize("ring", [ZZ, PrimeField(5)], ids=["Z", "F5"])
 def test_holds_on_a_large_block_pair_differing_in_its_last_row(ring):
-    # the side of the benchmark's largest block pairs; the rows are
-    # compared as slices and only the last one is scanned entry by entry
-    one = Matrix.identity(ring, 224)
-    entries = list(one.entries)
+    # the side of the benchmark's largest block pairs, compared with the
+    # identity by counting; the detail scans rows, then the last one's entries
+    entries = list(Matrix.identity(ring, 224).entries)
     entries[-1], entries[-2] = 0, 2
-    report = Report()
-    report.holds("block pair mutually inverse at degree 7", Matrix(ring, 224, 224, entries), one)
+    block = Matrix(ring, 224, 224, entries)
+    name = "block pair mutually inverse at degree 7"
+    report = evaluate([Identity(name, [(224, block, 224)], [ONE])])
     assert str(report) == (
         "[FAIL] block pair mutually inverse at degree 7: entry (223, 222) is 2, not 0"
     )
@@ -127,8 +129,7 @@ def test_holds_on_a_large_block_pair_differing_in_its_last_row(ring):
 
 def test_holds_names_a_shape_mismatch():
     # the same entry sequence as the identity, in the wrong shape
-    report = Report()
-    report.holds("block pair", Matrix(ZZ, 1, 4, [1, 0, 0, 1]), Matrix.identity(ZZ, 2))
+    report = evaluate([Identity("block pair", [(2, Matrix(ZZ, 1, 4, [1, 0, 0, 1]), 2)], [ONE])])
     assert str(report) == "[FAIL] block pair: shape (1, 4), not (2, 2)"
 
 

@@ -7,7 +7,7 @@ except ``matmul_mod`` and ``rref_mod`` for p <= 13, which return
 
     matmul_int(a, b, m, n, k)       exact integer matrix product
     matmul_mod(a, b, m, n, k, p)    matrix product over F_p
-    matmul_group(a, b, m, n, k, mult, zero, p)
+    matmul_group(a, b, m, n, k, mult, zero, p, supports)
                                     matrix product over Z[G] or F_p[G],
                                     entries coefficient tuples
     rref_mod(a, m, n, p)            reduced row echelon form over F_p,
@@ -148,23 +148,24 @@ def _matmul_lanes(a, b, m, n, k, p, first, more):
     return b"".join(rows)
 
 
-def matmul_group(a, b, m, n, k, mult, zero, p):
+def matmul_group(a, b, m, n, k, mult, zero, p, supports):
     """(m x n) @ (n x k) over a group ring base[G].
 
     Entries are coefficient tuples in the element order of the Cayley table
     ``mult``; ``zero`` is the zero tuple and ``p`` the characteristic of
-    the base ring (0 over Z). Every pair of nonzero entries a[i,t], b[t,j]
-    is convolved over the table, the left factor's element on the left:
-    acc[mult[g][h]] += x_g * y_h. Each output entry accumulates in Python
-    ints and is reduced mod p once; outputs no pair reaches are ``zero``.
+    the base ring (0 over Z). Both factors are read through ``supports``,
+    the ring's table ``GroupRing.supports`` of each entry's nonzero
+    (element, coefficient) pairs. Every pair of nonzero entries a[i,t],
+    b[t,j] is convolved over the table, the left factor's element on the
+    left: acc[mult[g][h]] += x_g * y_h. Each output entry accumulates in
+    Python ints and is reduced mod p once; outputs no pair reaches are
+    ``zero``.
     """
     out = [zero] * (m * k)
     if not (m and n and k):
         return out
-    # each distinct entry as its nonzero (element, coefficient) pairs
-    support = {x: [(g, c) for g, c in enumerate(x) if c] for x in {*a, *b}}
-    sa = [support[x] for x in a]
-    sb = [support[x] for x in b]
+    sa = list(map(supports.__getitem__, a))
+    sb = list(map(supports.__getitem__, b))
     order = len(zero)
     cols = range(k)
     brows = []

@@ -37,7 +37,8 @@ over Z, ``matmul_mod`` over F_p (in byte lanes for p <= 13, returning
 ``bytes``) and ``matmul_group`` over a group ring, which convolves
 coefficient tuples over the Cayley table. Restriction of scalars to the
 base ring (``restrict_scalars``) serves only solving and the homology and
-module invariants.
+module invariants. Both read each entry through a table of its ring,
+which derives each distinct element once (``GroupRing``).
 """
 
 from __future__ import annotations
@@ -294,7 +295,9 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(ring, m, k, flat)
     if isinstance(ring, GroupRing):
         p = ring.base.p if isinstance(ring.base, PrimeField) else 0
-        flat = _kernels.matmul_group(a._e, b._e, m, n, k, ring.group.mult, ring.zero, p)
+        flat = _kernels.matmul_group(
+            a._e, b._e, m, n, k, ring.group.mult, ring.zero, p, ring.supports
+        )
         return Matrix(ring, m, k, flat)
     raise RingError(f"unsupported ring {ring}")
 
@@ -350,14 +353,15 @@ def block(grid) -> Matrix:
 def restrict_scalars(a: Matrix) -> Matrix:
     """Replace every group-ring entry by its left-multiplication block over
     the base ring; the result is the same additive map with ranks multiplied
-    by the group order."""
+    by the group order. The blocks come from ``ring.representations``."""
     ring = a.ring
     if not isinstance(ring, GroupRing):
         raise RingError("restrict_scalars needs a group-ring matrix")
     n, e, cols = ring.group.order, a.entries, a.cols
+    block_of = ring.representations.__getitem__
     entries = _buffer(ring.base)
     for i in range(a.rows):
-        reps = [ring.regular_representation(x) for x in e[i * cols : (i + 1) * cols]]
+        reps = list(map(block_of, e[i * cols : (i + 1) * cols]))
         for bi in range(n):
             for rep in reps:
                 entries.extend(rep[bi])

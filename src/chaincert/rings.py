@@ -8,7 +8,9 @@ Every ring element has a unique canonical form:
                     in the fixed element order of the Cayley table
 
 All values are immutable and all operations are pure functions, so rings and
-elements can be shared freely across threads.
+elements can be shared freely across threads. A group ring's tables
+(``GroupRing.supports``, ``representations``) only remember what pure
+functions return: two threads that derive one element store equal values.
 """
 
 from __future__ import annotations
@@ -219,6 +221,23 @@ class PrimeField(Ring):
         return f"F{self.p}"
 
 
+def _support(a):
+    """The nonzero (index, coefficient) pairs of a group-ring element."""
+    return [(g, c) for g, c in enumerate(a) if c]
+
+
+class _Derived(dict):
+    """{element: ``derive(element)``}, each element derived when first
+    looked up."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __missing__(self, element):
+        value = self[element] = self.derive(element)
+        return value
+
+
 @dataclass(frozen=True)
 class GroupRing(Ring):
     """Group ring base[G] with G given by a Cayley table.
@@ -226,6 +245,13 @@ class GroupRing(Ring):
     Elements are dense coefficient tuples indexed by the table's element
     order. Multiplication is convolution over the table and is not assumed
     commutative.
+
+    Two tables derive an element when it is first looked up:
+    ``supports``, its nonzero (index, coefficient) pairs, for matrix
+    products, and ``representations``, its ``regular_representation``, for
+    ``matrix.restrict_scalars``. Matrices hold few distinct elements (t - 1,
+    the norm element, +-g, 0). The tables belong to the ring object, which
+    ``io.load`` builds once per file, so they last for one command.
     """
 
     base: Ring
@@ -245,6 +271,14 @@ class GroupRing(Ring):
     @cached_property
     def one(self):
         return self.basis_element(self.group.identity)
+
+    @cached_property
+    def supports(self):
+        return _Derived(_support)
+
+    @cached_property
+    def representations(self):
+        return _Derived(self.regular_representation)
 
     def basis_element(self, i: int):
         z = self.base.zero

@@ -164,7 +164,9 @@ def kernel_product(a, b):
         flat = _kernels.matmul_mod(a.entries, b.entries, m, n, k, ring.p)
     else:
         p = getattr(ring.base, "p", 0)
-        flat = _kernels.matmul_group(a.entries, b.entries, m, n, k, ring.group.mult, ring.zero, p)
+        flat = _kernels.matmul_group(
+            a.entries, b.entries, m, n, k, ring.group.mult, ring.zero, p, ring.supports
+        )
     return Matrix(ring, m, k, flat)
 
 

@@ -10,8 +10,9 @@ oracle, next to the entrywise ``ring.mul`` / ``ring.add`` definition.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import _kernels, matrix
+from chaincert import _kernels, io, matrix
 from chaincert.matrix import Matrix, _expand_columns, _fold_columns, restrict_scalars
+from chaincert.resolution import canonical_resolution
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 
 from conftest import relabel_table
@@ -93,7 +94,7 @@ def test_empty_shapes(ring, m, n, k):
     a = [ring.one] * (m * n)
     b = [ring.one] * (n * k)
     p = getattr(ring.base, "p", 0)
-    flat = _kernels.matmul_group(a, b, m, n, k, ring.group.mult, ring.zero, p)
+    flat = _kernels.matmul_group(a, b, m, n, k, ring.group.mult, ring.zero, p, ring.supports)
     assert flat == [ring.zero] * (m * k)
     a, b = Matrix(ring, m, n, a), Matrix(ring, n, k, b)
     assert a * b == Matrix.zeros(ring, m, k)
@@ -141,3 +142,70 @@ def test_product_avoids_the_regular_representation(monkeypatch):
     ring = RINGS[0]
     a = Matrix(ring, 2, 2, [ring.basis_element(g) for g in (1, 2, 3, 4)])
     assert (a * a).shape == (2, 2)
+
+
+def fresh(ring):
+    """An equal ring with tables of its own, empty."""
+    return GroupRing(ring.base, ring.group)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("m,n,k", [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1), (2, 3, 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_table_backed_product(ring, m, n, k, data):
+    ring = fresh(ring)
+    a = matrices(data, ring, m, n)
+    b = matrices(data, ring, n, k)
+    p = getattr(ring.base, "p", 0)
+    e, mult = (a.entries, b.entries), ring.group.mult
+    flat = _kernels.matmul_group(*e, m, n, k, mult, ring.zero, p, ring.supports)
+    product = Matrix(ring, m, k, flat)
+    assert product == a * b == entrywise_product(a, b) == regular_product(a, b)
+    assert_canonical(product)
+    # the table derived exactly the factors' entries, and each as its support
+    if m and n and k:
+        assert set(ring.supports) == {*a.entries, *b.entries}
+    else:
+        assert not ring.supports
+    for x, pairs in ring.supports.items():
+        assert pairs == [(g, c) for g, c in enumerate(x) if c]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_restriction_writes_the_regular_representation_blocks(ring, rows, cols, data):
+    ring = fresh(ring)
+    a = matrices(data, ring, rows, cols)
+    order = ring.group.order
+    rep = ring.regular_representation
+    expected = [
+        [rep(a.entry(i, j))[r][c] for j in range(cols) for c in range(order)]
+        for i in range(rows)
+        for r in range(order)
+    ]
+    restricted = restrict_scalars(a)
+    assert restricted.ring == ring.base
+    assert restricted.shape == (rows * order, cols * order)
+    assert restricted.to_rows() == expected
+    assert set(ring.representations) == set(a.entries)
+    assert restrict_scalars(a) == restricted  # read back from the table
+
+
+def test_each_load_builds_its_own_tables(tmp_path):
+    _, res = canonical_resolution("Z_over_Z[C_3]", 4)
+    path = tmp_path / "res.json"
+    io.save(str(path), io.resolution_to_json(res))
+    _, first = io.load(str(path))
+    d1, d2 = first.complex.d(1), first.complex.d(2)
+    assert (d1 * d2).is_zero()
+    restrict_scalars(d1)
+    ring = first.ring
+    assert ring.supports and ring.representations
+    _, second = io.load(str(path))
+    assert second.ring == ring and second.ring is not ring
+    assert second.ring.supports is not ring.supports
+    assert second.ring.representations is not ring.representations
+    assert not second.ring.supports and not second.ring.representations

@@ -52,7 +52,7 @@ import os
 import sys
 from functools import partial
 
-from .chain import ChainComplex, ChainMap, make_equivalence
+from .chain import ChainComplex
 from .matrix import Matrix
 from .resolution import ModulePresentation, TruncatedResolution
 from .rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError
@@ -400,7 +400,6 @@ def certificate_document(cert: EquivalenceCertificate) -> dict:
     """The certificate file's document, matrices left as ``Matrix`` leaves
     for ``dump_canonical``."""
     doc = ring_to_json(cert.source.ring)
-    eq = cert.equivalence
     doc.update(
         {
             "format_version": str(FORMAT_VERSION),
@@ -410,10 +409,10 @@ def certificate_document(cert: EquivalenceCertificate) -> dict:
                 "presentation": _presentation_document(cert.presentation),
                 "source": _complex_document(cert.source),
                 "target": _complex_document(cert.target),
-                "forward": list(eq.fwd.parts),
-                "backward": list(eq.bwd.parts),
-                "source_homotopy": list(eq.src_homotopy),
-                "target_homotopy": list(eq.tgt_homotopy),
+                "forward": list(cert.fwd),
+                "backward": list(cert.bwd),
+                "source_homotopy": list(cert.src_homotopy),
+                "target_homotopy": list(cert.tgt_homotopy),
                 "tower_ranks": {
                     "t": [str(r) for r in cert.t_ranks],
                     "s": [str(r) for r in cert.s_ranks],
@@ -481,8 +480,8 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
     ):
         if not isinstance(data, list) or len(data) != len(shapes):
             raise MalformedFileError(f"expected {len(shapes)} matrices")
-        parts.append([matrix_from_json(ring, r, c, x) for (r, c), x in zip(shapes, data)])
-    fwd_parts, bwd_parts, s_parts, t_parts, iso_fwd, iso_bwd = parts
+        parts.append(tuple(matrix_from_json(ring, r, c, x) for (r, c), x in zip(shapes, data)))
+    fwd, bwd, s_parts, t_parts, iso_fwd, iso_bwd = parts
 
     # older writers stored a stage report; it is shape-checked and dropped
     if not isinstance(stage_doc, list):
@@ -492,17 +491,7 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
             raise MalformedFileError("bad stage report entry")
 
     return EquivalenceCertificate(
-        presentation=presentation,
-        equivalence=make_equivalence(
-            ChainMap(source, target, fwd_parts),
-            ChainMap(target, source, bwd_parts),
-            s_parts,
-            t_parts,
-        ),
-        t_ranks=t_ranks,
-        s_ranks=s_ranks,
-        iso_fwd=tuple(iso_fwd),
-        iso_bwd=tuple(iso_bwd),
+        presentation, source, target, fwd, bwd, s_parts, t_parts, t_ranks, s_ranks, iso_fwd, iso_bwd
     )
 
 

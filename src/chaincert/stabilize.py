@@ -392,26 +392,25 @@ def chain_isomorphism(
 
 @dataclass(frozen=True)
 class EquivalenceCertificate:
-    """Everything a third party needs to re-check the result: the
-    equivalence with all four witnesses (and with it the two stabilized
-    complexes), the tower ranks and the per-degree block isomorphism pair.
-    Nothing in it is trusted: ``verify_certificate`` re-checks every
-    identity."""
+    """Everything a third party needs to re-check the result, as one flat
+    record: the two stabilized complexes, the components of both chain
+    maps and both homotopies, named as in a ``HomotopyEquivalence`` (so
+    ``dualize_equivalence`` takes a certificate too), the tower ranks and
+    the per-degree block isomorphism pair. Nothing in it is trusted, not
+    even a shape: ``verify_certificate`` re-checks every identity from
+    these fields."""
 
     presentation: ModulePresentation
-    equivalence: HomotopyEquivalence
+    source: ChainComplex
+    target: ChainComplex
+    fwd: tuple[Matrix, ...]
+    bwd: tuple[Matrix, ...]
+    src_homotopy: tuple[Matrix, ...]
+    tgt_homotopy: tuple[Matrix, ...]
     t_ranks: tuple[int, ...]
     s_ranks: tuple[int, ...]
     iso_fwd: tuple[Matrix, ...]
     iso_bwd: tuple[Matrix, ...]
-
-    @property
-    def source(self) -> ChainComplex:
-        return self.equivalence.source
-
-    @property
-    def target(self) -> ChainComplex:
-        return self.equivalence.target
 
 
 def total_equivalence(
@@ -443,19 +442,18 @@ def total_equivalence(
     right = [range(q[i]) for i in range(n)] + [[*range(q[n]), *range(s[n], s[n] + t[n])]]
     h, k = maps.iso_fwd, maps.iso_bwd
 
-    source = stabilized_complex(res_p, ladder, "left")
-    target = stabilized_complex(res_q, ladder, "right")
-    fwd = ChainMap(source, target, [h[i].submatrix(right[i], left[i]) for i in range(n + 1)])
-    bwd = ChainMap(target, source, [k[i].submatrix(left[i], right[i]) for i in range(n + 1)])
-    s_parts = [
-        -k[i + 1].submatrix(left[i + 1], range(q[i + 1], q[i + 1] + p[i])) for i in range(n)
-    ]
-    t_parts = [
-        -h[i + 1].submatrix(right[i + 1], range(p[i + 1], p[i + 1] + q[i])) for i in range(n)
-    ]
     return EquivalenceCertificate(
         presentation=res_p.presentation,
-        equivalence=make_equivalence(fwd, bwd, s_parts, t_parts),
+        source=stabilized_complex(res_p, ladder, "left"),
+        target=stabilized_complex(res_q, ladder, "right"),
+        fwd=tuple(h[i].submatrix(right[i], left[i]) for i in range(n + 1)),
+        bwd=tuple(k[i].submatrix(left[i], right[i]) for i in range(n + 1)),
+        src_homotopy=tuple(
+            -k[i + 1].submatrix(left[i + 1], range(q[i + 1], q[i + 1] + p[i])) for i in range(n)
+        ),
+        tgt_homotopy=tuple(
+            -h[i + 1].submatrix(right[i + 1], range(p[i + 1], p[i + 1] + q[i])) for i in range(n)
+        ),
         t_ranks=t,
         s_ranks=s,
         iso_fwd=h,

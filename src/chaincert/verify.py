@@ -124,14 +124,15 @@ def complex_identities(c, prefix: str = "") -> list:
     ] or [Check(prefix + "d.d = 0", True, "no adjacent boundary pairs")]
 
 
-def chain_map_identities(f, prefix: str = "") -> list:
-    """d_i f_i = f_{i-1} d_i at each degree i >= 1."""
-    a, b, p, q = f.source, f.target, f.source.ranks, f.target.ranks
+def chain_map_identities(a, b, parts, prefix: str = "") -> list:
+    """d_i f_i = f_{i-1} d_i at each degree i >= 1, for the map from complex
+    a to complex b with components f_i = ``parts[i]``."""
+    p, q = a.ranks, b.ranks
     return [
         Identity(
             f"{prefix}square at degree {i}",
-            [(q[i - 1], b.d(i), q[i], f[i], p[i])],
-            [(q[i - 1], f[i - 1], p[i - 1], a.d(i), p[i])],
+            [(q[i - 1], b.d(i), q[i], parts[i], p[i])],
+            [(q[i - 1], parts[i - 1], p[i - 1], a.d(i), p[i])],
         )
         for i in range(1, a.length + 1)
     ] or [Check(prefix + "squares", True, "single degree, nothing to commute")]
@@ -153,19 +154,21 @@ def homotopy_identities(a, b, f_terms, g_terms, parts, prefix: str = "") -> list
 
 def equivalence_identities(e) -> list:
     """Both chain maps, then the homotopies contracting the round trips
-    bwd.fwd and fwd.bwd to the identities, a round trip one product."""
+    bwd.fwd and fwd.bwd to the identities, a round trip one product. ``e``
+    is a certificate or a ``HomotopyEquivalence``: both have ``source``,
+    ``target``, ``fwd[i]``, ``bwd[i]`` and the two homotopies."""
     records = [
-        *chain_map_identities(e.fwd, "forward map: "),
-        *chain_map_identities(e.bwd, "backward map: "),
+        *chain_map_identities(e.source, e.target, e.fwd, "forward map: "),
+        *chain_map_identities(e.target, e.source, e.bwd, "backward map: "),
     ]
-    for side, f, g, parts in (
-        ("source", e.fwd, e.bwd, e.src_homotopy),
-        ("target", e.bwd, e.fwd, e.tgt_homotopy),
+    for side, a, b, f, g, parts in (
+        ("source", e.source, e.target, e.fwd, e.bwd, e.src_homotopy),
+        ("target", e.target, e.source, e.bwd, e.fwd, e.tgt_homotopy),
     ):
-        c, p, q = f.source, f.source.ranks, f.target.ranks
+        p, q = a.ranks, b.ranks
         round_trip = [[(p[i], g[i], q[i], f[i], p[i])] for i in range(len(p))]
         ones = [[ONE]] * len(p)
-        records += homotopy_identities(c, c, round_trip, ones, parts, f"{side} homotopy: ")
+        records += homotopy_identities(a, a, round_trip, ones, parts, f"{side} homotopy: ")
     return records
 
 
@@ -174,7 +177,7 @@ def validate_complex(c) -> Report:
 
 
 def validate_chain_map(f) -> Report:
-    return evaluate(chain_map_identities(f))
+    return evaluate(chain_map_identities(f.source, f.target, f.parts))
 
 
 def validate_homotopy(f, g, parts) -> Report:
@@ -239,7 +242,7 @@ def verify_certificate(cert) -> Report:
     return evaluate([
         *complex_identities(cert.source, "first complex: "),
         *complex_identities(cert.target, "second complex: "),
-        *equivalence_identities(cert.equivalence),
+        *equivalence_identities(cert),
         Check("tower rank recursion", True),
         *(
             Identity(f"block pair mutually inverse at degree {i}", [(e, h[i], e, k[i], e)], [ONE])

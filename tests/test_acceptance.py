@@ -183,7 +183,7 @@ def test_criterion_6_duality_field_case():
 
         # the pipeline on the chain side, transported to the cochain side
         cert = total_equivalence(dualize(cochain_i), dualize(cochain_j))
-        dual_eq = dualize_equivalence(cert.equivalence)
+        dual_eq = dualize_equivalence(cert)
         assert dual_eq.validate().ok
         assert dual_eq.source == dualize_complex(cert.source)
 

@@ -315,7 +315,7 @@ def test_dualize_equivalence_validates():
     res_p = generate_resolution(pres, n=2, max_rank=3, seed=1)
     res_q = generate_resolution(pres, n=2, max_rank=3, seed=2)
     cert = total_equivalence(res_p, res_q)
-    dual = dualize_equivalence(cert.equivalence)
+    dual = dualize_equivalence(cert)
     assert dual.validate().ok
     assert dual.source == dualize_complex(cert.source)
     assert dual.target == dualize_complex(cert.target)

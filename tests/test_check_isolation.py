@@ -8,6 +8,10 @@ them with one block entry bumped. So what it trusts is products,
 comparisons and shape checks, never a solve, a Hermite or Smith form, a
 field rank or row reduction, a lift, a resolution's validation or a
 generator.
+
+Nor does it build the chain-object layer: ``make_equivalence``, at every
+binding, and the ``ChainMap`` and ``HomotopyEquivalence`` constructors
+raise too. ``check`` reads the stored ranks and matrices as they are.
 """
 
 import dataclasses
@@ -16,6 +20,7 @@ import sys
 import pytest
 
 from chaincert import io
+from chaincert.chain import ChainMap, HomotopyEquivalence
 from chaincert.cli import main
 from chaincert.matrix import Matrix
 from chaincert.resolution import ModulePresentation, generate_resolution, pad_top
@@ -40,6 +45,9 @@ CONSTRUCTION = [
     ("chaincert.stabilize", "total_equivalence"),
     ("chaincert.resolution", "generate_resolution"),
 ]
+
+CHAIN_OBJECTS = [("chaincert.chain", "make_equivalence")]
+CHAIN_CLASSES = [ChainMap, HomotopyEquivalence]
 
 
 F5 = PrimeField(5)
@@ -72,20 +80,25 @@ def _bumped(cert):
 
 
 def _forbid_construction(monkeypatch) -> list:
-    """Replace every construction entry point at each module binding that
-    holds it; the returned list collects the names of those called."""
+    """Replace every construction entry point and every chain-object
+    builder at each module binding that holds it, and the chain-object
+    constructors on their classes; the returned list collects the names of
+    those called."""
     called = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"check called {name}")
+
+        return call
+
     modules = [
         module for name, module in list(sys.modules.items())
         if module is not None and (name == "chaincert" or name.startswith("chaincert."))
     ]
-    for module_name, attr in CONSTRUCTION:
+    for module_name, attr in CONSTRUCTION + CHAIN_OBJECTS:
         original = getattr(sys.modules[module_name], attr)
-
-        def forbidden(*args, _name=attr, **kwargs):
-            called.append(_name)
-            raise AssertionError(f"check called {_name}")
-
         bindings = [
             (module, key)
             for module in modules
@@ -94,7 +107,9 @@ def _forbid_construction(monkeypatch) -> list:
         ]
         assert bindings, f"{module_name}.{attr} not found"
         for module, key in bindings:
-            monkeypatch.setattr(module, key, forbidden)
+            monkeypatch.setattr(module, key, forbidden(attr))
+    for cls in CHAIN_CLASSES:
+        monkeypatch.setattr(cls, "__init__", forbidden(f"{cls.__name__}.__init__"))
     return called
 
 

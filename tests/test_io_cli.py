@@ -56,8 +56,8 @@ def test_certificate_round_trip():
     again = io.certificate_from_json(json.loads(json.dumps(doc)))
     assert again.source == cert.source
     assert again.target == cert.target
-    assert again.equivalence.fwd == cert.equivalence.fwd
-    assert again.equivalence.bwd == cert.equivalence.bwd
+    assert again.fwd == cert.fwd
+    assert again.bwd == cert.bwd
     assert again.iso_fwd == cert.iso_fwd
     assert again.t_ranks == cert.t_ranks
     assert verify_certificate(again).ok

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from chaincert import chain, io, resolution
+from chaincert import chain, cli, io, resolution
 from chaincert.chain import (
     ChainComplex,
     euler_characteristic,
@@ -626,9 +626,8 @@ def test_total_equivalence_length_zero():
     assert cert.source.ranks == (2,)
     assert verify_certificate(cert).ok
     assert schanuel_check(cert).ok
-    assert cert.equivalence.bwd.after(cert.equivalence.fwd) == identity_chain_map(
-        cert.source
-    )
+    round_trip = tuple(g * f for g, f in zip(cert.bwd, cert.fwd))
+    assert round_trip == identity_chain_map(cert.source).parts
 
 
 def test_total_equivalence_c2_padded():
@@ -733,12 +732,11 @@ def test_total_equivalence_matches_the_stage_loop(pairs):
     for res_p, res_q in pairs():
         cert = total_equivalence(res_p, res_q)
         oracle = stage_loop_equivalence(res_p, res_q)
-        e = cert.equivalence
         assert (cert.source, cert.target) == (oracle.source, oracle.target)
-        assert e.fwd.parts == oracle.fwd.parts
-        assert e.bwd.parts == oracle.bwd.parts
-        assert e.src_homotopy == oracle.src_homotopy
-        assert e.tgt_homotopy == oracle.tgt_homotopy
+        assert cert.fwd == oracle.fwd.parts
+        assert cert.bwd == oracle.bwd.parts
+        assert cert.src_homotopy == oracle.src_homotopy
+        assert cert.tgt_homotopy == oracle.tgt_homotopy
         count += 1
     assert count >= 6
 
@@ -801,15 +799,16 @@ def test_total_equivalence_builds_no_stage(monkeypatch):
 
 
 def test_stabilize_rejects_a_broken_closed_form_block(monkeypatch, tmp_path, capsys):
-    real = stabilize.make_equivalence
+    real = cli.total_equivalence
 
-    def broken(fwd, bwd, s_parts, t_parts):
+    def broken(res_p, res_q):
         # drop the block read off h_2: the target round trip is no longer contracted
-        t_parts = list(t_parts)
-        t_parts[1] = Matrix.zeros(fwd.source.ring, t_parts[1].rows, t_parts[1].cols)
-        return real(fwd, bwd, s_parts, t_parts)
+        cert = real(res_p, res_q)
+        t = list(cert.tgt_homotopy)
+        t[1] = Matrix.zeros(t[1].ring, t[1].rows, t[1].cols)
+        return dataclasses.replace(cert, tgt_homotopy=tuple(t))
 
-    monkeypatch.setattr(stabilize, "make_equivalence", broken)
+    monkeypatch.setattr(cli, "total_equivalence", broken)
     pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
     paths = []
     for name, seed in (("p", 5), ("q", 6)):

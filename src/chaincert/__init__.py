@@ -47,7 +47,6 @@ from .resolution import (
 from .stabilize import (
     EquivalenceCertificate,
     InputMismatchError,
-    LadderMaps,
     LiftError,
     StabilizeError,
     StabilizerLadder,

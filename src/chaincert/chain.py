@@ -34,29 +34,29 @@ from .verify import (  # noqa: F401  Check and the validators are re-exported
 )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ChainComplex:
     """Finite chain complex of free modules, held as ranks plus boundary
     matrices. d_i d_{i+1} = 0 is a validation, not a construction, check."""
 
-    __slots__ = ("ring", "ranks", "diffs")
+    ring: Ring
+    ranks: tuple[int, ...]
+    diffs: tuple[Matrix, ...]
 
-    def __init__(self, ring: Ring, ranks, diffs):
-        ranks = tuple(ranks)
-        diffs = tuple(diffs)
+    def __post_init__(self):
+        object.__setattr__(self, "ranks", ranks := tuple(self.ranks))
+        object.__setattr__(self, "diffs", diffs := tuple(self.diffs))
         if not ranks:
             raise ShapeError("a complex needs at least degree 0")
         if len(diffs) != len(ranks) - 1:
             raise ShapeError("need one boundary per adjacent degree pair")
         for i, d in enumerate(diffs, start=1):
-            if d.ring != ring:
+            if d.ring != self.ring:
                 raise RingError(f"boundary {i} has the wrong ring")
             if d.shape != (ranks[i - 1], ranks[i]):
                 raise ShapeError(
                     f"boundary {i} must be {ranks[i-1]}x{ranks[i]}, got {d.shape}"
                 )
-        self.ring = ring
-        self.ranks = ranks
-        self.diffs = diffs
 
     @property
     def length(self) -> int:
@@ -73,26 +73,19 @@ class ChainComplex:
             return Matrix.zeros(self.ring, self.ranks[n], 0)
         raise ShapeError(f"no boundary at degree {i}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainComplex)
-            and self.ring == other.ring
-            and self.ranks == other.ranks
-            and self.diffs == other.diffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.ranks, self.diffs))
-
     def __repr__(self):
         return f"ChainComplex({self.ring}, ranks={list(self.ranks)})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class ChainMap:
-    __slots__ = ("source", "target", "parts")
+    source: ChainComplex
+    target: ChainComplex
+    parts: tuple[Matrix, ...]
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, parts):
-        parts = tuple(parts)
+    def __post_init__(self):
+        object.__setattr__(self, "parts", parts := tuple(self.parts))
+        source, target = self.source, self.target
         if source.length != target.length:
             raise ShapeError("chain map needs equal-length complexes")
         if len(parts) != source.length + 1:
@@ -104,9 +97,6 @@ class ChainMap:
                 )
             if f.ring != source.ring:
                 raise RingError("chain map component over the wrong ring")
-        self.source = source
-        self.target = target
-        self.parts = parts
 
     def __getitem__(self, i: int) -> Matrix:
         return self.parts[i]
@@ -120,17 +110,6 @@ class ChainMap:
             self.target,
             [f * g for f, g in zip(self.parts, other.parts)],
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChainMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.parts))
 
 
 def identity_chain_map(c: ChainComplex) -> ChainMap:

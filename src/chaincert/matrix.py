@@ -191,12 +191,6 @@ class Matrix:
             return self
         return _mat_mul(self, other)
 
-    def top_rows(self, count: int) -> "Matrix":
-        """The submatrix of the first ``count`` rows."""
-        if not 0 <= count <= self.rows:
-            raise ShapeError(f"cannot take {count} rows of {self.shape}")
-        return Matrix(self.ring, count, self.cols, self._e[: count * self.cols])
-
     def submatrix(self, rows, cols) -> "Matrix":
         """The entries at the given row and column indices, in that order.
 

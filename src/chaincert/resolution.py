@@ -62,6 +62,7 @@ def presentation_invariants(pres: ModulePresentation) -> Invariants:
     return cokernel_invariants(rel)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class TruncatedResolution:
     """A length-n truncated resolution of the presented module.
 
@@ -70,32 +71,26 @@ class TruncatedResolution:
     augmentation data verbatim so that dualizing is an exact involution.
     """
 
-    __slots__ = ("presentation", "complex", "augmentation", "cochain")
+    presentation: ModulePresentation
+    complex: ChainComplex
+    augmentation: Matrix
+    cochain: bool = False
 
-    def __init__(
-        self,
-        presentation: ModulePresentation,
-        complex: ChainComplex,
-        augmentation: Matrix,
-        cochain: bool = False,
-    ):
+    def __post_init__(self):
+        presentation, complex, augmentation = self.presentation, self.complex, self.augmentation
         if complex.ring != presentation.ring:
             raise RingError("complex over the wrong ring")
         if augmentation.ring != presentation.ring:
             raise RingError("augmentation over the wrong ring")
-        if cochain and not isinstance(presentation.ring, PrimeField):
+        if self.cochain and not isinstance(presentation.ring, PrimeField):
             raise RingError(
                 "cochain orientation is available over prime fields only"
             )
-        aug_cols = complex.ranks[-1] if cochain else complex.ranks[0]
+        aug_cols = complex.ranks[-1] if self.cochain else complex.ranks[0]
         if augmentation.shape != (presentation.ambient_rank, aug_cols):
             raise ShapeError(
                 f"augmentation must be {presentation.ambient_rank}x{aug_cols}"
             )
-        self.presentation = presentation
-        self.complex = complex
-        self.augmentation = augmentation
-        self.cochain = cochain
 
     @property
     def ring(self) -> Ring:
@@ -104,15 +99,6 @@ class TruncatedResolution:
     @property
     def length(self) -> int:
         return self.complex.length
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedResolution)
-            and self.presentation == other.presentation
-            and self.complex == other.complex
-            and self.augmentation == other.augmentation
-            and self.cochain == other.cochain
-        )
 
 
 def _base_view(res: TruncatedResolution) -> tuple[Matrix, Matrix, ChainComplex]:
@@ -247,7 +233,8 @@ def generate_resolution(
         augmentation = Matrix.identity(ring, m)
     p0 = augmentation.cols
 
-    d1 = kernel_basis(hstack(augmentation, rel)).top_rows(p0)
+    kernel = kernel_basis(hstack(augmentation, rel))
+    d1 = kernel.submatrix(range(p0), range(kernel.cols))
     diffs = [_pad_with_redundant_columns(d1, max_rank, rng)]
     for _ in range(2, n + 1):
         kern = kernel_basis(diffs[-1])

@@ -53,7 +53,6 @@ from .resolution import (
     _pad_top_complex,
     presentation_invariants,
 )
-from .rings import RingError
 from .verify import ladder_ranks, verify_certificate  # noqa: F401  re-exported
 
 
@@ -255,28 +254,14 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
     The corner 1 - f g is formed as (-f) g with one added to each
     diagonal entry, and 1 - g f as (-g) f; -f and -g are blocks of k and
     h anyway. ``verify_certificate`` checks only h k = 1 (it says why that
-    suffices).
+    suffices). Maps over different rings, or not of opposite shapes, fail
+    in those products (``RingError``, ``ShapeError``).
     """
-    if f.ring != g.ring:
-        raise RingError("inverse_pair: ring mismatch")
-    if f.rows != g.cols or f.cols != g.rows:
-        raise ShapeError("inverse_pair needs opposite shapes")
     ring = f.ring
     neg_f, neg_g = -f, -g
     h = block([[f, _one_plus(neg_f * g)], [Matrix.identity(ring, f.cols), neg_g]])
     k = block([[g, _one_plus(neg_g * f)], [Matrix.identity(ring, f.rows), neg_f]])
     return h, k
-
-
-@dataclass(frozen=True)
-class LadderMaps:
-    """The mutually inverse block isomorphisms assembled from the
-    degreewise lifts; the forward lift f_i: T_i -> S_i is the top-left
-    s_i x t_i block of iso_fwd[i], the backward lift g_i that of
-    iso_bwd[i]."""
-
-    iso_fwd: tuple[Matrix, ...]  # T_i (+) S_i -> S_i (+) T_i
-    iso_bwd: tuple[Matrix, ...]
 
 
 def _lift(
@@ -331,9 +316,12 @@ def build_ladder_maps(
     ladder: StabilizerLadder,
     res_p: TruncatedResolution,
     res_q: TruncatedResolution,
-) -> LadderMaps:
-    """Solve the lifting systems degree by degree and assemble the block
-    isomorphisms.
+) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+    """Solve the lifting systems degree by degree and assemble the mutually
+    inverse block isomorphisms (iso_fwd, iso_bwd): h_i = iso_fwd[i] maps
+    T_i (+) S_i to S_i (+) T_i, and k_i = iso_bwd[i] maps back. The forward
+    lift f_i: T_i -> S_i is the top-left s_i x t_i block of h_i, the
+    backward lift g_i that of k_i.
 
     The base lifts land in the presented module, so equality there is
     equality modulo the relations: the relations columns are adjoined as
@@ -352,11 +340,11 @@ def build_ladder_maps(
     lifted = solve(hstack(res_q.augmentation, rel), res_p.augmentation)
     if lifted is None:
         raise LiftError(0, "forward")
-    f0 = lifted.top_rows(res_q.complex.ranks[0])
+    f0 = lifted.submatrix(range(res_q.complex.ranks[0]), range(lifted.cols))
     lifted = solve(hstack(res_p.augmentation, rel), res_q.augmentation)
     if lifted is None:
         raise LiftError(0, "backward")
-    g0 = lifted.top_rows(res_p.complex.ranks[0])
+    g0 = lifted.submatrix(range(res_p.complex.ranks[0]), range(lifted.cols))
 
     h0, k0 = inverse_pair(f0, g0)
     iso_fwd = [h0]
@@ -370,19 +358,17 @@ def build_ladder_maps(
         iso_fwd.append(hi)
         iso_bwd.append(ki)
 
-    return LadderMaps(iso_fwd=tuple(iso_fwd), iso_bwd=tuple(iso_bwd))
+    return tuple(iso_fwd), tuple(iso_bwd)
 
 
 def chain_isomorphism(
-    ladder: StabilizerLadder,
-    maps: LadderMaps,
-    expanded_left: ChainComplex,
-    expanded_right: ChainComplex,
+    iso_fwd, iso_bwd, expanded_left: ChainComplex, expanded_right: ChainComplex
 ) -> HomotopyEquivalence:
-    """The block isomorphisms as a homotopy equivalence between the fully
-    expanded complexes; both round trips are identities on the nose."""
-    fwd = ChainMap(expanded_left, expanded_right, maps.iso_fwd)
-    bwd = ChainMap(expanded_right, expanded_left, maps.iso_bwd)
+    """The block isomorphisms (``build_ladder_maps``) as a homotopy
+    equivalence between the fully expanded complexes; both round trips
+    are identities on the nose."""
+    fwd = ChainMap(expanded_left, expanded_right, iso_fwd)
+    bwd = ChainMap(expanded_right, expanded_left, iso_bwd)
     return make_equivalence(fwd, bwd, zero_homotopy(expanded_left), zero_homotopy(expanded_right))
 
 
@@ -434,13 +420,12 @@ def total_equivalence(
     ``verify_certificate``, which the command line runs before it writes
     a certificate."""
     ladder = build_ladder(res_p, res_q)
-    maps = build_ladder_maps(ladder, res_p, res_q)
+    h, k = build_ladder_maps(ladder, res_p, res_q)
     n = ladder.n
     p, q = res_p.complex.ranks, res_q.complex.ranks
     t, s = ladder.t_ranks, ladder.s_ranks
     left = [range(p[i]) for i in range(n)] + [[*range(p[n]), *range(t[n], t[n] + s[n])]]
     right = [range(q[i]) for i in range(n)] + [[*range(q[n]), *range(s[n], s[n] + t[n])]]
-    h, k = maps.iso_fwd, maps.iso_bwd
 
     return EquivalenceCertificate(
         presentation=res_p.presentation,

@@ -203,9 +203,12 @@ def ladder_ranks(p_ranks, q_ranks) -> tuple[list[int], list[int]]:
 
 def _tower_ranks_fit(cert) -> bool:
     """The stored tower ranks follow the recursion from the complexes'
-    ranks, the top terms taken without their stabilizers."""
+    ranks, the top terms taken without their stabilizers. Every stored list
+    has one entry per degree, a homotopy one per degree below the top."""
     n, t, s = cert.source.length, cert.t_ranks, cert.s_ranks
-    if len(t) != n + 1 or len(s) != n + 1:
+    per_degree = (cert.target.ranks, t, s, cert.fwd, cert.bwd, cert.iso_fwd, cert.iso_bwd)
+    homotopies = (cert.src_homotopy, cert.tgt_homotopy)
+    if {len(x) for x in per_degree} != {n + 1} or {len(x) for x in homotopies} != {n}:
         return False
     p, q = list(cert.source.ranks), list(cert.target.ranks)
     p[n], q[n] = p[n] - s[n], q[n] - t[n]
@@ -229,10 +232,11 @@ def verify_certificate(cert) -> Report:
     to be a group, which ``GroupTable.validate`` checks (Light's
     associativity test) for every table read from a file.
 
-    The rank recursion comes first; when it holds, no rank of either complex
-    exceeds t_i + s_i, the side of a stored block pair, so no identity forms
-    a matrix larger than the stored ones. When it fails, the identities are
-    skipped."""
+    The rank recursion comes first, with the count of every stored list;
+    when it holds, no rank of either complex exceeds t_i + s_i, the side of
+    a stored block pair, so no identity forms a matrix larger than the
+    stored ones, and every identity finds its components. When it fails,
+    the identities are skipped."""
     if not _tower_ranks_fit(cert):
         return evaluate([
             Check("tower rank recursion", False),

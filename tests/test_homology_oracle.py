@@ -74,7 +74,8 @@ def oracle_validate(res: TruncatedResolution) -> Report:
         for i in range(1, res.length):
             inv = oracle_homology(complex_b, i)
             report.add(f"exact at degree {i}", inv.trivial, "" if inv.trivial else f"homology {inv}")
-        proj = kernel_basis(hstack(aug_b, rel_b)).top_rows(aug_b.cols)
+        kernel = kernel_basis(hstack(aug_b, rel_b))
+        proj = kernel.submatrix(range(aug_b.cols), range(kernel.cols))
         covered = solve(complex_b.d(1), proj)
         report.add(
             EXACT_0,

@@ -831,6 +831,45 @@ def test_verify_certificate_skips_identities_when_ranks_do_not_fit():
     ]
 
 
+def _one_short(parts):
+    return parts[:-1]
+
+
+def _one_long(parts):
+    return parts + parts[-1:]
+
+
+def _complex_one_short(c):
+    return ChainComplex(c.ring, c.ranks[:-1], c.diffs[:-1])
+
+
+def _complex_one_long(c):
+    return ChainComplex(c.ring, (*c.ranks, 0), (*c.diffs, Matrix.zeros(c.ring, c.ranks[-1], 0)))
+
+
+COMPONENT_LISTS = ["fwd", "bwd", "src_homotopy", "tgt_homotopy", "iso_fwd", "iso_bwd"]
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [(field, change) for field in COMPONENT_LISTS for change in (_one_short, _one_long)]
+    + [("target", _complex_one_short), ("target", _complex_one_long)],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_verify_certificate_refuses_a_wrong_component_count(field, change):
+    # a short list once raised IndexError, a long one passed, and the file
+    # written from it was refused by the reader ("expected 3 matrices")
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    cert = total_equivalence(res, pad_top(res, 1))
+    bad = dataclasses.replace(cert, **{field: change(getattr(cert, field))})
+    report = verify_certificate(bad)
+    assert not report.ok
+    assert [(check.name, check.ok) for check in report.checks] == [
+        ("tower rank recursion", False),
+        ("matrix identities", False),
+    ]
+
+
 HUGE_PRIME = 2**61 - 1  # prime, far above the 2^31 bound
 
 

@@ -83,11 +83,11 @@ def test_zero_dimensional_matrices():
     assert vstack(a, Matrix.identity(ZZ, 3)).shape == (3, 3)
     c = rand_int_matrix(random.Random(2), 2, 3)
     stacked = vstack(c, Matrix.identity(ZZ, 3))
-    assert stacked.top_rows(2) == c
-    assert stacked.top_rows(0) == a
-    assert stacked.top_rows(5) == stacked
+    assert stacked.submatrix(range(2), range(3)) == c
+    assert stacked.submatrix(range(0), range(3)) == a
+    assert stacked.submatrix(range(5), range(3)) == stacked
     with pytest.raises(ShapeError):
-        stacked.top_rows(6)
+        stacked.submatrix(range(6), range(3))
 
 
 def test_transpose_round_trip():
@@ -882,7 +882,7 @@ def test_every_operation_keeps_the_storage_and_the_entries(ring, data):
     sub = [a.entry(i, j) for i in row_idx for j in col_idx]
     _assert_stored(a.submatrix(row_idx, col_idx), sub)
     top = data.draw(st.integers(0, rows))
-    _assert_stored(a.top_rows(top), ea[: top * inner])
+    _assert_stored(a.submatrix(range(top), range(inner)), ea[: top * inner])
     _assert_stored(a.transpose(), [a.entry(i, j) for j in range(inner) for i in range(rows)])
     if rows and inner:
         grid = [[a, b], [b, a]]

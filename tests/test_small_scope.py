@@ -1,12 +1,13 @@
 """Small-scope completeness: every pair up to a size gets a certificate.
 
-The paper's theorem is universal, so the scope is exhausted rather than
-sampled. Every F_2 resolution of F_2 (one generator, no relations) with
-n = 2 and ranks at most 2 is enumerated: every augmentation and pair of
-boundaries of every rank vector, kept when ``validate_resolution`` passes.
-There are 58. For each of the 3,364 ordered pairs, ``total_equivalence``
-builds a certificate that ``verify_certificate`` accepts, and the file
-written from it reads back as the same certificate.
+The paper's theorem is universal, so each scope is exhausted rather than
+sampled. A scope is every F_p resolution of F_p (one generator, no
+relations) of length n with ranks at most 2: every augmentation and
+boundary of every rank vector, kept when ``validate_resolution`` passes.
+Over F_2 with n = 2 there are 58 (3,364 ordered pairs), over F_3 with
+n = 1 there are 86 (7,396 ordered pairs). For each ordered pair,
+``total_equivalence`` builds a certificate that ``verify_certificate``
+accepts, and the file written from it reads back as an equal record.
 """
 
 import itertools
@@ -20,34 +21,38 @@ from chaincert.resolution import ModulePresentation, TruncatedResolution, valida
 from chaincert.rings import PrimeField
 from chaincert.stabilize import total_equivalence, verify_certificate
 
-F2 = PrimeField(2)
+SCOPES = {  # name: (p, n, number of resolutions)
+    "F2 n=2": (2, 2, 58),
+    "F3 n=1": (3, 1, 86),
+}
 
 
-def _matrices(rows, cols):
-    for entries in itertools.product(range(2), repeat=rows * cols):
-        yield Matrix(F2, rows, cols, entries)
+def _matrices(field, rows, cols):
+    for entries in itertools.product(range(field.p), repeat=rows * cols):
+        yield Matrix(field, rows, cols, entries)
 
 
-def _resolutions():
-    """Every valid F_2 resolution of F_2 with n = 2 and ranks <= 2."""
-    pres = ModulePresentation(F2, 1, Matrix(F2, 1, 0, ()))
-    for ranks in itertools.product(range(3), repeat=3):
-        r0, r1, r2 = ranks
-        for aug, d1, d2 in itertools.product(_matrices(1, r0), _matrices(r0, r1), _matrices(r1, r2)):
-            res = TruncatedResolution(pres, ChainComplex(F2, ranks, [d1, d2]), aug)
+def _resolutions(p, n):
+    """Every valid F_p resolution of F_p of length n with ranks <= 2."""
+    field = PrimeField(p)
+    pres = ModulePresentation(field, 1, Matrix(field, 1, 0, ()))
+    for ranks in itertools.product(range(3), repeat=n + 1):
+        shapes = [(1, ranks[0])] + [(ranks[i - 1], ranks[i]) for i in range(1, n + 1)]
+        for aug, *diffs in itertools.product(*(_matrices(field, *shape) for shape in shapes)):
+            res = TruncatedResolution(pres, ChainComplex(field, ranks, diffs), aug)
             if validate_resolution(res).ok:
                 yield res
 
 
-@pytest.fixture(scope="module")
-def certificates():
-    resolutions = list(_resolutions())
-    assert len(resolutions) == 58
-    return [total_equivalence(p, q) for p, q in itertools.product(resolutions, repeat=2)]
+@pytest.fixture(scope="module", params=list(SCOPES))
+def certificates(request):
+    p, n, count = SCOPES[request.param]
+    resolutions = list(_resolutions(p, n))
+    assert len(resolutions) == count
+    return [total_equivalence(a, b) for a, b in itertools.product(resolutions, repeat=2)]
 
 
 def test_every_small_pair_gets_a_verified_certificate(certificates):
-    assert len(certificates) == 58 * 58
     refused = [i for i, cert in enumerate(certificates) if not verify_certificate(cert).ok]
     assert refused == []
 

@@ -6,9 +6,10 @@ against ``pad_top(., 1)``.
 Each count runs ``cli.main(["check", path])`` under ``sys.settrace`` and
 records every line event in a ``chaincert`` source file, with the argument
 parser built inside the trace as in a fresh process. The ceilings are the
-counts after the certificate became one flat record that the reader fills
-and ``verify`` reads: lower is better, so a change that shrinks the base
-lowers them. ``chain.py`` lends ``check`` only ``ChainComplex``, and
+counts after ``ChainComplex`` became a dataclass (its generated
+``__init__`` has no source line; its checks are in ``__post_init__``) and
+the tower-rank gate began to count every stored list: lower is better, so
+a change that shrinks the base lowers them. ``chain.py`` lends ``check`` only ``ChainComplex``, and
 ``stabilize.py`` nothing.
 """
 
@@ -26,8 +27,8 @@ from chaincert.stabilize import total_equivalence
 
 SOURCE = Path(chaincert.__file__).parent
 
-CEILINGS = {"Z/2": 328, "F5": 364, "ZC6": 387}
-UNION_CEILING = 504
+CEILINGS = {"Z/2": 327, "F5": 363, "ZC6": 386}
+UNION_CEILING = 503
 
 
 GENERATED = {  # generate's options and the two seeds, as in README
@@ -121,7 +122,7 @@ def test_check_builds_no_chain_object(executed):
     union = set().union(*executed.values())
     in_module = {m: {line for name, line in union if name == m} for m in ("chain.py", "stabilize.py")}
     assert _functions("chain.py", in_module["chain.py"]) <= {
-        "ChainComplex.__init__",
+        "ChainComplex.__post_init__",
         "ChainComplex.d",
         "ChainComplex.length",
     }

@@ -37,11 +37,15 @@ whole matrix and joins the rows; that is the text the table path writes,
 and an entry in 10-255, which only an unchecked ``bytes`` argument to
 ``Matrix`` can hold, sends the matrix back to the table path. ``load``
 reads a file once, as bytes, and such a matrix through its template
-(``_template``): each span that fills one is lifted out whole, the JSON
-parser reads only what is left (``_lift_digit_matrices``), and the
-digits are mapped to their values by one ``bytes.translate``. Only the
-plain reading decodes the bytes, as text mode does. What is accepted,
-and every error, stays the plain reading's.
+(``_template``). The search hops forward from each '[["': the first row
+gives the shape's width, a strided look at the byte after each row its
+height, and a span whose digits, zeroed, give the template of that shape
+is lifted out whole, its digits taken by one strided slice per row. The
+JSON parser reads only what is left (``_lift_digit_matrices``), and the
+digits are mapped to their values by one ``bytes.translate`` through the
+ring's table (``Ring.digit_values``). Only the plain reading decodes the
+bytes, as text mode does. What is accepted, and every error, stays the
+plain reading's.
 """
 
 from __future__ import annotations
@@ -191,10 +195,12 @@ class _Texts(dict):
 # digit text holds, so one search finds an entry that is not a single digit
 _DIGIT_OF = bytes(range(48, 58)) + b"?" * 246
 
-_DIGITS = b"0123456789"
 # ASCII digit -> "0", every other byte kept: a span whose image is the
 # template of its shape is a digit matrix
-_ZEROED = bytes.maketrans(_DIGITS, b"0" * 10)
+_ZEROED = bytes.maketrans(b"0123456789", b"0" * 10)
+# rows per strided look at the bytes after a digit matrix's rows: a slice
+# to the end of the file would copy all that follows, one byte a row width
+_ROWS = 64
 
 
 def _template(rows: int, cols: int) -> bytearray:
@@ -244,11 +250,11 @@ def _digit_matrix(ring: Ring, rows: int, cols: int, lifted: tuple) -> Matrix:
     """The matrix of a digit matrix lifted out of the text: ``lifted`` is
     its (rows, cols, ASCII digits in row-major order). The digits are
     mapped by one ``bytes.translate`` through the values ``ring.parse``
-    gives them, the values the literal table gives them."""
+    gives them (``ring.digit_values``), the values the literal table gives
+    them."""
     if lifted[:2] != (rows, cols) or isinstance(ring, GroupRing):
         raise MalformedFileError(f"not a {rows}x{cols} matrix over {ring} of digits")
-    values = bytes(map(ring.parse, _DIGITS.decode()))
-    return Matrix(ring, rows, cols, lifted[2].translate(bytes.maketrans(_DIGITS, values)))
+    return Matrix(ring, rows, cols, lifted[2].translate(ring.digit_values))
 
 
 def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
@@ -587,9 +593,15 @@ def _lift_digit_matrices(data: bytes):
 
     Only ASCII text that ends, but for whitespace, as an F_p file with
     p < 10 does ('"ring":"Fp:p"}', p one character) and holds no NaN or
-    Infinity is lifted. A span runs from the last '[["' before a ']]'
-    through that ']]'; it is a digit matrix when zeroing its digits gives
-    the template of the shape its first row and length imply. The parser
+    Infinity is lifted. A span starts at a '[["'. The first ']' after it
+    closes the first row, which gives ``cols`` and the row width
+    ``4 * cols + 2``; a strided look at the byte after each row (',' before
+    another row, ']' after the last), ``_ROWS`` rows to a slice, gives
+    ``rows``. The span is a digit matrix when zeroing its digits gives the
+    template of that shape; its digits are then one strided slice per row,
+    and the search goes on after it. After a span that is not one, the
+    search goes on at the byte after its '[' (a digit matrix holds no
+    '[["' but its first, so no matrix is skipped either way). The parser
     reads the text with each such span replaced by "[[NaN]]", the same
     array depth, so its nesting limit acts as on the text, and the
     ``parse_constant`` hook hands back (rows, cols, digits) for each in
@@ -602,25 +614,25 @@ def _lift_digit_matrices(data: bytes):
     if not (tail[:11] == b'"ring":"Fp:' and tail[12:] == b'"}' and data.isascii()):
         return None
     pieces, lifted = [], []
-    copied = start = 0
-    while (close := data.find(b"]]", start)) >= 0:
-        end = close + 2
-        # a digit matrix holds no other '[["' and no earlier ']]', so only
-        # the last '[["' before this ']]' can start one
-        first = data.rfind(b'[["', start, end)
-        start = end
-        if first < 0:
-            continue
-        span = data[first:end]
-        cols, extra = divmod(span.find(b"]") - 1, 4)
-        if cols < 1 or extra:
-            continue
-        rows, extra = divmod(len(span) - 1, 4 * cols + 2)
+    copied, first, close = 0, 0, -1
+    while (first := data.find(b'[["', first)) >= 0:
+        # the first ']' at or after `first`, kept while it still is one
+        if close < first and (close := data.find(b"]", first)) < 0:
+            break
+        cols, extra = divmod(close - first - 1, 4)
+        width, end = 4 * cols + 2, close + 1
+        # `end` steps over the ',' after each row, _ROWS rows to a slice
+        while (seps := data[end : end + _ROWS * width : width]) == b"," * _ROWS:
+            end += _ROWS * width
+        end += (len(seps) - len(seps.lstrip(b","))) * width
+        span, rows = data[first : end + 1], (end - first) // width
         if extra or span.translate(_ZEROED) != _template(rows, cols):
+            first += 1
             continue
         pieces += (data[copied:first], b"[[NaN]]")
-        lifted.append((rows, cols, span.translate(None, b'[]",')))
-        copied = end
+        digits = [span[o : o + 4 * cols : 4] for o in range(3, len(span), width)]
+        lifted.append((rows, cols, b"".join(digits)))
+        copied = first = end + 1
     pieces.append(data[copied:])
     skeleton = b"".join(pieces)
     # no span holds a letter, so the text holds NaN or Infinity exactly

@@ -9,8 +9,9 @@ Every ring element has a unique canonical form:
 
 All values are immutable and all operations are pure functions, so rings and
 elements can be shared freely across threads. A group ring's tables
-(``GroupRing.supports``, ``representations``) only remember what pure
-functions return: two threads that derive one element store equal values.
+(``GroupRing.supports``, ``representations``) and ``Ring.digit_values`` only
+remember what pure functions return: two threads that derive one element
+store equal values.
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ class Ring:
 
     def parse(self, text: str):
         raise NotImplementedError
+
+    @cached_property  # per instance, not a field, as GroupRing's tables
+    def digit_values(self) -> bytes:
+        """The ``bytes.translate`` table taking each ASCII digit to its
+        ``parse``, a value below 10 over Z or a prime field."""
+        return bytes.maketrans(b"0123456789", bytes(map(self.parse, "0123456789")))
 
 
 @dataclass(frozen=True)

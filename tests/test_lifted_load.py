@@ -12,6 +12,7 @@ objects, or the same exception with the same text.
 
 import json
 import re
+from functools import partial
 
 import pytest
 
@@ -120,6 +121,39 @@ def _non_ascii_digit(text):
     return re.sub(r'\[\["\d"', '[["\u0663"', text, count=1)
 
 
+def _digits(rows, cols):
+    return json.dumps([[str(i % 10) for i in range(cols)]] * rows, separators=(",", ":"))
+
+
+# JSON values for the span rule, each with the number of digit matrices
+# the lifted reading takes out of it; the row scan looks at io._ROWS rows
+# at a time
+SPANS = {
+    "one-column matrix": ('[["1"],["2"],["3"]]', 1),
+    "one-row matrix": ('[["1","2","3"]]', 1),
+    **{
+        f"{rows} rows": (_digits(rows, 2), 1)
+        for chunks in (1, 2)
+        for rows in (chunks * io._ROWS - 1, chunks * io._ROWS, chunks * io._ROWS + 1)
+    },
+    "two digit matrices back to back": ('[[["1"]],[["2","3"]]]', 2),
+    "digit rows, then a number row as wide": ('[["1"],["2"],[333]]', 0),
+    "digit rows, then a two-digit row as wide": ('[["1"],["2"],["33"]]', 0),
+    "digit rows, then a row of another width": ('[["1"],["2"],[3]]', 0),
+    "a middle row one digit short": ('[["1","2"],["3"],["4","5"]]', 0),
+    "a row one digit long": ('[["1","2"],["3","4","5"]]', 0),
+    "'[[\"' inside a string before a matrix": ('["[[",[["1","2"]]]', 1),
+    "'[[\"' inside a string before a wider matrix": ('["x[[",[["1","2","3","4","5"]]]', 1),
+}
+
+
+def _ends_inside_a_matrix(text):
+    """The text cut after the first row of its last digit matrix, then the
+    ring: the file ends inside that matrix."""
+    at = text.rindex('"]]') + 3
+    return text[: text.index('],["', text.rindex('[["', 0, at)) + 2] + text[_suffix(text) :]
+
+
 EDITS = {
     "unedited": (lambda text: text, True),
     "reindented": (lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True), False),
@@ -166,6 +200,15 @@ EDITS = {
     ),
     "not an object": (lambda text: '[["1"]]\n', False),
     "truncated": (lambda text: text[: len(text) // 2], None),
+    "ends inside a matrix": (_ends_inside_a_matrix, False),
+    "digit matrices back to back, no comma": (
+        lambda text: _insert_in_payload(text, '"extra":[[["1"]][["2"]]]'),
+        False,
+    ),
+    **{
+        f"span rule: {name}": (partial(_insert_in_payload, member=f'"extra":{value}'), True)
+        for name, (value, _) in SPANS.items()
+    },
 }
 
 
@@ -174,6 +217,47 @@ EDITS = {
 def test_edited_files_read_as_the_plain_path_reads_them(tmp_path, name, edit):
     change, lifts = EDITS[edit]
     assert_reads_as_the_plain_path(tmp_path, change(BASES[name]), lifts)
+
+
+def _expanded(node):
+    """The document with each lifted (rows, cols, digits), held inside two
+    lists, written back as the rows of digit strings it stands for."""
+    if isinstance(node, dict):
+        return {key: _expanded(value) for key, value in node.items()}
+    if isinstance(node, list) and node and isinstance(node[0], list) and node[0]:
+        if isinstance(node[0][0], tuple):
+            rows, cols, digits = node[0][0]
+            text = digits.decode()
+            return [list(text[i : i + cols]) for i in range(0, rows * cols, cols)]
+    return [_expanded(value) for value in node] if isinstance(node, list) else node
+
+
+def _lifted_count(node) -> int:
+    if isinstance(node, dict):
+        return sum(map(_lifted_count, node.values()))
+    if isinstance(node, list):
+        return sum(map(_lifted_count, node))
+    return isinstance(node, tuple)
+
+
+@pytest.mark.parametrize("name", sorted(SPANS))
+def test_the_span_rule_lifts_exactly_the_digit_matrices(name):
+    value, count = SPANS[name]
+    text = '{"a":' + value + ',"ring":"Fp:5"}\n'
+    doc = io._lift_digit_matrices(text.encode())
+    if not count:
+        assert doc is None
+        return
+    assert _lifted_count(doc) == count
+    assert _expanded(doc) == json.loads(text)
+
+
+def test_a_row_scan_that_runs_off_the_end_lifts_nothing():
+    """The bytes after the first row are a ',' and then, one row width on,
+    past the end of the file."""
+    text = b'{"a":[["1","2","3","4"],"ring":"Fp:5"}'
+    assert len(text) - text.index(b"],") < 4 * 4 + 2
+    assert io._lift_digit_matrices(text) is None
 
 
 @pytest.mark.parametrize("name", NAMES)

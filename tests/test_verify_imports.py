@@ -4,13 +4,17 @@ construction: read statically, its imports are the standard library and
 ``cli``, ``chain`` or ``_kernels``, and no solver, normal form, rank or
 row reduction by name. ``tests/test_check_isolation.py`` checks the same
 at run time.
+
+Nor does the reader ``check`` runs: ``io.load`` and the ``io`` functions it
+reaches by name call no construction entry point, as a function or as a
+method.
 """
 
 import ast
 import sys
 from pathlib import Path
 
-from chaincert import verify
+from chaincert import io, verify
 
 from test_check_isolation import CONSTRUCTION
 
@@ -42,3 +46,37 @@ def test_verify_names_no_construction_module():
     for node in _imports():
         modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
         assert not {m.rsplit(".", 1)[-1] for m in modules if m} & forbidden
+
+
+READER = [
+    "load",
+    "_lift_digit_matrices",
+    "_parse_json",
+    "_from_document",
+    "certificate_from_json",
+    "matrix_from_json",
+    "_digit_matrix",
+]
+
+
+def _called(node) -> set[str]:
+    """The names ``node`` calls: a bare name, or a method's attribute."""
+    calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+    names = {f.id for f in calls if isinstance(f, ast.Name)}
+    return names | {f.attr for f in calls if isinstance(f, ast.Attribute)}
+
+
+def test_the_reader_check_runs_calls_no_construction():
+    tree = ast.parse(Path(io.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(READER) <= set(functions)
+    seen, todo = set(), list(READER)
+    while todo:  # the reader functions and every io function they call by name
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        called = _called(functions[name])
+        assert not called & SOLVERS, (name, called & SOLVERS)
+        todo += called & set(functions)
+    assert {"resolution_from_json", "ring_from_json", "_complex_from_json"} <= seen

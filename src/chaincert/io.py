@@ -41,11 +41,12 @@ reads a file once, as bytes, and such a matrix through its template
 gives the shape's width, a strided look at the byte after each row its
 height, and a span whose digits, zeroed, give the template of that shape
 is lifted out whole, its digits taken by one strided slice per row. The
-JSON parser reads only what is left (``_lift_digit_matrices``), and the
-digits are mapped to their values by one ``bytes.translate`` through the
-ring's table (``Ring.digit_values``). Only the plain reading decodes the
-bytes, as text mode does. What is accepted, and every error, stays the
-plain reading's.
+search goes on at the end of every span, lifted or not, so it is linear
+in the text. The JSON parser reads only what is left
+(``_lift_digit_matrices``), and the digits are mapped to their values by
+one ``bytes.translate`` through the ring's table (``Ring.digit_values``).
+Only the plain reading decodes the bytes, as text mode does. What is
+accepted, and every error, stays the plain reading's.
 """
 
 from __future__ import annotations
@@ -593,16 +594,19 @@ def _lift_digit_matrices(data: bytes):
 
     Only ASCII text that ends, but for whitespace, as an F_p file with
     p < 10 does ('"ring":"Fp:p"}', p one character) and holds no NaN or
-    Infinity is lifted. A span starts at a '[["'. The first ']' after it
-    closes the first row, which gives ``cols`` and the row width
-    ``4 * cols + 2``; a strided look at the byte after each row (',' before
-    another row, ']' after the last), ``_ROWS`` rows to a slice, gives
-    ``rows``. The span is a digit matrix when zeroing its digits gives the
-    template of that shape; its digits are then one strided slice per row,
-    and the search goes on after it. After a span that is not one, the
-    search goes on at the byte after its '[' (a digit matrix holds no
-    '[["' but its first, so no matrix is skipped either way). The parser
-    reads the text with each such span replaced by "[[NaN]]", the same
+    Infinity is lifted. The first ']' after a '[["' closes a first row, and
+    the last '[["' before that ']' starts the span, since a digit matrix's
+    first row holds no other. The row gives ``cols`` and the row width
+    ``4 * cols + 2``, or ends the span where its length is not of that
+    form; a strided look at the byte after each row (',' before another
+    row, ']' after the last), ``_ROWS`` rows to a slice, gives ``rows``.
+    The span is a digit matrix when zeroing its digits gives the template
+    of that shape; its digits are then one strided slice per row. Either
+    way the search goes on at the byte that ended the span, so no byte is
+    in two spans and the search takes time linear in the text. A digit
+    matrix that starts inside a span that is not one is left to the
+    parser; in the writer's files every '[["' starts a digit matrix. The
+    parser reads the text with each such span replaced by "[[NaN]]", the same
     array depth, so its nesting limit acts as on the text, and the
     ``parse_constant`` hook hands back (rows, cols, digits) for each in
     text order; the document holds the tuple where the matrix was, inside
@@ -614,27 +618,29 @@ def _lift_digit_matrices(data: bytes):
     if not (tail[:11] == b'"ring":"Fp:' and tail[12:] == b'"}' and data.isascii()):
         return None
     pieces, lifted = [], []
-    copied, first, close = 0, 0, -1
+    copied = first = 0
     while (first := data.find(b'[["', first)) >= 0:
-        # the first ']' at or after `first`, kept while it still is one
-        if close < first and (close := data.find(b"]", first)) < 0:
+        if (close := data.find(b"]", first)) < 0:
             break
+        # a digit matrix's first row holds no other '[["'
+        first = data.rfind(b'[["', first, close)
         cols, extra = divmod(close - first - 1, 4)
+        if extra:
+            first = close
+            continue
         width, end = 4 * cols + 2, close + 1
         # `end` steps over the ',' after each row, _ROWS rows to a slice
         while (seps := data[end : end + _ROWS * width : width]) == b"," * _ROWS:
             end += _ROWS * width
         end += (len(seps) - len(seps.lstrip(b","))) * width
         span, rows = data[first : end + 1], (end - first) // width
-        if extra or span.translate(_ZEROED) != _template(rows, cols):
-            first += 1
-            continue
-        pieces += (data[copied:first], b"[[NaN]]")
-        digits = [span[o : o + 4 * cols : 4] for o in range(3, len(span), width)]
-        lifted.append((rows, cols, b"".join(digits)))
-        copied = first = end + 1
-    pieces.append(data[copied:])
-    skeleton = b"".join(pieces)
+        if span.translate(_ZEROED) == _template(rows, cols):
+            pieces += (data[copied:first], b"[[NaN]]")
+            digits = [span[o : o + 4 * cols : 4] for o in range(3, len(span), width)]
+            lifted.append((rows, cols, b"".join(digits)))
+            copied = end + 1
+        first = end
+    skeleton = b"".join([*pieces, data[copied:]])
     # no span holds a letter, so the text holds NaN or Infinity exactly
     # where the skeleton holds more than the spans' places
     if not lifted or skeleton.count(b"NaN") != len(lifted) or b"Infinity" in skeleton:

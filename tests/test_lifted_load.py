@@ -13,10 +13,12 @@ objects, or the same exception with the same text.
 import json
 import re
 from functools import partial
+from time import perf_counter
 
 import pytest
 
 from chaincert import io
+from chaincert.cli import main
 from chaincert.matrix import Matrix
 from chaincert.resolution import ModulePresentation, generate_resolution
 from chaincert.rings import GroupRing, GroupTable, PrimeField
@@ -144,6 +146,12 @@ SPANS = {
     "a row one digit long": ('[["1","2"],["3","4","5"]]', 0),
     "'[[\"' inside a string before a matrix": ('["[[",[["1","2"]]]', 1),
     "'[[\"' inside a string before a wider matrix": ('["x[[",[["1","2","3","4","5"]]]', 1),
+    # the search goes on at the byte that ended a span that is not a digit
+    # matrix: a matrix starting there is lifted, one inside it is parsed
+    "a digit matrix at the end of a rejected span": ('[[["1"],["2"],[3]],[["4"]]]', 1),
+    "a digit matrix inside a rejected span": ('[["1"],[["2"]],["3"]]', 0),
+    # a first row whose length fits no column count ends its span
+    "a digit matrix after a first row of no row width": ('[["12"],["3"],[["4"]]]', 1),
 }
 
 
@@ -258,6 +266,34 @@ def test_a_row_scan_that_runs_off_the_end_lifts_nothing():
     text = b'{"a":[["1","2","3","4"],"ring":"Fp:5"}'
     assert len(text) - text.index(b"],") < 4 * 4 + 2
     assert io._lift_digit_matrices(text) is None
+
+
+def _staggered_first_rows(width: int, count: int, tail: int) -> bytes:
+    """``count`` first rows of ``width`` bytes, '[["', commas and ']', their
+    ']' five bytes apart modulo ``width``, then ``tail`` commas: from each
+    first row a row scan runs through the rows after it and all the commas,
+    and the first span holds them all."""
+    rows = (b'[["' + b"," * (width - 4) + b"]" + b",,,,,") * count
+    return b'{"a":' + rows + b"," * tail + b']"ring":"Fp:5"}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'[["' * 300_000 + b']"ring":"Fp:5"}', _staggered_first_rows(2002, 400, 1_600_000)],
+    ids=["many '[[\"' before one ']'", "staggered first rows"],
+)
+def test_the_search_is_bounded_on_hostile_text(tmp_path, capsys, text):
+    """No byte is in two spans. A search that looked for a span again inside
+    one that is not a digit matrix takes seconds on these files: in the
+    first, a slice per '[["' up to the one ']'; in the second, a slice,
+    zeroing and template per first row up to the end of the commas."""
+    path = tmp_path / "hostile.json"
+    path.write_bytes(text)
+    start = perf_counter()
+    assert main(["check", str(path)]) == 1
+    assert perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert len(captured.out) + len(captured.err) < 1024
 
 
 @pytest.mark.parametrize("name", NAMES)

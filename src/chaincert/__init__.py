@@ -49,7 +49,6 @@ from .stabilize import (
     InputMismatchError,
     LiftError,
     StabilizeError,
-    StabilizerLadder,
     build_ladder,
     build_ladder_maps,
     chain_isomorphism,

@@ -121,21 +121,30 @@ def cmd_compare(args) -> int:
     return EXIT_OK if comparison.ok else EXIT_INVALID
 
 
+def _preset_int(preset: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"bad module preset {preset!r}: {digits!r} is not an integer") from None
+
+
 def _parse_module(ring: Ring, text: str) -> ModulePresentation:
     """Module presets.
 
     Over Z: "0", "Z", "Z/6", or sums like "Z+Z/2+Z/4" (one ambient summand
     per term, one relation column per torsion term). Over a prime field:
     "dim:d" for the free module of dimension d, or "0"; d is refused when
-    a d x d matrix (the augmentation) has more entries than a Python list
-    can index.
+    negative or when a d x d matrix (the augmentation) has more entries
+    than a Python list can index. A number that is not an integer is
+    refused by a ValueError naming the preset.
     """
     text = text.strip()
     if text == "0":
         return ModulePresentation(ring, 0, Matrix.zeros(ring, 0, 0))
     if isinstance(ring, PrimeField):
         if text.startswith("dim:"):
-            d = int(text[4:])
+            if (d := _preset_int(text, text[4:])) < 0:
+                raise ValueError(f"bad module preset {text!r}: the dimension is negative")
             if d * d > sys.maxsize:
                 raise ValueError(
                     f"dim:{d} is too large: a {d} x {d} augmentation has more "
@@ -150,7 +159,7 @@ def _parse_module(ring: Ring, text: str) -> ModulePresentation:
         if term == "Z":
             continue
         if term.startswith("Z/"):
-            m = int(term[2:])
+            m = _preset_int(text, term[2:])
             if m <= 1:
                 raise ValueError("torsion order must be at least 2")
             col = [0] * ambient

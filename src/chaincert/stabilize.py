@@ -22,10 +22,11 @@ degrees, mapped by the identity), and ``intermediate_complex``,
 
 Each tower step is [[incl d_i, 0], [0, 1]], so only the input boundaries
 carry content. Construction never forms a step at tower size: it checks
-d.d = 0 on the two inputs (``build_ladder``) and solves every lift, and
-checks its square, against an input boundary (``build_ladder_maps``).
-``verify_certificate`` checks every identity of the result from the raw
-matrices.
+d.d = 0 on the two inputs and derives the tower ranks (``build_ladder``),
+and solves every lift, and checks its square, against an input boundary
+(``build_ladder_maps``). A function of one side's tower takes that side's
+resolution and the other tower's ranks (s for the first input, t for the
+second). ``verify_certificate`` checks every identity of the result.
 
 Summand order convention: the degree-i tower module splits as (own term,
 previous stabilizer), i.e. T_i = P_i (+) S_{i-1} and S_i = Q_i (+) T_{i-1},
@@ -81,47 +82,6 @@ class LiftError(StabilizeError):
         )
 
 
-@dataclass(frozen=True)
-class StabilizerLadder:
-    """The tower ranks and the two input complexes: all that construction
-    needs, since every lift is solved against an input boundary
-    (``build_ladder_maps``).
-
-    The tower blocks are built on demand, for the tests' oracle of the
-    lifts only (the lifting systems solved at tower size); the expansion
-    chain is built by ``_expand``. ``incl(side, i)`` is the inclusion of
-    the degree-i input term into its tower module (P_i -> T_i on the left,
-    Q_i -> S_i on the right), and ``step(side, i)`` is the tower boundary
-    [[incl_{i-1} d_i, 0], [0, 1]], T_i -> T_{i-1} (+) S_{i-1} on the left,
-    S_i -> S_{i-1} (+) T_{i-1} on the right.
-    """
-
-    n: int
-    t_ranks: tuple[int, ...]
-    s_ranks: tuple[int, ...]
-    left: ChainComplex
-    right: ChainComplex
-
-    def incl(self, side: str, i: int) -> Matrix:
-        c = self.left if side == "left" else self.right
-        size = c.ranks[i] + (self.added_ranks(side)[i - 1] if i else 0)
-        return _select(c.ring, size, range(c.ranks[i]))
-
-    def step(self, side: str, i: int) -> Matrix:
-        c = self.left if side == "left" else self.right
-        added = self.added_ranks(side)[i - 1]
-        lifted = self.incl(side, i - 1) * c.d(i)
-        return block(
-            [
-                [lifted, Matrix.zeros(c.ring, lifted.rows, added)],
-                [Matrix.zeros(c.ring, added, c.ranks[i]), Matrix.identity(c.ring, added)],
-            ]
-        )
-
-    def added_ranks(self, side: str) -> tuple[int, ...]:
-        return self.s_ranks if side == "left" else self.t_ranks
-
-
 def _check_pair(res_p: TruncatedResolution, res_q: TruncatedResolution):
     if res_p.ring != res_q.ring:
         raise InputMismatchError("ring mismatch between the two resolutions")
@@ -137,8 +97,8 @@ def _check_pair(res_p: TruncatedResolution, res_q: TruncatedResolution):
 
 def build_ladder(
     res_p: TruncatedResolution, res_q: TruncatedResolution
-) -> StabilizerLadder:
-    """The towers of a compatible pair; deterministic.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tower ranks (t, s) of a compatible pair; deterministic.
 
     Both inputs must be complexes. Two padded tower steps compose to
     [[incl_{i-1} d_i d_{i+1}], [0]], which is zero exactly when
@@ -153,21 +113,13 @@ def build_ladder(
                     f"{check.name} fails"
                 )
     t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
-    return StabilizerLadder(
-        n=res_p.length,
-        t_ranks=tuple(t),
-        s_ranks=tuple(s),
-        left=res_p.complex,
-        right=res_q.complex,
-    )
+    return tuple(t), tuple(s)
 
 
-def stabilized_complex(
-    res: TruncatedResolution, ladder: StabilizerLadder, side: str
-) -> ChainComplex:
-    """The input complex with the opposite tower's top module adjoined to
-    the top term, mapped by zero."""
-    return _pad_top_complex(res.complex, ladder.added_ranks(side)[ladder.n])
+def stabilized_complex(res: TruncatedResolution, extra: int) -> ChainComplex:
+    """The input complex with a free module of rank ``extra`` (s_n for the
+    first input, t_n for the second) adjoined to the top term by zero."""
+    return _pad_top_complex(res.complex, extra)
 
 
 def _select(ring, size: int, positions) -> Matrix:
@@ -200,39 +152,35 @@ def _expand(c: ChainComplex, r: int, a: int, at: int):
     return ChainComplex(ring, ranks, diffs), incl, -(new_up * new_r.transpose())
 
 
-def intermediate_complex(
-    ladder: StabilizerLadder, res: TruncatedResolution, side: str, r: int
-) -> ChainComplex:
+def intermediate_complex(res: TruncatedResolution, added, r: int) -> ChainComplex:
     """Stage r of the expansion chain: the stabilized complex expanded
     (``_expand``) at degrees 0..r-1 in turn, the degree-k summand being the
-    opposite tower's module of degree k. So degrees below r are fully
-    expanded tower pairs, degree r is the bare tower module, degrees above
-    carry the untouched resolution terms (the top keeps its stabilizer
-    summand last). Stage 0 is the stabilized complex; stage n is the fully
-    expanded one."""
-    n = ladder.n
+    opposite tower's module of degree k, of rank ``added[k]``. So degrees
+    below r are fully expanded tower pairs, degree r is the bare tower
+    module, degrees above carry the untouched resolution terms (the top
+    keeps its stabilizer summand last). Stage 0 is the stabilized complex;
+    stage n is the fully expanded one."""
+    n = res.length
     if not 0 <= r <= n:
         raise ShapeError(f"stage {r} out of range 0..{n}")
-    c = stabilized_complex(res, ladder, side)
+    c = stabilized_complex(res, added[n])
     for k in range(r):
-        c = _expand(c, k, ladder.added_ranks(side)[k], res.complex.ranks[k + 1])[0]
+        c = _expand(c, k, added[k], res.complex.ranks[k + 1])[0]
     return c
 
 
-def expansion_equivalence(
-    ladder: StabilizerLadder, res: TruncatedResolution, side: str, r: int
-) -> HomotopyEquivalence:
+def expansion_equivalence(res: TruncatedResolution, added, r: int) -> HomotopyEquivalence:
     """The elementary expansion from stage r to stage r+1, as ``_expand``
     builds it: the forward map includes the old basis, the backward map
     projects onto it, and the projection-then-inclusion round trip is
     contracted by the homotopy that negates the new summand, placed from
     degree r to degree r+1; the other round trip is the identity on the
     nose."""
-    n = ladder.n
+    n = res.length
     if not 0 <= r <= n - 1:
         raise ShapeError(f"expansion stage {r} out of range 0..{n - 1}")
-    lower = intermediate_complex(ladder, res, side, r)
-    upper, incl, t_r = _expand(lower, r, ladder.added_ranks(side)[r], res.complex.ranks[r + 1])
+    lower = intermediate_complex(res, added, r)
+    upper, incl, t_r = _expand(lower, r, added[r], res.complex.ranks[r + 1])
     fwd = ChainMap(lower, upper, incl)
     bwd = ChainMap(upper, lower, [j.transpose() for j in incl])
     t_parts = zero_homotopy(upper)
@@ -313,9 +261,7 @@ def _lift(
 
 
 def build_ladder_maps(
-    ladder: StabilizerLadder,
-    res_p: TruncatedResolution,
-    res_q: TruncatedResolution,
+    res_p: TruncatedResolution, res_q: TruncatedResolution
 ) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
     """Solve the lifting systems degree by degree and assemble the mutually
     inverse block isomorphisms (iso_fwd, iso_bwd): h_i = iso_fwd[i] maps
@@ -334,7 +280,8 @@ def build_ladder_maps(
     solution that fails its square raises StabilizeError.
     """
     _check_pair(res_p, res_q)
-    n = ladder.n
+    n = res_p.length
+    t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
     rel = res_p.presentation.relations
 
     lifted = solve(hstack(res_q.augmentation, rel), res_p.augmentation)
@@ -347,10 +294,8 @@ def build_ladder_maps(
     g0 = lifted.submatrix(range(res_p.complex.ranks[0]), range(lifted.cols))
 
     h0, k0 = inverse_pair(f0, g0)
-    iso_fwd = [h0]
-    iso_bwd = [k0]
+    iso_fwd, iso_bwd = [h0], [k0]
     dp, dq = res_p.complex.d, res_q.complex.d
-    t, s = ladder.t_ranks, ladder.s_ranks
     for i in range(1, n + 1):
         fi = _lift(iso_fwd[i - 1], dp(i), dq(i), t[i - 1], s[i - 1], i, "forward")
         gi = _lift(iso_bwd[i - 1], dq(i), dp(i), s[i - 1], t[i - 1], i, "backward")
@@ -415,22 +360,21 @@ def total_equivalence(
         s_i = -k_{i+1}[L_{i+1}, P_i]   t_i = -h_{i+1}[R_{i+1}, Q_i]
 
     where P_i sits inside S_{i+1} = Q_{i+1} (+) P_i (+) S_{i-1} and Q_i
-    inside T_{i+1}. Only the ladder is checked here (``build_ladder``,
-    ``build_ladder_maps``); the equivalence identities are checked by
-    ``verify_certificate``, which the command line runs before it writes
-    a certificate."""
-    ladder = build_ladder(res_p, res_q)
-    h, k = build_ladder_maps(ladder, res_p, res_q)
-    n = ladder.n
+    inside T_{i+1}. Only the inputs and the lifts are checked here
+    (``build_ladder``, ``build_ladder_maps``); the equivalence identities
+    are checked by ``verify_certificate``, which the command line runs
+    before it writes a certificate."""
+    t, s = build_ladder(res_p, res_q)
+    h, k = build_ladder_maps(res_p, res_q)
+    n = res_p.length
     p, q = res_p.complex.ranks, res_q.complex.ranks
-    t, s = ladder.t_ranks, ladder.s_ranks
     left = [range(p[i]) for i in range(n)] + [[*range(p[n]), *range(t[n], t[n] + s[n])]]
     right = [range(q[i]) for i in range(n)] + [[*range(q[n]), *range(s[n], s[n] + t[n])]]
 
     return EquivalenceCertificate(
         presentation=res_p.presentation,
-        source=stabilized_complex(res_p, ladder, "left"),
-        target=stabilized_complex(res_q, ladder, "right"),
+        source=stabilized_complex(res_p, s[n]),
+        target=stabilized_complex(res_q, t[n]),
         fwd=tuple(h[i].submatrix(right[i], left[i]) for i in range(n + 1)),
         bwd=tuple(k[i].submatrix(left[i], right[i]) for i in range(n + 1)),
         src_homotopy=tuple(

@@ -34,7 +34,6 @@ from chaincert.resolution import (
 from chaincert.rings import ZZ, PrimeField
 from chaincert.stabilize import (
     LiftError,
-    build_ladder,
     build_ladder_maps,
     inverse_pair,
     ladder_ranks,
@@ -305,7 +304,7 @@ def test_criterion_7_negative_controls(acceptance_certificates):
         Matrix.identity(ZZ, 1),
     )
     with pytest.raises(LiftError) as err:
-        build_ladder_maps(build_ladder(bad, good), bad, good)
+        build_ladder_maps(bad, good)
     assert err.value.degree == 1
     assert "degree 1" in str(err.value)
     print(

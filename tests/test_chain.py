@@ -267,8 +267,8 @@ def test_compose_equivalence_with_its_reverse():
     from chaincert.stabilize import build_ladder, expansion_equivalence
 
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
-    ladder = build_ladder(res, res)
-    e = expansion_equivalence(ladder, res, "left", 0)
+    t, s = build_ladder(res, res)
+    e = expansion_equivalence(res, s, 0)
     round_trip = compose_equivalences(e, reverse_equivalence(e))
     assert round_trip.validate().ok
 
@@ -282,9 +282,9 @@ def test_compose_random_expansions_over_f3():
     for _ in range(5):
         res_p = generate_resolution(pres, n=3, max_rank=4, seed=rng.randrange(1000))
         res_q = generate_resolution(pres, n=3, max_rank=4, seed=rng.randrange(1000))
-        ladder = build_ladder(res_p, res_q)
-        e0 = expansion_equivalence(ladder, res_p, "left", 0)
-        e1 = expansion_equivalence(ladder, res_p, "left", 1)
+        t, s = build_ladder(res_p, res_q)
+        e0 = expansion_equivalence(res_p, s, 0)
+        e1 = expansion_equivalence(res_p, s, 1)
         composed = compose_equivalences(e0, e1)
         assert composed.validate().ok
 

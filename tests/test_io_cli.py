@@ -528,6 +528,23 @@ def test_cli_generate_rejects_a_dimension_too_large_to_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "ring,preset",
+    [("Fp:2", "dim:x"), ("Fp:2", "dim:-1"), ("Fp:2", "dim:"), ("Z", "Z/x"), ("Z", "Z/2.5"), ("Z", "Z+Z/")],
+)
+def test_cli_generate_names_a_bad_module_preset(tmp_path, capsys, ring, preset):
+    # a number that is not an integer, or a negative dimension: one error
+    # line naming the preset, not int()'s or the matrix constructor's text
+    out = tmp_path / "no.json"
+    assert main(["generate", "--ring", ring, "--module", preset, "--n", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad module preset {preset!r}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+    assert "invalid literal" not in captured.err
+    assert not out.exists()
+
+
 def test_cli_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     # a d x d augmentation that fits a list index but not memory; the
     # identity raises at once, so nothing large is allocated

@@ -29,7 +29,6 @@ from chaincert.stabilize import (
     InputMismatchError,
     LiftError,
     StabilizeError,
-    StabilizerLadder,
     build_ladder,
     build_ladder_maps,
     chain_isomorphism,
@@ -82,31 +81,52 @@ def test_ladder_ranks_recursion_property():
 
 def test_symmetric_pair_has_equal_towers():
     _, res = canonical_resolution("Z_over_Z[C_2]", 3)
-    ladder = build_ladder(res, res)
-    assert ladder.t_ranks == ladder.s_ranks
+    t, s = build_ladder(res, res)
+    assert t == s
 
 
 # ---------------------------------------------------------------------------
-# ladder structure
+# tower blocks: construction never forms them; they are the tests' oracle
+# of the lifts (the lifting systems solved at tower size)
+
+
+def tower_incl(c, added, i):
+    """The inclusion of the degree-i term of ``c`` into its tower module,
+    the term followed by the opposite tower's module of degree i-1, of rank
+    ``added[i - 1]`` (P_i -> T_i for the first input with ``added`` = s,
+    Q_i -> S_i for the second with ``added`` = t)."""
+    size = c.ranks[i] + (added[i - 1] if i else 0)
+    return Matrix.identity(c.ring, size).submatrix(range(size), range(c.ranks[i]))
+
+
+def tower_step(c, added, i):
+    """The tower boundary [[incl_{i-1} d_i, 0], [0, 1]]: T_i -> T_{i-1} (+)
+    S_{i-1} for the first input, S_i -> S_{i-1} (+) T_{i-1} for the second."""
+    lifted = tower_incl(c, added, i - 1) * c.d(i)
+    a = added[i - 1]
+    return block(
+        [
+            [lifted, Matrix.zeros(c.ring, lifted.rows, a)],
+            [Matrix.zeros(c.ring, a, c.ranks[i]), Matrix.identity(c.ring, a)],
+        ]
+    )
 
 
 def test_ladder_block_structure():
     pres = ModulePresentation(ZZ, 1, Matrix.from_rows(ZZ, [[2]]))
     res_p = generate_resolution(pres, n=2, max_rank=3, seed=1)
     res_q = generate_resolution(pres, n=2, max_rank=3, seed=2)
-    ladder = build_ladder(res_p, res_q)
+    t, s = build_ladder(res_p, res_q)
+    left, right = res_p.complex, res_q.complex
 
-    assert ladder.incl("left", 0) == Matrix.identity(ZZ, res_p.complex.ranks[0])
-    assert ladder.incl("right", 0) == Matrix.identity(ZZ, res_q.complex.ranks[0])
+    assert tower_incl(left, s, 0) == Matrix.identity(ZZ, res_p.complex.ranks[0])
+    assert tower_incl(right, t, 0) == Matrix.identity(ZZ, res_q.complex.ranks[0])
 
     for i in (1, 2):
         p_i = res_p.complex.ranks[i]
-        step = ladder.step("left", i)
-        assert step.shape == (
-            ladder.t_ranks[i - 1] + ladder.s_ranks[i - 1],
-            ladder.t_ranks[i],
-        )
-        lifted = ladder.incl("left", i - 1) * res_p.complex.d(i)
+        step = tower_step(left, s, i)
+        assert step.shape == (t[i - 1] + s[i - 1], t[i])
+        lifted = tower_incl(left, s, i - 1) * res_p.complex.d(i)
         for r in range(step.rows):
             for c in range(step.cols):
                 if c < p_i:
@@ -158,49 +178,43 @@ def test_stabilized_complex_zero_stabilizer_is_input():
         ChainComplex(ring, [0, 0], [Matrix.zeros(ring, 0, 0)]),
         Matrix.zeros(ring, 0, 0),
     )
-    ladder = build_ladder(zero_res, zero_res)
-    assert ladder.s_ranks == (0, 0)
-    assert stabilized_complex(zero_res, ladder, "left") == zero_res.complex
+    t, s = build_ladder(zero_res, zero_res)
+    assert s == (0, 0)
+    assert stabilized_complex(zero_res, s[1]) == zero_res.complex
 
 
 def test_stabilized_complex_c2():
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
-    ladder = build_ladder(res, res)
-    stab = stabilized_complex(res, ladder, "left")
+    t, s = build_ladder(res, res)
+    stab = stabilized_complex(res, s[2])
     # top rank 1 + s_2 where s_2 = t_1 + q_2 = (s_0 + p_1) + q_2 = 3
-    assert ladder.s_ranks[2] == 3
+    assert s[2] == 3
     assert stab.ranks == (1, 1, 4)
     assert validate_complex(stab).ok
 
 
 def test_intermediate_ranks_c2_pair():
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
-    ladder = build_ladder(res, res)
+    t, s = build_ladder(res, res)
     # recursion oracle: t = (1,2,3), s = (1,2,3)
-    assert (intermediate_complex(ladder, res, "left", 0).ranks) == (1, 1, 4)
-    assert (intermediate_complex(ladder, res, "left", 1).ranks) == (2, 2, 4)
-    assert (intermediate_complex(ladder, res, "left", 2).ranks) == (2, 4, 6)
+    assert (intermediate_complex(res, s, 0).ranks) == (1, 1, 4)
+    assert (intermediate_complex(res, s, 1).ranks) == (2, 2, 4)
+    assert (intermediate_complex(res, s, 2).ranks) == (2, 4, 6)
 
 
 def test_intermediate_endpoints():
     pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
     res_p = generate_resolution(pres, n=3, max_rank=4, seed=5)
     res_q = generate_resolution(pres, n=3, max_rank=4, seed=6)
-    ladder = build_ladder(res_p, res_q)
+    t, s = build_ladder(res_p, res_q)
     n = 3
-    assert intermediate_complex(ladder, res_p, "left", 0) == stabilized_complex(
-        res_p, ladder, "left"
-    )
-    assert intermediate_complex(ladder, res_q, "right", 0) == stabilized_complex(
-        res_q, ladder, "right"
-    )
-    full = intermediate_complex(ladder, res_p, "left", n)
-    assert full.ranks == tuple(
-        t + s for t, s in zip(ladder.t_ranks, ladder.s_ranks)
-    )
-    for side, res in (("left", res_p), ("right", res_q)):
+    assert intermediate_complex(res_p, s, 0) == stabilized_complex(res_p, s[n])
+    assert intermediate_complex(res_q, t, 0) == stabilized_complex(res_q, t[n])
+    full = intermediate_complex(res_p, s, n)
+    assert full.ranks == tuple(a + b for a, b in zip(t, s))
+    for res, added in ((res_p, s), (res_q, t)):
         for r in range(n + 1):
-            assert validate_complex(intermediate_complex(ladder, res, side, r)).ok
+            assert validate_complex(intermediate_complex(res, added, r)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +223,8 @@ def test_intermediate_endpoints():
 
 def test_expansion_equivalence_c2():
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
-    ladder = build_ladder(res, res)
-    e = expansion_equivalence(ladder, res, "left", 0)
+    t, s = build_ladder(res, res)
+    e = expansion_equivalence(res, s, 0)
     assert e.validate().ok
     assert e.bwd.after(e.fwd) == identity_chain_map(e.source)
 
@@ -219,10 +233,10 @@ def test_expansion_rank_bookkeeping():
     pres = ModulePresentation(ZZ, 1, Matrix.from_rows(ZZ, [[6]]))
     res_p = generate_resolution(pres, n=3, max_rank=4, seed=3)
     res_q = generate_resolution(pres, n=3, max_rank=4, seed=4)
-    ladder = build_ladder(res_p, res_q)
+    t, s = build_ladder(res_p, res_q)
     for r in range(3):
-        e = expansion_equivalence(ladder, res_p, "left", r)
-        grow = ladder.s_ranks[r]
+        e = expansion_equivalence(res_p, s, r)
+        grow = s[r]
         for i in range(4):
             expected = e.source.ranks[i] + (grow if i in (r, r + 1) else 0)
             assert e.target.ranks[i] == expected
@@ -237,8 +251,8 @@ def test_expansion_zero_adjoined_is_identity_like():
         ChainComplex(ring, [0, 0], [Matrix.zeros(ring, 0, 0)]),
         Matrix.zeros(ring, 0, 0),
     )
-    ladder = build_ladder(zero_res, zero_res)
-    e = expansion_equivalence(ladder, zero_res, "left", 0)
+    t, s = build_ladder(zero_res, zero_res)
+    e = expansion_equivalence(zero_res, s, 0)
     assert e.source == e.target
     assert e.validate().ok
 
@@ -469,15 +483,10 @@ def test_block_pair_check_forms_one_product_per_degree(monkeypatch):
 
 def test_ladder_maps_identity_pair():
     _, res = canonical_resolution("Z_over_Z[C_2]", 2)
-    ladder = build_ladder(res, res)
-    h, k = build_ladder_maps(ladder, res, res)  # internal verification runs
+    t, s = build_ladder(res, res)
+    h, k = build_ladder_maps(res, res)  # internal verification runs
     n = 2
-    iso = chain_isomorphism(
-        h,
-        k,
-        intermediate_complex(ladder, res, "left", n),
-        intermediate_complex(ladder, res, "right", n),
-    )
+    iso = chain_isomorphism(h, k, intermediate_complex(res, s, n), intermediate_complex(res, t, n))
     assert iso.validate().ok
     assert iso.bwd.after(iso.fwd) == identity_chain_map(iso.source)
     assert iso.fwd.after(iso.bwd) == identity_chain_map(iso.target)
@@ -496,9 +505,8 @@ def test_lift_failure_names_degree():
         ChainComplex(ZZ, [1, 1], [Matrix.from_rows(ZZ, [[2]])]),
         Matrix.identity(ZZ, 1),
     )
-    ladder = build_ladder(bad, good)
     with pytest.raises(LiftError) as err:
-        build_ladder_maps(ladder, bad, good)
+        build_ladder_maps(bad, good)
     assert err.value.degree == 1
 
 
@@ -521,13 +529,12 @@ def test_block_lift_matches_the_full_system_on_random_data(ring):
         left = ChainComplex(ring, p, [rand(p[0], p[1]), rand(p[1], p[2])])
         right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
         t, s = ladder_ranks(p, q)
-        ladder = StabilizerLadder(2, tuple(t), tuple(s), left, right)
         rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
         cleared = rng.random() < 0.5
         if cleared:  # the T_0 rows inside S_1, which every solvable system has zero
             rows[q[1] : s[1]] = [[ring.zero] * (t[1] + s[1])] * t[0]
         h = Matrix.from_rows(ring, rows, t[1] + s[1])
-        expected = solve(ladder.step("right", 2), h * ladder.step("left", 2))
+        expected = solve(tower_step(right, t, 2), h * tower_step(left, s, 2))
         try:
             got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
         except LiftError as err:
@@ -557,12 +564,11 @@ def test_block_lift_checks_the_product_part_of_the_between_band(ring):
         left = ChainComplex(ring, p, [rand(p[0], p[1]), d2])
         right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
         t, s = ladder_ranks(p, q)
-        ladder = StabilizerLadder(2, tuple(t), tuple(s), left, right)
         rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
         for r in range(q[1], s[1]):
             rows[r][t[1] :] = [ring.zero] * s[1]
         h = Matrix.from_rows(ring, rows, t[1] + s[1])
-        expected = solve(ladder.step("right", 2), h * ladder.step("left", 2))
+        expected = solve(tower_step(right, t, 2), h * tower_step(left, s, 2))
         try:
             got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
         except LiftError:
@@ -646,28 +652,22 @@ def stage_loop_equivalence(res_p, res_q):
     closed form: expand the first stabilized complex stage by stage, cross
     over through the block isomorphisms and unwind the second side's
     expansions in reverse, validating and composing all 2n+1 stages."""
-    ladder = build_ladder(res_p, res_q)
-    n = ladder.n
-    acc = identity_equivalence(intermediate_complex(ladder, res_p, "left", 0))
-    assert acc.source == stabilized_complex(res_p, ladder, "left")
-    stages = [expansion_equivalence(ladder, res_p, "left", r) for r in range(n)]
-    h, k = build_ladder_maps(ladder, res_p, res_q)
+    t, s = build_ladder(res_p, res_q)
+    n = res_p.length
+    acc = identity_equivalence(intermediate_complex(res_p, s, 0))
+    assert acc.source == stabilized_complex(res_p, s[n])
+    stages = [expansion_equivalence(res_p, s, r) for r in range(n)]
+    h, k = build_ladder_maps(res_p, res_q)
     stages.append(
-        chain_isomorphism(
-            h,
-            k,
-            intermediate_complex(ladder, res_p, "left", n),
-            intermediate_complex(ladder, res_q, "right", n),
-        )
+        chain_isomorphism(h, k, intermediate_complex(res_p, s, n), intermediate_complex(res_q, t, n))
     )
     stages += [
-        reverse_equivalence(expansion_equivalence(ladder, res_q, "right", r))
-        for r in range(n - 1, -1, -1)
+        reverse_equivalence(expansion_equivalence(res_q, t, r)) for r in range(n - 1, -1, -1)
     ]
     for stage in stages:
         assert stage.validate().ok
         acc = compose_equivalences(acc, stage)
-    assert acc.target == stabilized_complex(res_q, ladder, "right")
+    assert acc.target == stabilized_complex(res_q, t[n])
     return acc
 
 
@@ -744,22 +744,21 @@ def test_total_equivalence_matches_the_stage_loop(pairs):
 GOLDEN_PAIRS = [pytest.param(lambda build=case.values[0]: [build()], id=case.id) for case in GOLDEN]
 
 
-def full_size_lifts(ladder, h, k, i):
+def full_size_lifts(res_p, res_q, h, k, i):
     """The degree-i lifting systems solved against the whole tower steps:
     the oracle for the block solve in ``build_ladder_maps``."""
-    fwd = solve(ladder.step("right", i), h[i - 1] * ladder.step("left", i))
-    bwd = solve(ladder.step("left", i), k[i - 1] * ladder.step("right", i))
-    return fwd, bwd
+    t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
+    step_p, step_q = tower_step(res_p.complex, s, i), tower_step(res_q.complex, t, i)
+    return solve(step_q, h[i - 1] * step_p), solve(step_p, k[i - 1] * step_q)
 
 
 @pytest.mark.parametrize("pairs", ORACLE_CASES + GOLDEN_PAIRS)
 def test_block_lifts_match_the_full_size_solve(pairs):
     for res_p, res_q in pairs():
-        ladder = build_ladder(res_p, res_q)
-        h, k = build_ladder_maps(ladder, res_p, res_q)
-        t, s = ladder.t_ranks, ladder.s_ranks
-        for i in range(1, ladder.n + 1):
-            fwd, bwd = full_size_lifts(ladder, h, k, i)
+        t, s = build_ladder(res_p, res_q)
+        h, k = build_ladder_maps(res_p, res_q)
+        for i in range(1, res_p.length + 1):
+            fwd, bwd = full_size_lifts(res_p, res_q, h, k, i)
             # f_i and g_i are the top-left blocks of h_i and k_i
             assert h[i].submatrix(range(s[i]), range(t[i])) == fwd
             assert k[i].submatrix(range(t[i]), range(s[i])) == bwd
@@ -770,13 +769,12 @@ def test_fully_expanded_stage_matches_the_tower_steps(pairs):
     # the expansion chain and the tower steps are two independent layouts
     # of the same fully expanded complex: T_i (+) S_i on the left
     for res_p, res_q in pairs():
-        ladder = build_ladder(res_p, res_q)
-        n = ladder.n
-        for side, res in (("left", res_p), ("right", res_q)):
-            full = intermediate_complex(ladder, res, side, n)
-            added = ladder.added_ranks(side)
+        t, s = build_ladder(res_p, res_q)
+        n = res_p.length
+        for res, added in ((res_p, s), (res_q, t)):
+            full = intermediate_complex(res, added, n)
             for i in range(1, n + 1):
-                step = ladder.step(side, i)
+                step = tower_step(res.complex, added, i)
                 assert full.d(i) == hstack(step, Matrix.zeros(res.ring, step.rows, added[i]))
 
 
@@ -843,15 +841,15 @@ def test_schanuel_rank_nullity_on_field_example():
     pres = ModulePresentation(F3, 1, Matrix(F3, 1, 0, ()))
     res_p = generate_resolution(pres, n=2, max_rank=4, seed=51)
     res_q = generate_resolution(pres, n=2, max_rank=4, seed=52)
-    ladder = build_ladder(res_p, res_q)
+    t, s = build_ladder(res_p, res_q)
     n = 2
     null_p = res_p.complex.ranks[n] - rank_field(res_p.complex.d(n))
     null_q = res_q.complex.ranks[n] - rank_field(res_q.complex.d(n))
-    assert null_p + ladder.s_ranks[n] == null_q + ladder.t_ranks[n]
+    assert null_p + s[n] == null_q + t[n]
     cert = total_equivalence(res_p, res_q)
     top_p = homology_invariants(cert.source, n)
     top_q = homology_invariants(cert.target, n)
-    assert top_p.free_rank == null_p + ladder.s_ranks[n]
+    assert top_p.free_rank == null_p + s[n]
     assert top_p == top_q
 
 

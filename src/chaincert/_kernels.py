@@ -23,13 +23,13 @@ byte and so does the product of two, so a row of k residues packs into
 one Python int, ``int.from_bytes(row, "little")``, one byte lane per
 column. ``matmul_mod`` adds x * packed_row into a row accumulator for
 each nonzero x = a[i,t]; every lane then grows by at most (p-1)^2 and
-never carries into the next one while it stays at most 255. The lane
-budget keeps it there: at most 255 // (p-1)^2 terms into an empty
-accumulator, then the accumulator is reduced (``to_bytes`` and one
-``bytes.translate`` through ``residue_table(p)``) and, since its lanes
-now hold up to p-1, at most (255 - (p-1)) // (p-1)^2 more terms before
-the next reduction. That is 255 then 254 terms at p = 2, 15 and 15 at
-p = 5, and 1 and 1 at p = 13. ``rref_mod`` keeps each row as ``bytes``:
+never carries into the next one while it stays at most 255. One lane
+budget keeps it there: an accumulator, empty or just reduced, holds at
+most p-1 per lane, so it takes at most (255 - (p-1)) // (p-1)^2 terms
+before it is reduced (``to_bytes`` and one ``bytes.translate`` through
+``residue_table(p)``). That is 254 terms at p = 2, 15 at p = 5 and 1 at
+p = 13. For p > 13 a product is ``matmul_int``'s, reduced mod p.
+``rref_mod`` keeps each row as ``bytes``:
 the pivot row is scaled by one ``translate`` through a table of v / f,
 and a row with entry f in the pivot column becomes row + (p - f) * packed
 pivot row, reduced by one ``translate``; its lanes reach at most
@@ -107,41 +107,34 @@ def matmul_mod(a, b, m, n, k, p):
     For p <= 13 the entries must be canonical residues, and the product is
     formed in byte lanes (module docstring) and returned as ``bytes``: b's
     rows are packed once, and each output row is one accumulator, reduced
-    whenever the lane budget runs out and once at the end. Otherwise each
-    output row accumulates in Python ints; only its nonzero accumulators
-    are reduced and written, the other outputs stay 0.
+    whenever the lane budget runs out and once at the end. Otherwise it
+    is ``matmul_int``'s product, each entry reduced mod p.
     """
-    square = (p - 1) ** 2
-    if square <= 255:  # a product fits in a byte lane: PrimeField.byte_lanes
-        return _matmul_lanes(a, b, m, n, k, p, 255 // square, (255 - (p - 1)) // square)
-    out = [0] * (m * k)
-    cols = range(k)
-    for i, row in _product_rows(a, b, m, n, k):
-        base = i * k
-        for j in compress(cols, row):
-            out[base + j] = row[j] % p
-    return out
+    if (p - 1) ** 2 <= 255:  # a product fits in a byte lane: PrimeField.byte_lanes
+        return _matmul_lanes(a, b, m, n, k, p)
+    return [x % p for x in matmul_int(a, b, m, n, k)]
 
 
-def _matmul_lanes(a, b, m, n, k, p, first, more):
-    """The byte-lane product: at most ``first`` terms into an empty row
-    accumulator and ``more`` after each reduction."""
+def _matmul_lanes(a, b, m, n, k, p):
+    """The byte-lane product: at most ``terms`` terms into a row
+    accumulator between reductions (module docstring)."""
     if not k:
         return b""
     table = residue_table(p)
+    terms = (255 - (p - 1)) // (p - 1) ** 2
     packed = [int.from_bytes(b[r : r + k], "little") for r in range(0, n * k, k)]
     zero_row = bytes(k)
     inner = range(n)
     rows = []
     for i in range(m):
         arow = a[i * n : (i + 1) * n]
-        acc, budget = 0, first
+        acc, budget = 0, terms
         for t in compress(inner, arow):
             brow = packed[t]
             if brow:
                 if not budget:
                     acc = int.from_bytes(acc.to_bytes(k, "little").translate(table), "little")
-                    budget = more
+                    budget = terms
                 acc += arow[t] * brow
                 budget -= 1
         rows.append(acc.to_bytes(k, "little").translate(table) if acc else zero_row)

@@ -14,13 +14,15 @@ error status to exit 1 and holds the map from exceptions to exit codes: an
 ``StabilizeError`` prints ``stabilization failed:`` and exits 2. A command
 lets these through and catches only the library errors that mean
 malformed input to that command (a bad module preset, a ring that cannot
-be dualized).
+be dualized). A closed standard output changes no exit code and skips no
+file (``_say``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import io
@@ -45,15 +47,28 @@ EXIT_MALFORMED = 1
 EXIT_INVALID = 2
 
 
+def _say(*args, **kwargs):
+    """``print`` to standard output. Once its reader has gone, the first
+    ``BrokenPipeError`` points it at ``os.devnull`` and the command carries
+    on; ``main`` ends with a flush through here, so the interpreter's flush
+    at exit has nothing left to fail on."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_report(report, verbose: bool):
     for check in report.checks:
         if verbose or not check.ok:
-            print(check)
+            _say(check)
     if report.ok:
-        print(f"all {len(report.checks)} checks passed")
+        _say(f"all {len(report.checks)} checks passed")
     else:
         bad = sum(1 for c in report.checks if not c.ok)
-        print(f"{bad} of {len(report.checks)} checks FAILED")
+        _say(f"{bad} of {len(report.checks)} checks FAILED")
 
 
 def _load(path: str, want: str | None):
@@ -88,13 +103,13 @@ def _construct(args):
     for label, res in (("first", res_p), ("second", res_q)):
         report = validate_resolution(res)
         if not report.ok:
-            print(f"{label} input is not a valid resolution:")
+            _say(f"{label} input is not a valid resolution:")
             _print_report(report, args.verbose)
             return None
 
     cert = total_equivalence(res_p, res_q)
-    print("tower ranks t:", " ".join(str(r) for r in cert.t_ranks))
-    print("tower ranks s:", " ".join(str(r) for r in cert.s_ranks))
+    _say("tower ranks t:", " ".join(str(r) for r in cert.t_ranks))
+    _say("tower ranks s:", " ".join(str(r) for r in cert.s_ranks))
     report = verify_certificate(cert)
     _print_report(report, args.verbose)
     return cert if report.ok else None
@@ -106,7 +121,7 @@ def cmd_stabilize(args) -> int:
         return EXIT_INVALID
     if args.out:
         _save(args.out, io.certificate_document(cert))
-        print(f"certificate written to {args.out}")
+        _say(f"certificate written to {args.out}")
     return EXIT_OK
 
 
@@ -115,9 +130,9 @@ def cmd_compare(args) -> int:
     if cert is None:
         return EXIT_INVALID
     comparison = schanuel_check(cert)
-    print("homology comparison:")
+    _say("homology comparison:")
     for check in comparison.checks:
-        print(check)
+        _say(check)
     return EXIT_OK if comparison.ok else EXIT_INVALID
 
 
@@ -195,7 +210,7 @@ def cmd_generate(args) -> int:
         _print_report(report, True)
         return EXIT_INVALID
     _save(args.out, io.resolution_document(res))
-    print(f"resolution written to {args.out} (ranks {list(res.complex.ranks)})")
+    _say(f"resolution written to {args.out} (ranks {list(res.complex.ranks)})")
     return EXIT_OK
 
 
@@ -208,7 +223,7 @@ def cmd_dualize(args) -> int:
         return EXIT_MALFORMED
     _save(args.out, io.resolution_document(dual))
     orientation = "cochain" if dual.cochain else "chain"
-    print(f"dual ({orientation}) written to {args.out}")
+    _say(f"dual ({orientation}) written to {args.out}")
     return EXIT_OK
 
 
@@ -269,21 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, a usage error 2
-        # a usage error is malformed input; 2 is kept for invalid data
-        return EXIT_MALFORMED if exc.code else EXIT_OK
-    try:
-        return args.func(args)
-    except (OSError, io.MalformedFileError, InputMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except StabilizeError as exc:
-        print(f"stabilization failed: {exc}")
-        return EXIT_INVALID
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_MALFORMED
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help exits 0, a usage error 2
+            # a usage error is malformed input; 2 is kept for invalid data
+            return EXIT_MALFORMED if exc.code else EXIT_OK
+        try:
+            return args.func(args)
+        except (OSError, io.MalformedFileError, InputMismatchError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
+        except StabilizeError as exc:
+            _say(f"stabilization failed: {exc}")
+            return EXIT_INVALID
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_MALFORMED
+    finally:
+        _say(end="", flush=True)  # a closed standard output fails here, not at exit
 
 
 if __name__ == "__main__":

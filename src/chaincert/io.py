@@ -289,6 +289,16 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
 # sub-documents shared by resolutions and certificates
 
 
+def _fields(doc, what: str, *keys) -> list:
+    """``doc[key]`` for each key in turn. A missing key, or a ``doc`` that
+    cannot be indexed by one, is malformed: ``what``, then the lookup's
+    error."""
+    try:
+        return [doc[key] for key in keys]
+    except (KeyError, TypeError) as exc:
+        raise MalformedFileError(f"{what}: {exc}") from exc
+
+
 def _payload(doc: dict) -> dict:
     payload = doc.get("payload")
     if not isinstance(payload, dict):
@@ -315,13 +325,11 @@ def _presentation_document(pres: ModulePresentation) -> dict:
 
 
 def _presentation_from_json(ring: Ring, doc) -> ModulePresentation:
-    try:
-        ambient = _int_in(doc["ambient_rank"])
-        rel_count = _int_in(doc["relation_count"])
-        relations_doc = doc["relations"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedFileError(f"bad presentation: {exc}") from exc
-    relations = matrix_from_json(ring, ambient, rel_count, relations_doc)
+    ambient, rel_count, relations = _fields(
+        doc, "bad presentation", "ambient_rank", "relation_count", "relations"
+    )
+    ambient = _int_in(ambient)
+    relations = matrix_from_json(ring, ambient, _int_in(rel_count), relations)
     return ModulePresentation(ring, ambient, relations)
 
 
@@ -334,11 +342,7 @@ def _complex_document(c: ChainComplex) -> dict:
 
 
 def _complex_from_json(ring: Ring, doc) -> ChainComplex:
-    try:
-        ranks_doc = doc["ranks"]
-        boundaries_doc = doc["boundaries"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedFileError(f"bad complex: {exc}") from exc
+    ranks_doc, boundaries_doc = _fields(doc, "bad complex", "ranks", "boundaries")
     ranks = _ranks_from_json(ranks_doc)
     n = len(ranks) - 1
     if not isinstance(boundaries_doc, list) or len(boundaries_doc) != n:
@@ -381,11 +385,9 @@ def resolution_to_json(res: TruncatedResolution) -> dict:
 def resolution_from_json(doc: dict) -> TruncatedResolution:
     ring = ring_from_json(doc)
     payload = _payload(doc)
-    try:
-        pres_doc = payload["presentation"]
-        augmentation_doc = payload["augmentation"]
-    except KeyError as exc:
-        raise MalformedFileError(f"missing resolution field: {exc}") from exc
+    pres_doc, augmentation_doc = _fields(
+        payload, "missing resolution field", "presentation", "augmentation"
+    )
     cochain = payload.get("cochain", False)
     if not isinstance(cochain, bool):
         raise MalformedFileError("cochain flag must be a boolean")
@@ -448,15 +450,11 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
             f"certificate_version must be '{CERTIFICATE_VERSION}',"
             f" got {_shown(version)}"
         )
-    try:
-        pres_doc = payload["presentation"]
-        source_doc = payload["source"]
-        target_doc = payload["target"]
-        fwd_doc = payload["forward"]
-        bwd_doc = payload["backward"]
-        s_doc = payload["source_homotopy"]
-        t_doc = payload["target_homotopy"]
-        towers = payload["tower_ranks"]
+    pres_doc, source_doc, target_doc, fwd_doc, bwd_doc, s_doc, t_doc, towers = _fields(
+        payload, "missing certificate field", "presentation", "source", "target",
+        "forward", "backward", "source_homotopy", "target_homotopy", "tower_ranks",
+    )
+    try:  # a bad tower rank is named before a missing block list
         t_ranks = tuple(_int_in(r) for r in towers["t"])
         s_ranks = tuple(_int_in(r) for r in towers["s"])
         iso_fwd_doc = payload["block_isomorphisms"]["forward"]

@@ -15,7 +15,7 @@ Invariant: every entry is in its ring's canonical form (``rings``): an
 base coefficients over a group ring. Products, sums and the parsers all
 produce canonical entries, so equality of matrices is equality of entry
 sequences, a zero matrix is one whose entries all equal ``ring.zero``
-(``_all_zero``) and an identity is recognized by counting; the
+(``Matrix.is_zero``) and an identity is recognized by counting; the
 arithmetic below relies on it.
 
 Storage: over F_p with p <= 13 (``PrimeField.byte_lanes``) the entries
@@ -130,7 +130,8 @@ class Matrix:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return _all_zero(self)
+        """Every entry is zero (canonical entries); true for empty matrices."""
+        return _zero_entries(self.ring, self._e)
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,9 +156,9 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other, "add")
-        if _all_zero(other):
+        if other.is_zero():
             return self
-        if _all_zero(self):
+        if self.is_zero():
             return other
         ring, a, b = self.ring, self._e, other._e
         if isinstance(ring, PrimeField) and ring.byte_lanes:
@@ -183,7 +184,7 @@ class Matrix:
         self._check_same_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        if _all_zero(self) or _all_zero(other):
+        if self.is_zero() or other.is_zero():
             return Matrix.zeros(self.ring, self.rows, other.cols)
         if _is_identity(self):
             return other
@@ -245,11 +246,6 @@ def _coefficientwise(ring: Ring, op, *operands):
         return zip(*[flat] * ring.group.order)  # consecutive runs of |G|
     flat = map(op, *operands)
     return map(ring.p.__rmod__, flat) if isinstance(ring, PrimeField) else flat
-
-
-def _all_zero(a: Matrix) -> bool:
-    """Every entry is zero (canonical entries); true for empty matrices."""
-    return _zero_entries(a.ring, a._e)
 
 
 def _zero_entries(ring: Ring, e) -> bool:

@@ -118,33 +118,17 @@ class GroupTable:
 
 
 class Ring:
-    """Common interface of the supported exact coefficient rings."""
+    """Common interface of the supported exact coefficient rings.
 
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    Every concrete ring has ``zero`` and ``one``, ``add``, ``neg`` and
+    ``mul`` on canonical elements, and ``render`` to a literal; the
+    integers and prime fields also ``parse`` a literal (a group ring's
+    literals are its base ring's, one per coefficient). Nothing
+    instantiates ``Ring`` itself; it adds ``sub`` and ``digit_values``.
+    """
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def render(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
 
     @cached_property  # per instance, not a field, as GroupRing's tables
     def digit_values(self) -> bytes:

@@ -284,16 +284,14 @@ def build_ladder_maps(
     t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
     rel = res_p.presentation.relations
 
-    lifted = solve(hstack(res_q.augmentation, rel), res_p.augmentation)
-    if lifted is None:
-        raise LiftError(0, "forward")
-    f0 = lifted.submatrix(range(res_q.complex.ranks[0]), range(lifted.cols))
-    lifted = solve(hstack(res_p.augmentation, rel), res_q.augmentation)
-    if lifted is None:
-        raise LiftError(0, "backward")
-    g0 = lifted.submatrix(range(res_p.complex.ranks[0]), range(lifted.cols))
+    base_lifts = []  # f_0, then g_0
+    for a, b, direction in ((res_p, res_q, "forward"), (res_q, res_p, "backward")):
+        lifted = solve(hstack(b.augmentation, rel), a.augmentation)
+        if lifted is None:
+            raise LiftError(0, direction)
+        base_lifts.append(lifted.submatrix(range(b.complex.ranks[0]), range(lifted.cols)))
 
-    h0, k0 = inverse_pair(f0, g0)
+    h0, k0 = inverse_pair(*base_lifts)
     iso_fwd, iso_bwd = [h0], [k0]
     dp, dq = res_p.complex.d, res_q.complex.d
     for i in range(1, n + 1):

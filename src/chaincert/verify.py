@@ -4,8 +4,9 @@ An identity is a record (``Identity``): the name its check prints and two
 sides, each a sum of terms. A term is a path (n_0, M_1, n_1, ..., M_k, n_k)
 through ranks, the product M_1 ... M_k of stored matrices with each M_j of
 shape (n_{j-1}, n_j); ``ONE``, the empty product, is the identity. Shapes
-are checked before any product is formed, and no identity matrix is formed.
-This module imports ``matrix`` and nothing that constructs or solves.
+are checked before any product is formed, and no identity matrix is formed
+to decide an identity. This module imports ``matrix`` and nothing that
+constructs or solves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .matrix import Matrix, _all_zero, _buffer, _is_identity, _one_plus
+from .matrix import Matrix, _is_identity, _one_plus
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,9 @@ def evaluate(items) -> Report:
 def _evaluate(identity: Identity) -> Check:
     """A misshapen factor fails the check by naming its shape. Otherwise
     both sides are formed and compared: 1 + X adds one on the diagonal of
-    X, and X = 1 is decided by counting (``_is_identity``)."""
+    X, and X = 1 is decided by counting (``_is_identity``). A failed check
+    names its first differing entry; only then is a side of no product
+    formed, a zero or identity matrix of the identity's shape."""
     paths = [path for path in (*identity.lhs, *identity.rhs) if path]
     for path in paths:
         for j in range(1, len(path), 2):
@@ -84,23 +87,19 @@ def _evaluate(identity: Identity) -> Check:
     lhs, rhs = _side(identity.lhs), _side(identity.rhs)
     a, b = (rhs, lhs) if isinstance(lhs, int) else (lhs, rhs)
     if isinstance(b, int):  # a is a matrix: each record has a product
-        same = _is_identity(a) if b else _all_zero(a)
+        same = _is_identity(a) if b else a.is_zero()
     else:
         same = a == b
     if same:
         return Check(identity.name, True)
     rows, cols, ring = paths[0][0], paths[0][-1], paths[0][1].ring
-
-    def row(side, r):  # a side of no product is 0 or 1, of the identity's shape
-        if not isinstance(side, int):
-            return side.entries[r * cols : (r + 1) * cols]
-        entries = _buffer(ring, cols)
-        if side:
-            entries[r] = ring.one
-        return entries if isinstance(entries, bytearray) else tuple(entries)
-
-    r = next(r for r in range(rows) if row(lhs, r) != row(rhs, r))
-    x, y = row(lhs, r), row(rhs, r)
+    x, y = (
+        side if isinstance(side, Matrix)
+        else Matrix.identity(ring, rows) if side else Matrix.zeros(ring, rows, cols)
+        for side in (lhs, rhs)
+    )
+    r = next(r for r in range(rows) if x.row_list(r) != y.row_list(r))
+    x, y = x.row_list(r), y.row_list(r)
     c = next(c for c in range(cols) if x[c] != y[c])
     detail = f"entry ({r}, {c}) is {ring.render(x[c])}, not {ring.render(y[c])}"
     return Check(identity.name, False, detail)

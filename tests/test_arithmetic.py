@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincert import _kernels
-from chaincert.matrix import Matrix, _all_zero
+from chaincert.matrix import Matrix
 from chaincert.rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField
 
 from conftest import is_canonical, ring_int
@@ -176,7 +176,7 @@ def kernel_product(a, b):
 def test_zero_test_agrees_with_counting(ring, data):
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
     m = sparse_matrix(data, ring, rows, cols)
-    assert _all_zero(m) == m.is_zero() == counted_zero(m)
+    assert m.is_zero() == counted_zero(m)
 
 
 @pytest.mark.parametrize("ring", ZERO_RINGS, ids=ZERO_IDS)
@@ -184,10 +184,10 @@ def test_zero_test_agrees_with_counting(ring, data):
 def test_zero_test_on_zeros_and_on_a_last_nonzero(ring, rows, cols):
     zero = Matrix.zeros(ring, rows, cols)
     assert isinstance(zero.entries, bytes) == (ring is F5)
-    assert _all_zero(zero) and counted_zero(zero)
+    assert zero.is_zero() and counted_zero(zero)
     if rows * cols:
         last = Matrix(ring, rows, cols, [ring.zero] * (rows * cols - 1) + [ring.one])
-        assert not _all_zero(last) and not counted_zero(last)
+        assert not last.is_zero() and not counted_zero(last)
 
 
 @pytest.mark.parametrize("ring", ZERO_RINGS, ids=ZERO_IDS)

@@ -152,6 +152,58 @@ def test_malformed_block_isomorphisms_rejected(isos, tmp_path):
     assert main(["check", str(path)]) == 1
 
 
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "kind,path,value,message",
+    [
+        ("resolution", ("presentation",), DELETE, "missing resolution field: 'presentation'"),
+        ("resolution", ("presentation", "relations"), DELETE, "bad presentation: 'relations'"),
+        (
+            "resolution",
+            ("presentation",),
+            [],
+            "bad presentation: list indices must be integers or slices, not str",
+        ),
+        ("resolution", ("boundaries",), DELETE, "bad complex: 'boundaries'"),
+        ("certificate", ("target", "ranks"), DELETE, "bad complex: 'ranks'"),
+        ("certificate", ("target_homotopy",), DELETE, "missing certificate field: 'target_homotopy'"),
+        ("certificate", ("tower_ranks", "s"), DELETE, "missing certificate field: 's'"),
+        (
+            "certificate",
+            ("tower_ranks", "t"),
+            5,
+            "missing certificate field: 'int' object is not iterable",
+        ),
+        (
+            "certificate",
+            ("block_isomorphisms", "backward"),
+            DELETE,
+            "missing certificate field: 'backward'",
+        ),
+    ],
+)
+def test_a_missing_field_is_named_by_its_lookup(tmp_path, kind, path, value, message):
+    _, res = canonical_resolution("Z_over_Z[C_2]", 2)
+    if kind == "resolution":
+        doc = io.resolution_to_json(res)
+    else:
+        doc = io.certificate_to_json(total_equivalence(res, pad_top(res, 1)))
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    file = tmp_path / "missing.json"
+    file.write_text(io.dump_canonical(doc))
+    with pytest.raises(io.MalformedFileError) as caught:
+        io.load(str(file))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize(
     "report,code",
     [

@@ -107,10 +107,9 @@ def test_matmul_mod_dense_rows_at_every_budget_edge(p):
     """Rows of p - 1 against columns of p - 1, with exactly as many terms
     as fit before the first and the second reduction, and one more: every
     lane of every row reaches its largest value."""
-    square = (p - 1) ** 2
-    first, more = 255 // square, (255 - (p - 1)) // square  # the lane budgets
-    assert first >= 1 and more >= 1
-    for n in {1, first, first + 1, first + more, first + more + 1, first + 2 * more + 1}:
+    terms = (255 - (p - 1)) // (p - 1) ** 2  # the lane budget
+    assert terms >= 1
+    for n in {1, terms, terms + 1, 2 * terms, 2 * terms + 1}:
         m, k = 2, 3
         a, b = [p - 1] * (m * n), [p - 1] * (n * k)
         want = [x % p for x in _naive_product(a, b, m, n, k)]

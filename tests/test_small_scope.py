@@ -44,12 +44,12 @@ def _matrices(field, rows, cols):
         yield Matrix(field, rows, cols, entries)
 
 
-def _resolutions(p, n):
-    """Every valid F_p resolution of F_p of length n with ranks <= 2."""
+def _resolutions(p, n, dim=1):
+    """Every valid F_p resolution of F_p^dim of length n with ranks <= 2."""
     field = PrimeField(p)
-    pres = ModulePresentation(field, 1, Matrix(field, 1, 0, ()))
+    pres = ModulePresentation(field, dim, Matrix(field, dim, 0, ()))
     for ranks in itertools.product(range(3), repeat=n + 1):
-        shapes = [(1, ranks[0])] + [(ranks[i - 1], ranks[i]) for i in range(1, n + 1)]
+        shapes = [(dim, ranks[0])] + [(ranks[i - 1], ranks[i]) for i in range(1, n + 1)]
         for aug, *diffs in itertools.product(*(_matrices(field, *shape) for shape in shapes)):
             res = TruncatedResolution(pres, ChainComplex(field, ranks, diffs), aug)
             if validate_resolution(res).ok:

@@ -41,6 +41,18 @@ def test_verify_imports_only_the_standard_library_matrix_and_rings():
         assert not names & SOLVERS, names & SOLVERS
 
 
+def test_verify_imports_exactly_three_names_from_matrix():
+    """Matrices, the identity test and 1 + X: nothing that knows how a ring
+    stores its entries, such as ``_buffer``'s byte lanes."""
+    names = [
+        alias.name
+        for node in _imports()
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "matrix"
+        for alias in node.names
+    ]
+    assert sorted(names) == ["Matrix", "_is_identity", "_one_plus"]
+
+
 def test_verify_names_no_construction_module():
     forbidden = {"resolution", "stabilize", "io", "cli", "chain", "_kernels"}
     for node in _imports():

@@ -108,11 +108,14 @@ def matmul_mod(a, b, m, n, k, p):
     formed in byte lanes (module docstring) and returned as ``bytes``: b's
     rows are packed once, and each output row is one accumulator, reduced
     whenever the lane budget runs out and once at the end. Otherwise it
-    is ``matmul_int``'s product, each entry reduced mod p.
+    is ``matmul_int``'s product with its nonzero entries reduced mod p.
     """
     if (p - 1) ** 2 <= 255:  # a product fits in a byte lane: PrimeField.byte_lanes
         return _matmul_lanes(a, b, m, n, k, p)
-    return [x % p for x in matmul_int(a, b, m, n, k)]
+    out = matmul_int(a, b, m, n, k)
+    for j in compress(range(m * k), out):
+        out[j] %= p
+    return out
 
 
 def _matmul_lanes(a, b, m, n, k, p):

@@ -24,9 +24,10 @@ Each tower step is [[incl d_i, 0], [0, 1]], so only the input boundaries
 carry content. Construction never forms a step at tower size: it checks
 d.d = 0 on the two inputs and derives the tower ranks (``build_ladder``),
 and solves every lift, and checks its square, against an input boundary
-(``build_ladder_maps``). A function of one side's tower takes that side's
-resolution and the other tower's ranks (s for the first input, t for the
-second). ``verify_certificate`` checks every identity of the result.
+from the previous degree's blocks (``build_ladder_maps``). A function of
+one side's tower takes its resolution and the other tower's ranks (s for
+the first input, t for the second). ``verify_certificate`` checks every
+identity of the result.
 
 Summand order convention: the degree-i tower module splits as (own term,
 previous stabilizer), i.e. T_i = P_i (+) S_{i-1} and S_i = Q_i (+) T_{i-1},
@@ -47,7 +48,7 @@ from .chain import (
     validate_complex,
     zero_homotopy,
 )
-from .matrix import Matrix, ShapeError, _buffer, _one_plus, _zero_entries, block, hstack, solve
+from .matrix import Matrix, ShapeError, _buffer, _one_plus, _zero_entries, hstack, solve
 from .resolution import (
     ModulePresentation,
     TruncatedResolution,
@@ -192,6 +193,27 @@ def expansion_equivalence(res: TruncatedResolution, added, r: int) -> HomotopyEq
 # the inductive chain isomorphism between the fully expanded complexes
 
 
+def _assemble(f: Matrix, corner: Matrix, neg: Matrix) -> Matrix:
+    """[[f, corner], [1, neg]], written once, row by row."""
+    ring, (s, t) = f.ring, f.shape
+    fe, ce, ne, unit = f.entries, corner.entries, neg.entries, _buffer(ring, 2 * t + 1)
+    unit[t] = ring.one
+    entries = _buffer(ring)
+    for r in range(s):
+        entries += fe[r * t : (r + 1) * t]
+        entries += ce[r * s : (r + 1) * s]
+    for r in range(t):
+        entries += unit[t - r : 2 * t - r]  # the unit row e_r
+        entries += ne[r * s : (r + 1) * s]
+    return Matrix(ring, s + t, t + s, entries)
+
+
+def _blocks(f: Matrix, g: Matrix):
+    """The blocks (f, 1 - f g, -g) of h and (g, 1 - g f, -f) of k."""
+    neg_f, neg_g = -f, -g
+    return (f, _one_plus(neg_f * g), neg_g), (g, _one_plus(neg_g * f), neg_f)
+
+
 def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
     """The 2 x 2 block pair built from any opposite pair of maps
     f: A -> B, g: B -> A:
@@ -199,65 +221,48 @@ def inverse_pair(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
         h = [[f, 1 - f g], [1, -g]]      k = [[g, 1 - g f], [1, -f]]
 
     h k = k h = 1 identically, for every f and g of compatible shapes.
-    The corner 1 - f g is formed as (-f) g with one added to each
-    diagonal entry, and 1 - g f as (-g) f; -f and -g are blocks of k and
-    h anyway. ``verify_certificate`` checks only h k = 1 (it says why that
-    suffices). Maps over different rings, or not of opposite shapes, fail
-    in those products (``RingError``, ``ShapeError``).
+    The corner 1 - f g is (-f) g plus one on the diagonal, 1 - g f is
+    (-g) f (``_blocks``). ``verify_certificate`` checks only h k = 1 (it
+    says why that suffices). Maps over different rings, or not of
+    opposite shapes, fail in those products (RingError, ShapeError).
     """
-    ring = f.ring
-    neg_f, neg_g = -f, -g
-    h = block([[f, _one_plus(neg_f * g)], [Matrix.identity(ring, f.cols), neg_g]])
-    k = block([[g, _one_plus(neg_g * f)], [Matrix.identity(ring, f.rows), neg_f]])
-    return h, k
+    return tuple(_assemble(*blocks) for blocks in _blocks(f, g))
 
 
 def _lift(
-    h: Matrix, d_from: Matrix, d_to: Matrix, from_prev: int, to_prev: int,
+    f: Matrix, corner: Matrix, neg_g: Matrix, d_from: Matrix, d_to: Matrix,
     degree: int, direction: str,
 ) -> Matrix:
     """Solve step_to(i) X = h step_from(i) by blocks, at input size.
 
     Named for the forward lift (the backward one swaps P and Q, t and s):
-    h = h_{i-1}, d_from = d^P_i, d_to = d^Q_i, from_prev = t_{i-1} and
-    to_prev = s_{i-1}. Since step^P_i = [[incl d^P_i, 0], [0, 1]], the
-    right-hand side is B = [h[:, P_{i-1}] d^P_i | h[:, t_{i-1}:]]. Its rows
+    h = h_{i-1} = [[f, corner], [1, neg_g]], d_from = d^P_i, d_to = d^Q_i.
+    As step^P_i = [[incl d^P_i, 0], [0, 1]], the right-hand side is
+    B = [[f[:, P_{i-1}] d^P_i, corner], [incl d^P_i, neg_g]]. Its rows
     split as S_{i-1} (+) T_{i-1} = Q_{i-1} (+) T_{i-2} (+) T_{i-1}, and
     step^Q_i is [[d^Q_i, 0], [0, 0], [0, 1]] in that split. So the top
     rows of X solve d^Q_i Y = B[Q_{i-1}], the T_{i-2} rows of B must be
-    zero, and the bottom t_{i-1} rows of X are those of B.
-
-    B itself is never assembled. Only the product h[:, P_{i-1}] d^P_i is
-    formed, and each row of B is that product's row followed by the
-    slice of h's row from column t_{i-1} on. The top band is built as a
-    matrix to solve against, the T_{i-2} band is checked zero on those
-    slices (``_zero_entries``, which stops at the first nonzero), and the
-    bottom band is copied straight into the lift."""
-    prod = h.submatrix(range(h.rows), range(d_from.rows)) * d_from
-    pe, he, pw, hw = prod.entries, h.entries, prod.cols, h.cols
-    width = pw + hw - from_prev
-
-    def band(lo, hi, head=()):
-        entries = _buffer(h.ring)
-        entries.extend(head)
-        for r in range(lo, hi):
-            entries += pe[r * pw : (r + 1) * pw]
-            entries += he[r * hw + from_prev : (r + 1) * hw]
-        return entries
-
-    own = d_to.rows
-    if not _zero_entries(h.ring, pe[own * pw : to_prev * pw]) or not all(
-        _zero_entries(h.ring, he[r * hw + from_prev : (r + 1) * hw]) for r in range(own, to_prev)
-    ):
+    zero (the product's and the corner's rows from q_{i-1} on), and the
+    bottom t_{i-1} rows of X are those of B. Only the top band is built."""
+    ring, own, pw, cw = f.ring, d_to.rows, d_from.cols, corner.cols
+    pe = (f.submatrix(range(f.rows), range(d_from.rows)) * d_from).entries
+    ce, de, ne, band = corner.entries, d_from.entries, neg_g.entries, _buffer(ring)
+    if not (_zero_entries(ring, pe[own * pw :]) and _zero_entries(ring, ce[own * cw :])):
         raise LiftError(degree, direction)
-    top = Matrix(h.ring, own, width, band(0, own))
+    for r in range(own):
+        band += pe[r * pw : (r + 1) * pw]
+        band += ce[r * cw : (r + 1) * cw]
+    top = Matrix(ring, own, pw + cw, band)  # a copy: band is reused below
     x = solve(d_to, top)
     if x is None:
         raise LiftError(degree, direction)
     if d_to * x != top:
         raise StabilizeError(f"{direction} lift square fails at degree {degree}")
-    entries = band(to_prev, h.rows, x.entries)  # f_i = [x; bottom band]
-    return Matrix(h.ring, x.rows + h.rows - to_prev, width, entries)
+    band[:], zeros = x.entries, _buffer(ring, pw)  # f_i = [x; bottom band]
+    for r in range(f.cols):
+        band += de[r * pw : (r + 1) * pw] if r < d_from.rows else zeros
+        band += ne[r * cw : (r + 1) * cw]
+    return Matrix(ring, x.rows + f.cols, pw + cw, band)
 
 
 def build_ladder_maps(
@@ -273,35 +278,27 @@ def build_ladder_maps(
     equality modulo the relations: the relations columns are adjoined as
     free unknowns. Above the base, the forward lift f_i solves
     step^Q_i f_i = h_{i-1} step^P_i and the backward lift g_i solves
-    step^P_i g_i = k_{i-1} step^Q_i. Both systems are block-triangular
-    with an identity block, so each is solved against an input boundary
-    (``_lift``) and its lift square is checked at that size. An
-    unsolvable system raises LiftError with its degree and direction; a
-    solution that fails its square raises StabilizeError.
+    step^P_i g_i = k_{i-1} step^Q_i. Both are block-triangular with an
+    identity block, so each is solved against an input boundary from the
+    previous degree's blocks (``_lift``; h and k are only written), and
+    its square is checked at that size. An unsolvable system raises
+    LiftError with its degree and direction; a solution that fails its
+    square raises StabilizeError.
     """
     _check_pair(res_p, res_q)
-    n = res_p.length
-    t, s = ladder_ranks(res_p.complex.ranks, res_q.complex.ranks)
-    rel = res_p.presentation.relations
-
     base_lifts = []  # f_0, then g_0
     for a, b, direction in ((res_p, res_q, "forward"), (res_q, res_p, "backward")):
-        lifted = solve(hstack(b.augmentation, rel), a.augmentation)
+        lifted = solve(hstack(b.augmentation, res_p.presentation.relations), a.augmentation)
         if lifted is None:
             raise LiftError(0, direction)
         base_lifts.append(lifted.submatrix(range(b.complex.ranks[0]), range(lifted.cols)))
-
-    h0, k0 = inverse_pair(*base_lifts)
-    iso_fwd, iso_bwd = [h0], [k0]
+    blocks = [_blocks(*base_lifts)]  # per degree, the blocks of h_i and of k_i
     dp, dq = res_p.complex.d, res_q.complex.d
-    for i in range(1, n + 1):
-        fi = _lift(iso_fwd[i - 1], dp(i), dq(i), t[i - 1], s[i - 1], i, "forward")
-        gi = _lift(iso_bwd[i - 1], dq(i), dp(i), s[i - 1], t[i - 1], i, "backward")
-        hi, ki = inverse_pair(fi, gi)
-        iso_fwd.append(hi)
-        iso_bwd.append(ki)
-
-    return tuple(iso_fwd), tuple(iso_bwd)
+    for i in range(1, res_p.length + 1):
+        fwd, bwd = blocks[-1]
+        fi = _lift(*fwd, dp(i), dq(i), i, "forward")
+        blocks.append(_blocks(fi, _lift(*bwd, dq(i), dp(i), i, "backward")))
+    return tuple(_assemble(*h) for h, _ in blocks), tuple(_assemble(*k) for _, k in blocks)
 
 
 def chain_isomorphism(

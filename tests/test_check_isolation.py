@@ -40,6 +40,8 @@ CONSTRUCTION = [
     ("chaincert._kernels", "rref_mod"),
     ("chaincert.resolution", "validate_resolution"),
     ("chaincert.stabilize", "_lift"),
+    ("chaincert.stabilize", "_assemble"),
+    ("chaincert.stabilize", "_blocks"),
     ("chaincert.stabilize", "build_ladder_maps"),
     ("chaincert.stabilize", "inverse_pair"),
     ("chaincert.stabilize", "total_equivalence"),

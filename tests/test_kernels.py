@@ -172,6 +172,45 @@ def test_rref_mod_matches_full_row_elimination(density, p):
             assert isinstance(flat, bytes) == (p <= 13)
 
 
+def _mod_product(a, b, m, n, k, p):
+    return [x % p for x in _naive_product(a, b, m, n, k)]
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES + [17, 2**31 - 1])
+def test_rref_mod_is_a_reduced_echelon_basis_of_the_row_space(p):
+    """An oracle that shares no code with the kernel's elimination: the
+    result is in reduced echelon form, every input row is the combination
+    of its rows read off at the pivot columns, sum_r A[i, pivot_r] R_r, and
+    there are as many pivots as the rank of the transpose. Half the inputs
+    are products of m x r and r x n matrices, so of rank at most r."""
+    rng = random.Random(f"row space {p}")
+    for _ in range(60):
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        density = rng.choice([0.03, 0.3, 1.0])
+        if rng.random() < 0.5:
+            r = rng.randint(0, 4)
+            left = [rng.randrange(p) if rng.random() < density else 0 for _ in range(m * r)]
+            right = [rng.randrange(p) for _ in range(r * n)]
+            a = _mod_product(left, right, m, r, n, p)
+        else:
+            r = min(m, n)
+            a = [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(m * n)]
+        for entries in _as_inputs(a, p):
+            flat, pivots = _kernels.rref_mod(entries, m, n, p)
+            rows = [list(flat[i * n : (i + 1) * n]) for i in range(m)]
+            assert all(0 <= x < p for x in flat)
+            assert pivots == sorted(set(pivots)) and len(pivots) <= r
+            for i, c in enumerate(pivots):
+                assert rows[i][: c + 1] == [0] * c + [1]
+                assert [row[c] for row in rows] == [int(j == i) for j in range(m)]
+            assert not any(x for row in rows[len(pivots) :] for x in row)
+            basis = [x for row in rows[: len(pivots)] for x in row]
+            coefficients = [a[i * n + c] for i in range(m) for c in pivots]
+            assert _mod_product(coefficients, basis, m, len(pivots), n, p) == a
+            transpose = [a[i * n + j] for j in range(n) for i in range(m)]
+            assert len(_kernels.rref_mod(transpose, n, m, p)[1]) == len(pivots)
+
+
 @pytest.mark.parametrize("p", LANE_PRIMES + [17, 2**31 - 1])
 @pytest.mark.parametrize("m,n", [(0, 0), (0, 5), (4, 0)])
 def test_rref_mod_empty_shapes(p, m, n):

@@ -514,9 +514,9 @@ def test_lift_failure_names_degree():
     "ring", [ZZ, F3, GroupRing(ZZ, GroupTable.cyclic(2))], ids=["Z", "F3", "Z[C2]"]
 )
 def test_block_lift_matches_the_full_system_on_random_data(ring):
-    # random boundaries and a random h_1, not from any resolution: the block
-    # solve must return the full-size solve's solution, and raise LiftError
-    # exactly when that system has none
+    # random boundaries and random blocks f, c, g of h_1 = [[f, c], [1, -g]],
+    # not from any resolution: the block solve must return the full-size
+    # solve's solution, and raise LiftError exactly when that system has none
     rng = random.Random(11)
 
     def rand(rows, cols):
@@ -529,14 +529,14 @@ def test_block_lift_matches_the_full_system_on_random_data(ring):
         left = ChainComplex(ring, p, [rand(p[0], p[1]), rand(p[1], p[2])])
         right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
         t, s = ladder_ranks(p, q)
-        rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
+        f, c, g = rand(s[1], t[1]), rand(s[1], s[1]), rand(t[1], s[1])
         cleared = rng.random() < 0.5
         if cleared:  # the T_0 rows inside S_1, which every solvable system has zero
-            rows[q[1] : s[1]] = [[ring.zero] * (t[1] + s[1])] * t[0]
-        h = Matrix.from_rows(ring, rows, t[1] + s[1])
+            f, c = (_rows_cleared(m, range(q[1], s[1])) for m in (f, c))
+        h = block([[f, c], [Matrix.identity(ring, t[1]), -g]])
         expected = solve(tower_step(right, t, 2), h * tower_step(left, s, 2))
         try:
-            got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
+            got = stabilize._lift(f, c, -g, left.d(2), right.d(2), 2, "forward")
         except LiftError as err:
             assert (err.degree, err.direction) == (2, "forward")
             got = None
@@ -546,11 +546,19 @@ def test_block_lift_matches_the_full_system_on_random_data(ring):
     assert outcomes == {(False, True), (True, True), (True, False), (False, False)}
 
 
+def _rows_cleared(m, rows):
+    """``m`` with the given rows set to zero."""
+    entries = m.to_rows()
+    for r in rows:
+        entries[r] = [m.ring.zero] * m.cols
+    return Matrix.from_rows(m.ring, entries, m.cols)
+
+
 @pytest.mark.parametrize("ring", [ZZ, F3], ids=["Z", "F3"])
 def test_block_lift_checks_the_product_part_of_the_between_band(ring):
-    # h's T_0 rows vanish from column t_1 on but not on P_1, so only the
-    # product h[:, P_1] d_2 decides whether the right-hand side's T_0 band
-    # is zero; the block lift must agree with the full-size system
+    # the corner's T_0 rows vanish but f's do not, so only the product
+    # f[:, P_1] d_2 decides whether the right-hand side's T_0 band is zero;
+    # the block lift must agree with the full-size system
     rng = random.Random(29)
 
     def rand(rows, cols):
@@ -564,13 +572,12 @@ def test_block_lift_checks_the_product_part_of_the_between_band(ring):
         left = ChainComplex(ring, p, [rand(p[0], p[1]), d2])
         right = ChainComplex(ring, q, [rand(q[0], q[1]), rand(q[1], q[2])])
         t, s = ladder_ranks(p, q)
-        rows = rand(s[1] + t[1], t[1] + s[1]).to_rows()
-        for r in range(q[1], s[1]):
-            rows[r][t[1] :] = [ring.zero] * s[1]
-        h = Matrix.from_rows(ring, rows, t[1] + s[1])
+        f, g = rand(s[1], t[1]), rand(t[1], s[1])
+        c = _rows_cleared(rand(s[1], s[1]), range(q[1], s[1]))
+        h = block([[f, c], [Matrix.identity(ring, t[1]), -g]])
         expected = solve(tower_step(right, t, 2), h * tower_step(left, s, 2))
         try:
-            got = stabilize._lift(h, left.d(2), right.d(2), t[1], s[1], 2, "forward")
+            got = stabilize._lift(f, c, -g, left.d(2), right.d(2), 2, "forward")
         except LiftError:
             got = None
         assert got == expected
@@ -762,6 +769,30 @@ def test_block_lifts_match_the_full_size_solve(pairs):
             # f_i and g_i are the top-left blocks of h_i and k_i
             assert h[i].submatrix(range(s[i]), range(t[i])) == fwd
             assert k[i].submatrix(range(t[i]), range(s[i])) == bwd
+
+
+@pytest.mark.parametrize("pairs", GOLDEN_PAIRS)
+def test_block_pairs_are_written_and_never_read(monkeypatch, pairs):
+    # every lift is solved from the previous degree's blocks: no h_i or k_i
+    # that build_ladder_maps returns is an operand of a product, a
+    # submatrix or a solve while it runs
+    operands = []
+    mul, submatrix, real_solve = Matrix.__mul__, Matrix.submatrix, stabilize.solve
+
+    def recording(real):
+        def call(a, b, *rest):
+            operands.extend((a, b))
+            return real(a, b, *rest)
+
+        return call
+
+    monkeypatch.setattr(Matrix, "__mul__", recording(mul))
+    monkeypatch.setattr(Matrix, "submatrix", recording(submatrix))
+    monkeypatch.setattr(stabilize, "solve", recording(real_solve))
+    for res_p, res_q in pairs():
+        h, k = build_ladder_maps(res_p, res_q)
+        assert operands
+        assert not [m for m in h + k if any(m is op for op in operands)]
 
 
 @pytest.mark.parametrize("pairs", ORACLE_CASES + GOLDEN_PAIRS)

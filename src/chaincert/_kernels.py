@@ -44,20 +44,23 @@ from itertools import compress
 IMPLEMENTATION = "pure"
 
 
+def _nonzero_rows(b, n, k):
+    """Each row of the n x k matrix ``b`` as the list of its nonzero
+    (column, entry) pairs, found at C speed with ``itertools.compress``."""
+    cols = range(k)
+    return [[(j, b[r + j]) for j in compress(cols, b[r : r + k])] for r in range(0, n * k, k)]
+
+
 def _product_rows(a, b, m, n, k):
     """The rows of the (m x n) @ (n x k) product that are not zero by
     sparsity, as (row index, unreduced integer row) pairs.
 
-    Zero entries of ``a`` and ``b`` are skipped at C speed with
-    ``itertools.compress``; the pipeline's block matrices are mostly zeros.
+    Zero entries of ``a`` and ``b`` are skipped (``_nonzero_rows``); the
+    pipeline's block matrices are mostly zeros.
     """
     if not (m and n and k):
         return
-    cols = range(k)
-    brows = []
-    for r in range(0, n * k, k):
-        brow = b[r : r + k]
-        brows.append([(j, brow[j]) for j in compress(cols, brow)])
+    brows = _nonzero_rows(b, n, k)
     inner = range(n)
     for i in range(m):
         arow = a[i * n : (i + 1) * n]
@@ -161,13 +164,8 @@ def matmul_group(a, b, m, n, k, mult, zero, p, supports):
     if not (m and n and k):
         return out
     sa = list(map(supports.__getitem__, a))
-    sb = list(map(supports.__getitem__, b))
+    brows = _nonzero_rows(list(map(supports.__getitem__, b)), n, k)
     order = len(zero)
-    cols = range(k)
-    brows = []
-    for r in range(0, n * k, k):
-        brow = sb[r : r + k]
-        brows.append([(j, brow[j]) for j in compress(cols, brow)])
     inner = range(n)
     for i in range(m):
         arow = sa[i * n : (i + 1) * n]

@@ -120,12 +120,24 @@ def identity_chain_map(c: ChainComplex) -> ChainMap:
 class HomotopyEquivalence:
     """A chain homotopy equivalence with all witnesses explicit: forward
     and backward maps plus the components of the two homotopies contracting
-    the round trips to the identities."""
+    the round trips to the identities. Building one checks the homotopies'
+    shapes; ``validate`` checks the identities."""
 
     fwd: ChainMap
     bwd: ChainMap
     src_homotopy: tuple[Matrix, ...]  # bwd.fwd vs identity on the source
     tgt_homotopy: tuple[Matrix, ...]  # fwd.bwd vs identity on the target
+
+    def __post_init__(self):
+        for name, c in (("src_homotopy", self.source), ("tgt_homotopy", self.target)):
+            object.__setattr__(self, name, parts := tuple(getattr(self, name)))
+            if len(parts) != c.length:
+                raise ShapeError("need one homotopy component per degree below the top")
+            for i, s in enumerate(parts):
+                if s.shape != (c.ranks[i + 1], c.ranks[i]):
+                    raise ShapeError(
+                        f"homotopy component {i} must be {c.ranks[i+1]}x{c.ranks[i]}"
+                    )
 
     @property
     def source(self) -> ChainComplex:
@@ -140,32 +152,16 @@ class HomotopyEquivalence:
         return evaluate(equivalence_identities(self))
 
 
-def _homotopy_parts(c: ChainComplex, parts) -> tuple[Matrix, ...]:
-    parts = tuple(parts)
-    if len(parts) != c.length:
-        raise ShapeError("need one homotopy component per degree below the top")
-    for i, s in enumerate(parts):
-        if s.shape != (c.ranks[i + 1], c.ranks[i]):
-            raise ShapeError(
-                f"homotopy component {i} must be {c.ranks[i+1]}x{c.ranks[i]}"
-            )
-    return parts
-
-
 def make_equivalence(fwd: ChainMap, bwd: ChainMap, s_parts, t_parts) -> HomotopyEquivalence:
     """Package witnesses: s contracts bwd.fwd on the source, t contracts
-    fwd.bwd on the target. Only composability and shapes are checked here;
+    fwd.bwd on the target. Only composability is checked here; the
+    equivalence checks the homotopies' shapes when it is built, and
     ``HomotopyEquivalence.validate`` checks the identities."""
     if fwd.target != bwd.source:
         raise ShapeError("composition mismatch")
     if bwd.target != fwd.source:
         raise ShapeError("homotopy needs maps with equal source and target")
-    return HomotopyEquivalence(
-        fwd=fwd,
-        bwd=bwd,
-        src_homotopy=_homotopy_parts(fwd.source, s_parts),
-        tgt_homotopy=_homotopy_parts(fwd.target, t_parts),
-    )
+    return HomotopyEquivalence(fwd, bwd, s_parts, t_parts)
 
 
 def zero_homotopy(c: ChainComplex) -> list[Matrix]:

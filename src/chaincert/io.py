@@ -8,9 +8,11 @@ arrays of base-ring strings in the table's element order. Serialization is
 canonical (sorted keys, fixed separators), so identical data produces
 byte-identical files.
 
-Matrices are coded through tables. Reading maps a matrix's cells, in
-file order, through a table that parses each literal when first looked
-up (``_Literals``), so the first bad literal is the one named. The
+Matrices are coded through tables, each a ``rings._Derived`` that stores
+a pure function's value when a key is first looked up and stores nothing
+when it raises. Reading maps a matrix's cells, in file order, through a
+table of ``_literal``, which parses each literal once, so the first bad
+literal is the one named. The
 accepted literal language is exactly that of ``ring.parse`` (the base
 ring's, for group-ring coefficients); a cell that is not a string, or a
 literal ``ring.parse`` rejects, is a ``MalformedFileError``. An integer
@@ -21,8 +23,9 @@ Writing never builds the nested lists: the document builders
 (``resolution_document``, ``certificate_document``) leave every matrix as
 a ``Matrix`` leaf. The writer (``_emit``) appends the text of each node
 to one list of pieces: a matrix's text is one piece, each row one join
-over a table of entry texts (``_Texts``), one table per file, which
-renders each distinct value once; a list of strings is one encoder piece.
+over a table of entry texts (``_texts``), one table per ring and file,
+which renders each distinct value once; a list of strings is one encoder
+piece.
 ``dump_canonical`` joins the pieces once; ``save`` renders them all and
 then writes them one by one, never joining the whole text.
 ``resolution_to_json`` and ``certificate_to_json`` return the plain
@@ -60,7 +63,7 @@ from functools import partial
 from .chain import ChainComplex
 from .matrix import Matrix
 from .resolution import ModulePresentation, TruncatedResolution
-from .rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError
+from .rings import ZZ, GroupRing, GroupTable, IntegerRing, PrimeField, Ring, RingError, _Derived
 from .stabilize import EquivalenceCertificate
 
 FORMAT_VERSION = 1
@@ -158,38 +161,26 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-class _Literals(dict):
-    """{literal: ``parse(literal)``}, each literal parsed when first looked
-    up; one that is not a string, or that ``parse`` rejects, is malformed."""
-
-    def __init__(self, parse):
-        self.parse = parse
-
-    def __missing__(self, text):
-        if not isinstance(text, str):
-            raise MalformedFileError(f"expected a string literal, got {_shown(text)}")
-        try:
-            value = self[text] = self.parse(text)
-        except ValueError as exc:
-            raise MalformedFileError(f"bad literal {_shown(text)}{_over_limit(text)}") from exc
-        return value
+def _literal(parse, text):
+    """``parse(text)``; a ``text`` that is not a string, or that ``parse``
+    rejects, is malformed. The reader looks literals up in
+    ``_Derived(partial(_literal, parse))``, which parses each once."""
+    if not isinstance(text, str):
+        raise MalformedFileError(f"expected a string literal, got {_shown(text)}")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise MalformedFileError(f"bad literal {_shown(text)}{_over_limit(text)}") from exc
 
 
-class _Texts(dict):
+def _texts(ring: Ring) -> _Derived:
     """{value: its JSON text}, each value rendered when first looked up: a
-    quoted decimal, or over a group ring an array of them through a nested
-    table for the base ring. ``_pieces`` makes new tables for each file."""
-
-    def __init__(self, ring: Ring):
-        self.render = ring.render
-        self.coeffs = _Texts(ring.base) if isinstance(ring, GroupRing) else None
-
-    def __missing__(self, value):
-        if self.coeffs is None:
-            text = self[value] = '"' + self.render(value) + '"'
-        else:
-            text = self[value] = "[" + ",".join(map(self.coeffs.__getitem__, value)) + "]"
-        return text
+    quoted decimal, or over a group ring an array of them through the base
+    ring's table. ``_pieces`` makes new tables for each file."""
+    if isinstance(ring, GroupRing):
+        coeffs = _texts(ring.base).__getitem__
+        return _Derived(lambda value: "[" + ",".join(map(coeffs, value)) + "]")
+    return _Derived(lambda value: '"' + ring.render(value) + '"')
 
 
 # byte value -> ASCII digit for 0-9; every other byte maps to "?", which no
@@ -229,7 +220,7 @@ def _digit_text(m: Matrix) -> str | None:
     return f"[[{rows.decode('ascii')}]]"
 
 
-def _matrix_text(m: Matrix, texts: _Texts) -> str:
+def _matrix_text(m: Matrix, texts: _Derived) -> str:
     """The canonical JSON text of ``m``: an array of rows, each an array of
     entries. Over F_p with p <= 10 every canonical entry is one digit, and
     the text is written from the entries' bytes (``_digit_text``);
@@ -273,10 +264,10 @@ def matrix_from_json(ring: Ring, rows: int, cols: int, data) -> Matrix:
         if not all(isinstance(cell, list) and len(cell) == order for cell in cells):
             raise MalformedFileError("group-ring entry must list one coefficient per element")
         literals = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
-        coeffs = map(_Literals(ring.base.parse).__getitem__, literals)
+        coeffs = map(_Derived(partial(_literal, ring.base.parse)).__getitem__, literals)
         values = zip(*[coeffs] * order)  # consecutive runs of `order`
     else:
-        values = map(_Literals(ring.parse).__getitem__, cells)
+        values = map(_Derived(partial(_literal, ring.parse)).__getitem__, cells)
     try:
         return Matrix(ring, rows, cols, tuple(values))
     except TypeError as exc:  # an unhashable cell
@@ -507,16 +498,15 @@ def certificate_from_json(doc: dict) -> EquivalenceCertificate:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _emit(node, out: list, tables: dict) -> None:
+def _emit(node, out: list, tables: _Derived) -> None:
     """Append the pieces of ``json.dumps(node, sort_keys=True,
     separators=(",", ":"))`` to ``out``, with each ``Matrix`` leaf written
-    by ``_matrix_text`` through ``tables[ring]``, the file's ``_Texts`` for
-    its ring. Dicts (whose keys must be strings), and lists and tuples that
-    hold anything but strings, are taken apart here; every other node is
-    one encoder call."""
-    if isinstance(node, Matrix):  # an empty table is as good as a new one
-        texts = tables[node.ring] = tables.get(node.ring) or _Texts(node.ring)
-        out.append(_matrix_text(node, texts))
+    by ``_matrix_text`` through ``tables[ring]``, the file's ``_texts``
+    table for its ring. Dicts (whose keys must be strings), and lists and
+    tuples that hold anything but strings, are taken apart here; every
+    other node is one encoder call."""
+    if isinstance(node, Matrix):
+        out.append(_matrix_text(node, tables[node.ring]))
     elif isinstance(node, dict):
         if not all(isinstance(key, str) for key in node):
             raise TypeError("a document's dict keys must be strings")
@@ -540,7 +530,7 @@ def _emit(node, out: list, tables: dict) -> None:
 def _pieces(doc) -> list[str]:
     """The file text of ``doc`` as a list of pieces, in order."""
     out: list[str] = []
-    _emit(doc, out, {})
+    _emit(doc, out, _Derived(_texts))
     out.append("\n")
     return out
 

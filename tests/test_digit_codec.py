@@ -91,7 +91,7 @@ def digit_matrices(draw, ring):
 
 
 def assert_writes_like_the_table(m: Matrix):
-    text = io._matrix_text(m, io._Texts(m.ring))
+    text = io._matrix_text(m, io._texts(m.ring))
     assert text == table_matrix_text(m)
     assert io.matrix_from_json(m.ring, m.rows, m.cols, json.loads(text)) == m
 
@@ -116,7 +116,7 @@ def test_unchecked_byte_entries_render_as_the_table_path_does(entries, cell):
     non-canonical entry: a digit past p is written as that digit; anything
     else sends the matrix to the table path."""
     m = Matrix(PrimeField(5), 1, 2, entries)
-    text = io._matrix_text(m, io._Texts(m.ring))
+    text = io._matrix_text(m, io._texts(m.ring))
     assert text == table_matrix_text(m)
     assert json.loads(text)[0][0] == cell
     assert "?" not in text

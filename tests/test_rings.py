@@ -10,6 +10,7 @@ from chaincert.rings import (
     GroupTable,
     PrimeField,
     RingError,
+    _Derived,
     is_prime,
 )
 
@@ -127,6 +128,27 @@ def test_group_ring_constants_are_computed_once():
         assert {r: 1}[fresh] == 1
         assert GroupRing(base, GroupTable.cyclic(6)) != r
     assert GroupRing(ZZ, table) != GroupRing(PrimeField(3), table)
+
+
+def test_a_derived_table_derives_each_key_once_and_stores_no_failure():
+    """The tables of supports and representations, and the reader's literal
+    and text tables, rely on this: a key is derived once however often it
+    is looked up, and a derive that raises stores nothing, so the next
+    lookup derives, and raises, again."""
+    calls = []
+
+    def derive(text):
+        calls.append(text)
+        return int(text)
+
+    table = _Derived(derive)
+    assert [table[t] for t in ("7", "7", "-2", "7", "-2")] == [7, 7, -2, 7, -2]
+    assert calls == ["7", "-2"] and table == {"7": 7, "-2": -2}
+    for attempt in (1, 2):
+        with pytest.raises(ValueError):
+            table["x"]
+        assert "x" not in table and calls.count("x") == attempt
+    assert table == {"7": 7, "-2": -2}
 
 
 def test_regular_representation_values(zc2):

@@ -166,6 +166,59 @@ def test_build_ladder_rejects_an_input_that_is_not_a_complex(side):
     assert str(err.value) == f"{side} input is not a complex at degree 2: d2.d3 = 0 fails"
 
 
+def _boundary_bumped(res, i, e):
+    """``res`` with one added to entry ``e`` (row-major) of d_{i+1}."""
+    c = res.complex
+    d = c.diffs[i]
+    entries = list(d.entries)
+    entries[e] = d.ring.add(entries[e], d.ring.one)
+    diffs = list(c.diffs)
+    diffs[i] = Matrix(d.ring, d.rows, d.cols, entries)
+    return dataclasses.replace(res, complex=ChainComplex(c.ring, c.ranks, diffs))
+
+
+def _generated_pair(ring, relations, seeds):
+    pres = ModulePresentation(ring, relations.rows, relations)
+    return tuple(generate_resolution(pres, n=4, max_rank=5, seed=seed) for seed in seeds)
+
+
+def _padded_pair(res):
+    return res, pad_top(res, 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _generated_pair(ZZ, Matrix.from_rows(ZZ, [[0], [6]]), (3, 4)),  # Z + Z/6
+        lambda: _generated_pair(F5, Matrix.zeros(F5, 2, 0), (7, 8)),
+        lambda: _generated_pair(F2, Matrix.zeros(F2, 2, 0), (7, 8)),
+        lambda: _padded_pair(canonical_resolution("Z_over_Z[C_3]", 4)[1]),
+        lambda: _padded_pair(s3_resolution()),
+        lambda: _padded_pair(f2c4_resolution(4)),
+    ],
+    ids=["Z", "F5", "F2", "Z[C3]", "Z[S3]", "F2[C4]"],
+)
+def test_the_lifts_alone_refuse_every_input_that_is_not_a_complex(make):
+    # build_ladder_maps runs no d.d pass: the forward lift at degree i
+    # needs the T_{i-2} rows of f_{i-1}[:, P_{i-1}] d^P_i to vanish, and
+    # those rows are d^P_{i-1} d^P_i, so the forward lifts check d.d on the
+    # first input and the backward lifts on the second. Every single-entry
+    # bump of an input boundary that breaks d.d raises LiftError
+    left, right = make()
+    build_ladder_maps(left, right)
+    broken = 0
+    for side, res in enumerate((left, right)):
+        for i, d in enumerate(res.complex.diffs):
+            for e in range(d.rows * d.cols):
+                bad = _boundary_bumped(res, i, e)
+                if validate_complex(bad.complex).ok:
+                    continue
+                broken += 1
+                with pytest.raises(LiftError):
+                    build_ladder_maps(*((bad, right) if side == 0 else (left, bad)))
+    assert broken
+
+
 # ---------------------------------------------------------------------------
 # stabilized and intermediate complexes
 

@@ -27,7 +27,7 @@ never carries into the next one while it stays at most 255. One lane
 budget keeps it there: an accumulator, empty or just reduced, holds at
 most p-1 per lane, so it takes at most (255 - (p-1)) // (p-1)^2 terms
 before it is reduced (``to_bytes`` and one ``bytes.translate`` through
-``residue_table(p)``). That is 254 terms at p = 2, 15 at p = 5 and 1 at
+``times_table(p, 1)``). That is 254 terms at p = 2, 15 at p = 5 and 1 at
 p = 13. For p > 13 a product is ``matmul_int``'s, reduced mod p.
 ``rref_mod`` keeps each row as ``bytes``:
 the pivot row is scaled by one ``translate`` through a table of v / f,
@@ -86,22 +86,10 @@ def matmul_int(a, b, m, n, k):
 
 
 @lru_cache(maxsize=None)
-def residue_table(p):
-    """The ``bytes.translate`` table of byte v -> v mod p."""
-    return bytes(v % p for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def negation_table(p):
-    """The ``bytes.translate`` table of residue v -> -v mod p."""
-    return bytes(-v % p for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def _scale_table(p, f):
-    """The ``bytes.translate`` table of residue v -> v / f mod p."""
-    inv = pow(f, p - 2, p)
-    return bytes(v * inv % p for v in range(256))
+def times_table(p, f):
+    """The ``bytes.translate`` table of byte v -> v * f mod p: reduction
+    at f = 1, negation at f = p - 1, division by g at f = g^(p-2)."""
+    return bytes(v * f % p for v in range(256))
 
 
 def matmul_mod(a, b, m, n, k, p):
@@ -126,7 +114,7 @@ def _matmul_lanes(a, b, m, n, k, p):
     accumulator between reductions (module docstring)."""
     if not k:
         return b""
-    table = residue_table(p)
+    table = times_table(p, 1)
     terms = (255 - (p - 1)) // (p - 1) ** 2
     packed = [int.from_bytes(b[r : r + k], "little") for r in range(0, n * k, k)]
     zero_row = bytes(k)
@@ -226,7 +214,7 @@ def rref_mod(a, m, n, p):
 def _rref_lanes(a, m, n, p):
     """``rref_mod`` in byte lanes, one ``bytes`` per row; a row whose entry
     in the pivot column is 0 is not touched."""
-    table = residue_table(p)
+    table = times_table(p, 1)
     from_bytes = int.from_bytes
     rows = [bytes(a[i * n : (i + 1) * n]) for i in range(m)]
     pivots = []
@@ -239,7 +227,7 @@ def _rref_lanes(a, m, n, p):
                 break
         else:
             continue
-        prow = rows[pivot].translate(_scale_table(p, rows[pivot][c]))
+        prow = rows[pivot].translate(times_table(p, pow(rows[pivot][c], p - 2, p)))
         rows[pivot] = rows[r]
         rows[r] = prow
         packed = from_bytes(prow, "little")

@@ -72,7 +72,7 @@ class Matrix:
                 raise ValueError(
                     f"entries over {ring} must be residues in [0, {ring.p}): {exc}"
                 ) from exc
-            if converted and entries.translate(_kernels.residue_table(ring.p)) != entries:
+            if converted and entries.translate(_kernels.times_table(ring.p, 1)) != entries:
                 raise ValueError(f"entries over {ring} must be residues in [0, {ring.p})")
         else:
             entries = tuple(entries)
@@ -163,7 +163,7 @@ class Matrix:
         ring, a, b = self.ring, self._e, other._e
         if isinstance(ring, PrimeField) and ring.byte_lanes:
             total = int.from_bytes(a, "little") + int.from_bytes(b, "little")
-            entries = total.to_bytes(len(a), "little").translate(_kernels.residue_table(ring.p))
+            entries = total.to_bytes(len(a), "little").translate(_kernels.times_table(ring.p, 1))
         else:
             entries = _coefficientwise(ring, operator.add, a, b)
         return Matrix(ring, self.rows, self.cols, entries)
@@ -171,7 +171,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         ring, a = self.ring, self._e
         if isinstance(ring, PrimeField) and ring.byte_lanes:
-            entries = a.translate(_kernels.negation_table(ring.p))
+            entries = a.translate(_kernels.times_table(ring.p, ring.p - 1))
         else:
             entries = _coefficientwise(ring, operator.neg, a)
         return Matrix(ring, self.rows, self.cols, entries)

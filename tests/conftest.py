@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from chaincert import io
 from chaincert.matrix import Matrix
 from chaincert.resolution import ModulePresentation, generate_resolution
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
@@ -11,6 +15,22 @@ from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+SRC = os.path.dirname(os.path.dirname(io.__file__))
+CLI_TIMEOUT = 60  # seconds for one command line: a hang fails its test, not the run
+
+
+def run_cli(args, env=os.environ, **kwargs) -> subprocess.CompletedProcess:
+    """The command line ``chaincert args`` as a new process, ``python -m
+    chaincert.cli``, in the environment ``env`` with the package's source
+    directory first on ``PYTHONPATH``; ``kwargs`` go to ``subprocess.run``."""
+    path = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "chaincert.cli", *args],
+        env={**env, "PYTHONPATH": path},
+        timeout=CLI_TIMEOUT,
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="session")

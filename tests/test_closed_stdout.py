@@ -13,32 +13,23 @@ normal run does, and leaves standard error empty.
 import json
 import os
 import subprocess
-import sys
 
 import pytest
 
-from chaincert import io
 from chaincert.cli import main
 
-SRC = os.path.dirname(os.path.dirname(io.__file__))
+from conftest import run_cli
 
 
 def _run_into_a_closed_pipe(argv, unbuffered: bool):
     """(exit code, standard error) of the command line ``argv``."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
     os.close(read)
     try:
-        run = subprocess.run(
-            [sys.executable, "-m", "chaincert.cli", *argv],
-            stdout=write,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
-        )
+        run = run_cli(argv, env, stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
     return run.returncode, run.stderr

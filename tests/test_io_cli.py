@@ -438,6 +438,28 @@ def test_cli_generate_validate_flow(tmp_path):
     assert main(["validate", out]) == 0
 
 
+@pytest.mark.parametrize(
+    "p,n,max_rank",
+    [(2, 4, 8), (5, 4, 8), (7, 4, 8), (2, 3, 6), (3, 3, 6), (11, 3, 6), (13, 3, 6), (17, 3, 6)],
+)
+def test_cli_round_trip_over_a_prime_field(tmp_path, p, n, max_rank):
+    """F_2 to F_13 store entries as bytes, multiply them and eliminate in
+    byte lanes (F_13 has a budget of one product term between reductions),
+    and files over F_2, F_5 and F_7 are written and read by the codec's
+    byte path; F_17 keeps tuples and the per-entry kernels."""
+    first, second, cert = (str(tmp_path / name) for name in ("p.json", "q.json", "cert.json"))
+    gen = [
+        "generate", "--ring", f"Fp:{p}", "--module", "dim:2",
+        "--n", str(n), "--max-rank", str(max_rank),
+    ]
+    assert [
+        main([*gen, "--seed", "1", "--out", first]),
+        main([*gen, "--seed", "2", "--out", second]),
+        main(["stabilize", first, second, "--out", cert]),
+        main(["check", cert]),
+    ] == [0, 0, 0, 0]
+
+
 def test_cli_generate_module_presets(tmp_path):
     out = str(tmp_path / "res.json")
     assert main([
@@ -840,11 +862,38 @@ def test_wide_augmentation_validates_at_once(tmp_path, capsys):
     assert max(map(len, out.splitlines())) < 80
 
 
+def test_huge_declared_top_rank_validates_at_once(tmp_path, capsys):
+    # ranks 0, 10^7: the zero product aug.d_1, 100 x 10^7, is never formed
+    path = _write(tmp_path, "huge.json", _wide_augmentation_resolution(100, 0, 10**7))
+    assert (tmp_path / "huge.json").stat().st_size < 1_536
+    capsys.readouterr()
+    start = perf_counter()
+    assert main(["validate", path]) == 2
+    assert perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "[FAIL] augmentation surjective onto the module: cokernel Z^100\n" in out
+
+
+def test_zero_module_with_a_wide_top_stabilizes_against_itself(tmp_path, capsys):
+    """The 217-byte resolution of the zero module with ranks 0, 0, 600 is
+    valid. Against itself each degree-2 lift is an integer solve with no
+    rows and 600 right-hand columns, done in one pass; the certificate is
+    23 MB."""
+    pres = ModulePresentation(ZZ, 0, Matrix.zeros(ZZ, 0, 0))
+    complex_ = ChainComplex(ZZ, [0, 0, 600], [Matrix.zeros(ZZ, 0, 0), Matrix.zeros(ZZ, 0, 600)])
+    res = TruncatedResolution(pres, complex_, Matrix.zeros(ZZ, 0, 0))
+    path = _write(tmp_path, "zero.json", res)
+    out = str(tmp_path / "cert.json")
+    for argv in (["stabilize", path, path, "--out", out], ["check", out]):
+        start = perf_counter()
+        assert main(argv) == 0
+        assert perf_counter() - start < 10.0
+
+
 def _dense_presentation_document(k: int) -> dict:
     """The n = 1 Z resolution Z^k <- Z^k of coker d_1, with relations d_1
     and the identity augmentation. d_1 is k x k, about 80% nonzero, with
-    entries of up to 12 digits drawn from random.Random(1). The CI
-    quickstart writes the same file."""
+    entries of up to 12 digits drawn from random.Random(1)."""
     rng = random.Random(1)
     d1 = [
         [str(rng.randint(-10**12 + 1, 10**12 - 1)) if rng.random() < 0.8 else "0" for _ in range(k)]
@@ -957,6 +1006,20 @@ def test_cli_generate_and_stabilize_reject_a_huge_modulus_at_once(tmp_path, caps
         assert main(argv) == 1
         assert perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_validate_rejects_a_huge_modulus_at_once(tmp_path, capsys):
+    # README's Z/2 input with its ring renamed: no entry is read as a residue
+    pres = ModulePresentation(ZZ, 1, Matrix(ZZ, 1, 1, [2]))
+    doc = io.resolution_to_json(generate_resolution(pres, n=2, max_rank=4, seed=7))
+    doc["ring"] = f"Fp:{HUGE_PRIME}"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = perf_counter()
+    assert main(["validate", str(path)]) == 1
+    assert perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ in every process whatever its hash seed.
 import json
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -31,6 +29,8 @@ from chaincert.resolution import (
 )
 from chaincert.rings import ZZ, GroupRing, GroupTable, PrimeField
 from chaincert.stabilize import total_equivalence
+
+from conftest import run_cli
 
 
 def _bases():
@@ -189,18 +189,10 @@ def _group_ring_certificate_with_two_bad_coefficients() -> dict:
 def test_the_named_bad_literal_does_not_depend_on_the_hash_seed(tmp_path, command, document):
     path = tmp_path / "bad.json"
     path.write_text(io.dump_canonical(document()))
-    src = os.path.dirname(os.path.dirname(io.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     errors = set()
     for seed in range(1, 9):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": pythonpath}
-        run = subprocess.run(
-            [sys.executable, "-m", "chaincert.cli", command, str(path)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        run = run_cli([command, str(path)], env, capture_output=True, text=True)
         assert run.returncode == 1
         errors.add(run.stderr)
     assert errors == {"error: bad literal 'x1'\n"}
